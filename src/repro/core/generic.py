@@ -15,7 +15,10 @@ from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set, Tupl
 
 import numpy as np
 
-from ..graphs.bipartite_vc import min_weight_vertex_cover_bipartite
+from ..graphs.bipartite_vc import (
+    compact_edges,
+    min_weight_vertex_cover_bipartite,
+)
 from ..graphs.wvc import wvc_exact, wvc_local_ratio
 from ..mesh.faults import FaultSet
 from ..mesh.torus import Torus
@@ -82,16 +85,13 @@ def generic_lamb_set(
     if zeros.size == 0:
         return set()
     if method == "bipartite":
-        rel_s = sorted({int(i) for i, _ in zeros})
-        rel_d = sorted({int(j) for _, j in zeros})
-        s_pos = {i: a for a, i in enumerate(rel_s)}
-        d_pos = {j: b for b, j in enumerate(rel_d)}
-        edges = [(s_pos[int(i)], d_pos[int(j)]) for i, j in zeros]
+        rel_s, rel_d, edges = compact_edges(zeros)
+        w = np.asarray(weights, dtype=np.float64)
         cl, cr, _ = min_weight_vertex_cover_bipartite(
-            [weights[i] for i in rel_s], [weights[j] for j in rel_d], edges
+            w[rel_s], w[rel_d], edges
         )
-        out = {nodes[rel_s[a]] for a in cl}
-        out |= {nodes[rel_d[b]] for b in cr}
+        out = {nodes[i] for i in rel_s[sorted(cl)].tolist()}
+        out |= {nodes[j] for j in rel_d[sorted(cr)].tolist()}
         return out
     # General graph: vertex per node; edge (u, u') iff one of the two
     # directions is unreachable (Theorem 9.3 construction).

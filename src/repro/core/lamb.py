@@ -39,7 +39,10 @@ from typing import (
 
 import numpy as np
 
-from ..graphs.bipartite_vc import min_weight_vertex_cover_bipartite
+from ..graphs.bipartite_vc import (
+    compact_edges,
+    min_weight_vertex_cover_bipartite,
+)
 from ..graphs.wvc import wvc_exact, wvc_local_ratio
 from ..obs import get_registry
 from ..mesh.faults import FaultSet
@@ -338,19 +341,15 @@ def _reduce_bipartite(
     values: Mapping[Node, float],
 ) -> Tuple[Tuple[int, ...], Tuple[int, ...], float]:
     """Reduce-WVC(Bipartite), Fig. 13."""
-    rel_s = sorted({int(i) for i, _ in zeros})
-    rel_d = sorted({int(j) for _, j in zeros})
-    s_pos = {i: a for a, i in enumerate(rel_s)}
-    d_pos = {j: b for b, j in enumerate(rel_d)}
-    left_w = _rect_weights([ses[i] for i in rel_s], values)
-    right_w = _rect_weights([des[j] for j in rel_d], values)
-    edges = [(s_pos[int(i)], d_pos[int(j)]) for i, j in zeros]
+    rel_s, rel_d, edges = compact_edges(zeros)
+    left_w = _rect_weights([ses[i] for i in rel_s.tolist()], values)
+    right_w = _rect_weights([des[j] for j in rel_d.tolist()], values)
     cover_l, cover_r, weight = min_weight_vertex_cover_bipartite(
         left_w, right_w, edges
     )
     return (
-        tuple(rel_s[a] for a in sorted(cover_l)),
-        tuple(rel_d[b] for b in sorted(cover_r)),
+        tuple(rel_s[sorted(cover_l)].tolist()),
+        tuple(rel_d[sorted(cover_r)].tolist()),
         weight,
     )
 
@@ -370,8 +369,8 @@ def _reduce_general(
     those with at least one incident edge; ``u_{i,j} ~ u_{i',j'}`` iff
     ``R^(k)(i, j') = 0`` or ``R^(k)(i', j) = 0``.
     """
-    zero_rows = {int(i) for i, _ in zeros}
-    zero_cols = {int(j) for _, j in zeros}
+    zero_rows = set(np.unique(zeros[:, 0]).tolist())
+    zero_cols = set(np.unique(zeros[:, 1]).tolist())
     # Candidate vertices: an intersection vertex u_{i,j} has an edge
     # only if row i or column j contains a zero (pair it with some
     # vertex in the zero's column/row).

@@ -100,11 +100,15 @@ def fig19(
     percentage, 2D vs 3D.  Derived from the Fig. 17/18 sweeps."""
     r2d = fig17_result or fig17(trials, seed)
     r3d = fig18_result or fig18(trials, seed)
+    t2, t3 = r2d.meta["trials"], r3d.meta["trials"]
     out = SweepResult(
         figure="fig19",
         description="additional damage (#lambs/#faults), 2D vs 3D",
         x_label="% faults",
-        meta={"from": ("fig17", "fig18")},
+        meta={
+            "from": ("fig17", "fig18"),
+            "trials": t2 if t2 == t3 else f"{t2} (2D), {t3} (3D)",
+        },
     )
     mesh2, mesh3 = Mesh.square(2, 32), Mesh.square(3, 32)
     for pct, s2, s3 in zip(PERCENTS, r2d.series, r3d.series):

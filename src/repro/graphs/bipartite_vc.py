@@ -6,36 +6,87 @@ vertex cover of a bipartite graph equals the maximum flow in the
 network  ``source -> left(w) -> right(inf) -> sink(w)``, and a minimum
 cut directly yields an optimal cover (the paper's reference [10]
 reduction; solvable in O(b^3) for b vertices).
+
+Two solvers, chosen by the data alone:
+
+- integral weights whose sum fits int32 (every Lamb1 instance without
+  fractional Section 7 *values*): one
+  :func:`scipy.sparse.csgraph.maximum_flow` (Dinic, compiled);
+- anything else: the pure-Python :class:`~repro.graphs.maxflow.MaxFlow`
+  Dinic, which is also the parity oracle for the compiled path.
+
+Both return the *same* cover, not merely one of equal weight: the
+cover is read off the set of vertices reachable from the source in
+the residual graph, and that set is identical for every maximum flow.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Set, Tuple
+from typing import Iterable, Sequence, Set, Tuple, Union
+
+import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from .maxflow import INF, MaxFlow
 
-__all__ = ["min_weight_vertex_cover_bipartite"]
+__all__ = ["compact_edges", "min_weight_vertex_cover_bipartite"]
+
+Weights = Union[np.ndarray, Sequence[float]]
+EdgesLike = Union[np.ndarray, Iterable[Tuple[int, int]]]
+Cover = Tuple[Set[int], Set[int], float]
+
+#: scipy's ``maximum_flow`` stores capacities as int32.
+_INT32_LIMIT = 2**31
+
+
+def compact_edges(pairs: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Relabel the endpoints of ``(m, 2)`` index pairs densely.
+
+    Returns ``(rows, cols, edges)``: the sorted distinct first and
+    second coordinates, and the pairs rewritten as positions into
+    them.  Applied to ``np.argwhere(~R)`` this is the bipartite graph
+    of ``Reduce-WVC(Bipartite)`` (Fig. 13, step 1): a vertex per row
+    and per column holding a zero, an edge per zero.
+
+    >>> rows, cols, edges = compact_edges(np.array([[4, 7], [9, 7]]))
+    >>> rows.tolist(), cols.tolist(), edges.tolist()
+    ([4, 9], [7], [[0, 0], [1, 0]])
+    """
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    rows, left = np.unique(pairs[:, 0], return_inverse=True)
+    cols, right = np.unique(pairs[:, 1], return_inverse=True)
+    return rows, cols, np.stack([left.ravel(), right.ravel()], axis=1)
+
+
+def _edge_array(edges: EdgesLike) -> np.ndarray:
+    if isinstance(edges, np.ndarray):
+        return edges.astype(np.int64, copy=False).reshape(-1, 2)
+    return np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
 
 
 def min_weight_vertex_cover_bipartite(
-    left_weights: Sequence[float],
-    right_weights: Sequence[float],
-    edges: Iterable[Tuple[int, int]],
-) -> Tuple[Set[int], Set[int], float]:
+    left_weights: Weights,
+    right_weights: Weights,
+    edges: EdgesLike,
+) -> Cover:
     """Minimum-weight vertex cover of a bipartite graph.
 
     Parameters
     ----------
     left_weights, right_weights:
-        Nonnegative vertex weights of the two sides.
+        Nonnegative vertex weights of the two sides (sequences or
+        1-D arrays).
     edges:
-        Pairs ``(i, j)`` meaning left vertex ``i`` — right vertex ``j``.
+        An ``(m, 2)`` integer array, or an iterable of pairs
+        ``(i, j)``, meaning left vertex ``i`` — right vertex ``j``.
 
     Returns
     -------
     (cover_left, cover_right, weight):
         Index sets of the chosen cover vertices on each side and the
-        total cover weight.
+        total cover weight.  Vertices without an incident edge are
+        never chosen.
 
     Examples
     --------
@@ -44,33 +95,93 @@ def min_weight_vertex_cover_bipartite(
     >>> sorted(cl), sorted(cr), w
     ([0], [1], 2.0)
     """
-    p, q = len(left_weights), len(right_weights)
-    edges = list(edges)
-    for (i, j) in edges:
-        if not (0 <= i < p and 0 <= j < q):
-            raise ValueError(f"edge ({i}, {j}) out of range")
-    if any(w < 0 for w in left_weights) or any(w < 0 for w in right_weights):
+    lw = np.asarray(left_weights, dtype=np.float64).reshape(-1)
+    rw = np.asarray(right_weights, dtype=np.float64).reshape(-1)
+    p, q = len(lw), len(rw)
+    e = _edge_array(edges)
+    bad = (e[:, 0] < 0) | (e[:, 0] >= p) | (e[:, 1] < 0) | (e[:, 1] >= q)
+    if bad.any():
+        i, j = e[int(np.argmax(bad))]
+        raise ValueError(f"edge ({i}, {j}) out of range")
+    if (lw < 0).any() or (rw < 0).any():
         raise ValueError("weights must be nonnegative")
-    if not edges:
+    if not len(e):
         return set(), set(), 0.0
+    weights = np.concatenate([lw, rw])
+    big = float(weights.sum()) + 1.0
+    if np.all(weights == np.floor(weights)) and big < _INT32_LIMIT:
+        return _cover_compiled(lw, rw, e, int(big))
+    return _cover_dinic(lw, rw, e)
+
+
+def _touched_cover(
+    e: np.ndarray, out_left: np.ndarray, in_right: np.ndarray
+) -> Tuple[Set[int], Set[int]]:
+    """The cover from a residual-reachability mask: left vertices cut
+    off from the source, right vertices reached from it — keeping only
+    vertices that touch an edge (isolated ones can never be forced into
+    the cover, but the cut may formally include unreachable ones)."""
+    touched_left = np.zeros(len(out_left), dtype=bool)
+    touched_right = np.zeros(len(in_right), dtype=bool)
+    touched_left[e[:, 0]] = True
+    touched_right[e[:, 1]] = True
+    return (
+        set(np.flatnonzero(touched_left & out_left).tolist()),
+        set(np.flatnonzero(touched_right & in_right).tolist()),
+    )
+
+
+def _cover_compiled(
+    lw: np.ndarray, rw: np.ndarray, e: np.ndarray, big: int
+) -> Cover:
+    """scipy's compiled Dinic on one CSR network; ``big`` exceeds every
+    cut so it stands in for the infinite middle capacities."""
+    p, q = len(lw), len(rw)
+    source, sink = p + q, p + q + 1
+    # CSR construction sums repeated entries; keep each edge once so a
+    # capacity stays at ``big``.
+    key = e[:, 0] * q + e[:, 1]
+    if (np.diff(key) <= 0).any():
+        key = np.unique(key)
+        e = np.stack([key // q, key % q], axis=1)
+    left = np.flatnonzero(lw > 0)
+    right = np.flatnonzero(rw > 0)
+    tail = np.concatenate(
+        [np.full(len(left), source), e[:, 0], p + right]
+    )
+    head = np.concatenate([left, p + e[:, 1], np.full(len(right), sink)])
+    cap = np.concatenate(
+        [lw[left], np.full(len(e), big), rw[right]]
+    ).astype(np.int32)
+    n = p + q + 2
+    net = sp.csr_matrix((cap, (tail, head)), shape=(n, n))
+    res = maximum_flow(net, source, sink, method="dinic")
+    # The flow matrix is antisymmetric, so ``net - flow`` also carries
+    # the reverse residual edges (capacity = flow pushed forward).
+    residual = net - res.flow
+    residual.eliminate_zeros()
+    seen = np.zeros(n, dtype=bool)
+    seen[breadth_first_order(residual, source, directed=True,
+                             return_predecessors=False)] = True
+    cover_left, cover_right = _touched_cover(e, ~seen[:p], seen[p:p + q])
+    return cover_left, cover_right, float(res.flow_value)
+
+
+def _cover_dinic(lw: np.ndarray, rw: np.ndarray, e: np.ndarray) -> Cover:
+    """The pure-Python :class:`MaxFlow` oracle (any real weights)."""
+    p, q = len(lw), len(rw)
     source = p + q
     sink = p + q + 1
     net = MaxFlow(p + q + 2)
-    for i, w in enumerate(left_weights):
-        net.add_edge(source, i, float(w))
-    for j, w in enumerate(right_weights):
-        net.add_edge(p + j, sink, float(w))
-    for (i, j) in edges:
+    for i, w in enumerate(lw.tolist()):
+        net.add_edge(source, i, w)
+    for j, w in enumerate(rw.tolist()):
+        net.add_edge(p + j, sink, w)
+    for i, j in e.tolist():
         net.add_edge(i, p + j, INF)
     weight = net.max_flow(source, sink)
     reachable = net.min_cut_side(source)
-    cover_left = {i for i in range(p) if i not in reachable}
-    cover_right = {j for j in range(q) if (p + j) in reachable}
-    # Only keep cover vertices that actually touch an edge (vertices
-    # with no incident edge can never be forced into the cover, but the
-    # cut may formally include unreachable isolated ones).
-    touched_left = {i for (i, _) in edges}
-    touched_right = {j for (_, j) in edges}
-    cover_left &= touched_left
-    cover_right &= touched_right
+    seen = np.zeros(p + q + 2, dtype=bool)
+    seen[list(reachable)] = True
+    cover_left, cover_right = _touched_cover(e, ~seen[:p], seen[p:p + q])
     return cover_left, cover_right, weight

@@ -1,11 +1,11 @@
 """Dinic's maximum-flow algorithm.
 
-Used to solve weighted vertex cover *optimally* on bipartite graphs
-(the paper's reference [10] reduction), which is the heart of the
-``Reduce-WVC(Bipartite)`` step of Lamb1.  Dinic runs in O(V^2 E) in
-general and O(E sqrt(V)) on unit-capacity bipartite networks — far
-more than fast enough for the O(d f)-vertex graphs the lamb pipeline
-produces.
+Solves weighted vertex cover *optimally* on bipartite graphs (the
+paper's reference [10] reduction) whenever the weights are fractional
+or too large for scipy's int32 capacities, and is the parity oracle
+for the compiled solver :mod:`repro.graphs.bipartite_vc` uses
+otherwise.  Dinic runs in O(V^2 E) in general and O(E sqrt(V)) on
+unit-capacity bipartite networks.
 """
 
 from __future__ import annotations

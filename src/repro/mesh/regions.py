@@ -153,35 +153,37 @@ class Rect:
 # ----------------------------------------------------------------------
 # Vectorized helpers over collections of rectangles
 # ----------------------------------------------------------------------
-def _bounds_arrays(rects: Sequence[Rect]) -> Tuple[np.ndarray, np.ndarray]:
-    if not rects:
-        d = 0
-        return np.empty((0, d), np.int64), np.empty((0, d), np.int64)
-    lo = np.asarray([r.lo for r in rects], dtype=np.int64)
-    hi = np.asarray([r.hi for r in rects], dtype=np.int64)
-    return lo, hi
-
-
 def rect_intersection_matrix(
-    rows: Sequence[Rect], cols: Sequence[Rect], chunk: int = 512
+    rows: Sequence[Rect], cols: Sequence[Rect]
 ) -> np.ndarray:
     """Boolean matrix ``I[i, j] = (rows[i] ∩ cols[j] != ∅)``.
 
     This is the intersection matrix ``I_t`` of Find-Reachability
-    (Fig. 12, step 2), computed by broadcast interval comparisons in
-    row chunks to bound peak memory.
+    (Fig. 12, step 2).  Two intervals meet iff each starts no later
+    than the other ends, so ``I`` is the AND over dimensions of two
+    outer comparisons of the bound vectors, accumulated in place: the
+    only temporary is one more ``p x q`` boolean.
+
+    >>> m = Mesh((6, 6))
+    >>> rect_intersection_matrix(
+    ...     [Rect.from_spec(m, ['*', 0])],
+    ...     [Rect.from_spec(m, [0, '*']), Rect.from_spec(m, [3, 4])])
+    array([[ True, False]])
     """
-    if not rows or not cols:
-        return np.zeros((len(rows), len(cols)), dtype=bool)
-    rlo, rhi = _bounds_arrays(rows)
-    clo, chi = _bounds_arrays(cols)
-    out = np.empty((len(rows), len(cols)), dtype=bool)
-    for start in range(0, len(rows), chunk):
-        end = min(start + chunk, len(rows))
-        # (chunk, 1, d) vs (1, q, d)
-        lo = np.maximum(rlo[start:end, None, :], clo[None, :, :])
-        hi = np.minimum(rhi[start:end, None, :], chi[None, :, :])
-        out[start:end] = np.all(lo <= hi, axis=2)
+    p, q = len(rows), len(cols)
+    if not p or not q:
+        return np.zeros((p, q), dtype=bool)
+    # (d, count) bound vectors in the narrowest dtype holding a coordinate.
+    dtype = np.min_scalar_type(max(rows[0].mesh.widths))
+    rlo = np.asarray([r.lo for r in rows], dtype=dtype).T
+    rhi = np.asarray([r.hi for r in rows], dtype=dtype).T
+    clo = np.asarray([c.lo for c in cols], dtype=dtype).T
+    chi = np.asarray([c.hi for c in cols], dtype=dtype).T
+    out = np.ones((p, q), dtype=bool)
+    tmp = np.empty_like(out)
+    for j in range(len(rlo)):
+        out &= np.less_equal.outer(rlo[j], chi[j], out=tmp)
+        out &= np.greater_equal.outer(rhi[j], clo[j], out=tmp)
     return out
 
 

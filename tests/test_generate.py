@@ -51,3 +51,24 @@ class TestMonotonicTimers:
         source = inspect.getsource(gen)
         assert "time.time(" not in source
         assert "time.perf_counter(" in source
+
+
+class TestNoPlaceholders:
+    def test_every_sweep_section_states_its_trials(self, tmp_path, monkeypatch):
+        # Sweeps run on a stub trial runner: the check is the report's
+        # text, not the statistics.
+        from repro.experiments import figures
+        from repro.experiments.harness import TrialSeries
+
+        def stub_trials(mesh, num_faults, trials, seed=0, tag=0, **kw):
+            series = TrialSeries(x=0)
+            for _ in range(trials):
+                series.add(lambs=0, num_ses=1, num_des=1, seconds=0.0)
+            return series
+
+        monkeypatch.setattr(figures, "lamb_trials", stub_trials)
+        monkeypatch.setenv("REPRO_TRIALS", "1")
+        text = generate(str(tmp_path / "out.md"), sections=ALL_SECTIONS)
+        assert text.count("Trials per point:") >= 10
+        assert "Trials per point: ?" not in text
+        assert "Trials per point: 1. Paper reference at 3%" in text

@@ -117,15 +117,38 @@ class TestIntersection:
         assert I[0, 0] and not I[0, 1]
         assert I[1, 0] and not I[1, 1]
 
-    @given(mesh_with_rects(count=4))
-    @settings(max_examples=20, deadline=None)
-    def test_intersection_matrix_matches_pairwise(self, mr):
-        _, rects = mr
-        rows, cols = rects[:2], rects[2:]
-        I = rect_intersection_matrix(rows, cols, chunk=1)
-        for i, r in enumerate(rows):
-            for j, c in enumerate(cols):
-                assert I[i, j] == r.intersects(c)
+    def test_intersection_matrix_matches_pairwise(self):
+        # Oracle: Rect.intersects on seeded random rects whose intervals
+        # are degenerate, full-width or arbitrary, in 2D and 3D, with
+        # widths on both sides of the uint8 coordinate boundary.
+        rng = np.random.default_rng(13)
+
+        def interval(n):
+            kind = rng.integers(3)
+            if kind == 0:
+                a = int(rng.integers(n))
+                return a, a
+            if kind == 1:
+                return 0, n - 1
+            a, b = sorted(int(x) for x in rng.integers(n, size=2))
+            return a, b
+
+        def rect(mesh):
+            lo, hi = zip(*(interval(n) for n in mesh.widths))
+            return Rect(mesh, lo, hi)
+
+        for widths in [(7, 9), (2, 5), (181, 181), (300, 4),
+                       (5, 6, 7), (32, 32, 32), (2, 260, 3)]:
+            mesh = Mesh(widths)
+            for p, q in [(1, 1), (1, 17), (23, 1), (40, 31)]:
+                rows = [rect(mesh) for _ in range(p)]
+                cols = [rect(mesh) for _ in range(q)]
+                I = rect_intersection_matrix(rows, cols)
+                assert I.shape == (p, q) and I.dtype == bool
+                expected = np.array(
+                    [[r.intersects(c) for c in cols] for r in rows]
+                )
+                assert np.array_equal(I, expected), (widths, p, q)
 
     def test_empty_matrix(self):
         assert rect_intersection_matrix([], []).shape == (0, 0)
