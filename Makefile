@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-json bench-check experiments examples chaos-smoke serve-smoke shard-smoke obs-smoke reliability-smoke vector-smoke workflow-smoke lint analyze concurrency concurrency-smoke prove-smoke clean
+.PHONY: install test bench bench-json bench-check experiments examples chaos-smoke serve-smoke shard-smoke obs-smoke reliability-smoke workflow-smoke lint analyze concurrency concurrency-smoke prove-smoke clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -120,26 +120,6 @@ reliability-smoke:
 	grep -q '"all_accounted": true' /tmp/reliability-smoke-1.json
 	grep -q "all_accounted=True" /tmp/reliability-smoke-1.txt
 	@echo "reliability smoke OK: thread/process byte-identical, all trials accounted"
-
-# Vector-engine smoke: the Section 5 worked example (12x12 mesh, three
-# faults) pushed through all three step engines.  Each engine runs
-# twice and the outputs are diffed (determinism proof), then the three
-# engines' outputs are diffed against each other (cycle-exactness:
-# every engine must report identical cycles/latency/turn stats).
-vector-smoke:
-	for eng in frontier scan vector; do \
-	    PYTHONPATH=src $(PYTHON) -m repro simulate --mesh 12x12 \
-	        --fault 9,1 --fault 11,6 --fault 10,10 --messages 150 \
-	        --seed 0 --engine $$eng > /tmp/vector-smoke-$$eng-1.txt || exit 1; \
-	    PYTHONPATH=src $(PYTHON) -m repro simulate --mesh 12x12 \
-	        --fault 9,1 --fault 11,6 --fault 10,10 --messages 150 \
-	        --seed 0 --engine $$eng > /tmp/vector-smoke-$$eng-2.txt || exit 1; \
-	    diff /tmp/vector-smoke-$$eng-1.txt /tmp/vector-smoke-$$eng-2.txt \
-	        || exit 1; \
-	done
-	diff /tmp/vector-smoke-frontier-1.txt /tmp/vector-smoke-vector-1.txt
-	diff /tmp/vector-smoke-scan-1.txt /tmp/vector-smoke-vector-1.txt
-	@echo "vector smoke OK: three engines deterministic and cycle-identical"
 
 # Workflow smoke (CI job: test, blocking): the ISSUE acceptance gate.
 # 1. chaos-campaign twice against one checkpoint store — the second

@@ -2,14 +2,13 @@
 
 Runs a small curated benchmark subset — the lamb pipeline, the
 reachability product kernel (dense and bit-packed), the wormhole
-simulator under saturation (frontier and vector engines), the seeded
-chaos scenario, the parallel trial engine, the route-query service
-data path, and the workflow engine's checkpoint-replay overhead — and
-writes ``BENCH_<date>.json`` rows of ``{bench, mesh,
-wall_s, cycles_per_s / trials_per_s / queries_per_s}``.  A comparator
-mode diffs a fresh run against the latest committed baseline and fails
-on a >25% wall-clock regression; rows with an embedded oracle
-``speedup`` ratio (bitpack vs dense, vector vs frontier) must
+simulator under saturation, the seeded chaos scenario, the parallel
+trial engine, the route-query service data path, and the workflow
+engine's checkpoint-replay overhead — and writes ``BENCH_<date>.json``
+rows of ``{bench, mesh, wall_s, cycles_per_s / trials_per_s /
+queries_per_s}``.  A comparator mode diffs a fresh run against the
+latest committed baseline and fails on a >25% wall-clock regression;
+rows with an embedded oracle ``speedup`` ratio (bitpack vs dense) must
 additionally stay above ``SPEEDUP_FLOOR`` on every host.
 
 Usage (from the repo root, ``PYTHONPATH=src``)::
@@ -57,7 +56,7 @@ from repro.wormhole.simulator import WormholeSimulator
 REGRESSION_TOLERANCE = 0.25
 
 #: Acceptance floor for rows that embed a ``speedup`` field (packed vs
-#: dense products, vector vs frontier engine): the optimized path must
+#: dense products): the optimized path must
 #: stay at least this many times faster than its oracle — a host-
 #: independent ratio, so it is enforced even when wall-clock
 #: comparisons are skipped.
@@ -167,47 +166,6 @@ def _bench_sim_saturation() -> Dict[str, object]:
     wall = time.perf_counter() - t0
     return {"bench": "sim_saturation", "mesh": "M2(16) 400 msgs",
             "wall_s": wall, "cycles_per_s": sim.cycle / wall}
-
-
-def _bench_sim_saturation_vector() -> Dict[str, object]:
-    """Vector engine on its home-turf workload — high concurrency, low
-    contention: VC-layered row streams on a fault-free M2(32) (32 rows
-    x 8 virtual channels, 31-hop explicit routes, 16 flits, 10 waves
-    staggered 50 cycles = 2560 messages).  The same workload runs
-    through the frontier oracle; the row embeds the frontier wall time
-    and the ``speedup`` (the comparator requires >= 5x) and asserts
-    the two engines produce identical stats."""
-    from repro.wormhole.packets import Hop
-
-    def build(engine: str) -> WormholeSimulator:
-        mesh = Mesh.square(2, 32)
-        sim = WormholeSimulator(FaultSet(mesh), repeated(xy(), 2), seed=0,
-                                engine=engine, num_vcs=8)
-        side, vcs, flits, waves, stagger = 32, 8, 16, 10, 50
-        for w in range(waves):
-            for y in range(side):
-                path = [(x, y) for x in range(side)]
-                for vc in range(vcs):
-                    hops = [Hop(u, v, vc) for u, v in zip(path, path[1:])]
-                    sim.send(path[0], path[-1], num_flits=flits, hops=hops,
-                             inject_cycle=w * stagger)
-        return sim
-
-    frontier = build("frontier")
-    t0 = time.perf_counter()
-    frontier_stats = frontier.run(max_cycles=200_000)
-    frontier_wall = time.perf_counter() - t0
-
-    vector = build("vector")
-    t0 = time.perf_counter()
-    vector_stats = vector.run(max_cycles=200_000)
-    wall = time.perf_counter() - t0
-    assert vector_stats == frontier_stats
-    assert vector.cycle == frontier.cycle
-    return {"bench": "sim_saturation_vector", "mesh": "M2(32) 2560 msgs",
-            "wall_s": wall, "cycles_per_s": vector.cycle / wall,
-            "frontier_wall_s": frontier_wall,
-            "speedup": frontier_wall / wall}
 
 
 def _bench_chaos_smoke() -> Dict[str, object]:
@@ -426,7 +384,6 @@ BENCHES: Tuple[Callable[[], Dict[str, object]], ...] = (
     _bench_reachability_product,
     _bench_reachability_bitpack,
     _bench_sim_saturation,
-    _bench_sim_saturation_vector,
     _bench_chaos_smoke,
     _bench_trial_engine,
     _bench_trial_engine_threads,

@@ -59,8 +59,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .wormhole.simulator import SIM_ENGINES
-
 __all__ = ["main", "build_parser"]
 
 
@@ -225,7 +223,7 @@ def cmd_simulate(args) -> int:
     )
     sim = WormholeSimulator(
         faults, orderings, buffer_flits=args.buffers, policy=args.policy,
-        seed=args.seed, schedule=schedule, engine=args.engine,
+        seed=args.seed, schedule=schedule,
     )
     for inj in uniform_random_traffic(
         endpoints, args.messages, rng, num_flits=args.flits,
@@ -764,11 +762,7 @@ def cmd_stats(args) -> int:
         to_prometheus,
     )
 
-    reg = run_telemetry_smoke(
-        seed=args.seed,
-        messages=args.messages,
-        sim_engine=args.sim_engine,
-    )
+    reg = run_telemetry_smoke(seed=args.seed, messages=args.messages)
     redact = bool(args.redact_timings)
     renders = {
         "prom": to_prometheus,
@@ -1014,9 +1008,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--buffers", type=int, default=2)
     p.add_argument("--policy", choices=("shortest", "first", "random"),
                    default="shortest")
-    p.add_argument("--engine", choices=SIM_ENGINES, default=None,
-                   help="step engine (default: REPRO_SIM_ENGINE or "
-                   "frontier); all three are cycle-exact")
     p.add_argument("--max-cycles", type=int, default=1_000_000)
     p.add_argument("--inject-fault", action="append", default=[],
                    metavar="CYCLE:NODE",
@@ -1264,8 +1255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--messages", type=int, default=60,
                    help="messages pushed through the smoke simulation")
-    p.add_argument("--sim-engine", choices=SIM_ENGINES,
-                   default="frontier")
     p.add_argument("--format", choices=("prom", "json", "ndjson"),
                    default="prom",
                    help="stdout format (Prometheus exposition, JSON "

@@ -159,7 +159,6 @@ def find_lamb_set(
     index: Optional[LineFaultIndex] = None,
     wvc_max_vertices: int = 40,
     engine: str = "lines",
-    packed: Optional[bool] = None,
 ) -> LambResult:
     """Find a ``(k, F, pi_vec)``-lamb set (Definition 2.6).
 
@@ -192,11 +191,6 @@ def find_lamb_set(
         default), ``"spanning"`` (per-representative k-round floods,
         O(d^2 f N), better when f is large relative to N — footnote 7
         of the paper), or ``"auto"`` (cost-model choice).
-    packed:
-        Product kernel for the ``"lines"`` engine's R·I·R chain:
-        ``True`` forces the bit-packed uint64 kernels, ``False`` the
-        dense-bool oracle, ``None`` (default) auto-selects by matrix
-        size.  Both are bit-identical (ignored by ``"spanning"``).
 
     Returns
     -------
@@ -280,7 +274,7 @@ def find_lamb_set(
             else:
                 reach = find_reachability(
                     index, orderings, ses_partitions, des_partitions,
-                    ses_reps, des_reps, packed=packed,
+                    ses_reps, des_reps,
                 )
 
         # Phase 3 (Reduce-WVC + the max-flow / local-ratio cover).

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -101,15 +101,11 @@ def one_round_reachability_matrix(
     sources: np.ndarray,
     dests: np.ndarray,
     validate: bool = True,
-    packed: bool = False,
-) -> Union[np.ndarray, "PackedBoolMatrix"]:
+) -> np.ndarray:
     """Boolean matrix ``R[i, l] = sources[i] can (F, pi)-reach dests[l]``.
 
     ``sources`` and ``dests`` are ``(p, d)`` / ``(q, d)`` integer arrays
-    of *good* nodes (checked when ``validate`` is True).  With
-    ``packed=True`` the result is returned as a
-    :class:`PackedBoolMatrix` (rows bit-packed into uint64 words),
-    ready for the packed R·I·R product chain.
+    of *good* nodes (checked when ``validate`` is True).
 
     The blocked-pair scatter is batched per destination group rather
     than per faulty line: every line that maps to the same destination
@@ -132,8 +128,7 @@ def one_round_reachability_matrix(
                 raise ValueError(f"a {name} representative is faulty")
     blocked = np.zeros((p, q), dtype=bool)
     if p == 0 or q == 0:
-        out = ~blocked
-        return PackedBoolMatrix.pack(out) if packed else out
+        return ~blocked
     perm = pi.perm
     inf = np.inf
     for t in range(d):
@@ -241,8 +236,7 @@ def one_round_reachability_matrix(
                 blocked[np.ix_(I, L)] |= (w[None, :] <= lo_sel) | (
                     w[None, :] >= hi_sel
                 )
-    out = ~blocked
-    return PackedBoolMatrix.pack(out) if packed else out
+    return ~blocked
 
 
 def density(matrix) -> float:

@@ -37,8 +37,7 @@ def _rate_point(payload: Dict[str, Any], t: int) -> Optional[Dict[str, float]]:
     survivors = payload["survivors"]
     seed = payload["seed"]
     rng = np.random.default_rng((seed, int(rate * 1e6)))
-    sim = WormholeSimulator(faults, payload["orderings"], seed=seed,
-                            engine=payload["sim_engine"])
+    sim = WormholeSimulator(faults, payload["orderings"], seed=seed)
     injected = 0
     for cycle in range(payload["window"]):
         count = rng.poisson(rate)
@@ -69,7 +68,6 @@ def injection_rate_sweep(
     seed: int = 0,
     max_cycles: int = 2_000_000,
     jobs: Optional[int] = None,
-    sim_engine: Optional[str] = None,
 ) -> SweepResult:
     """Latency vs offered load on the reconfigured machine.
 
@@ -79,11 +77,6 @@ def injection_rate_sweep(
     is an independent seeded simulation, so the sweep fans the points
     over the :class:`repro.experiments.parallel.TrialEngine`
     (``jobs=`` / ``REPRO_JOBS``).
-
-    ``sim_engine`` picks the step engine for every point (all engines
-    are cycle-exact, so results are identical; ``None`` resolves via
-    ``REPRO_SIM_ENGINE`` in each worker).  The choice rides the
-    pickled payload, so process-pool workers honour it too.
     """
     mesh = result.mesh
     survivors = [v for v in mesh.nodes() if result.is_survivor(v)]
@@ -105,7 +98,6 @@ def injection_rate_sweep(
         "window": window,
         "num_flits": num_flits,
         "max_cycles": max_cycles,
-        "sim_engine": sim_engine,
     }
     engine, owned = resolve_engine(jobs)
     try:

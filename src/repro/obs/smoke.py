@@ -42,7 +42,6 @@ def run_telemetry_smoke(
     seed: int = 0,
     registry: Optional[TelemetryRegistry] = None,
     messages: int = 60,
-    sim_engine: str = "frontier",
 ) -> TelemetryRegistry:
     """Run the seeded smoke scenario; returns the registry it filled.
 
@@ -69,9 +68,7 @@ def run_telemetry_smoke(
         find_lamb_set(faults, orderings)
 
         # 2. Wormhole simulation with a mid-run endpoint fault.
-        sim = WormholeSimulator(
-            faults, orderings, seed=seed, engine=sim_engine
-        )
+        sim = WormholeSimulator(faults, orderings, seed=seed)
         rng = np.random.default_rng(seed)
         endpoints = faults.good_nodes()
         injections = list(

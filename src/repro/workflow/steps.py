@@ -482,7 +482,7 @@ def serve_loadtest(
     "collect-telemetry",
     "run the seeded observability smoke in a fresh registry and "
     "snapshot it with timings redacted (byte-identical per seed)",
-    defaults={"seed": 0, "messages": 40, "sim_engine": "frontier"},
+    defaults={"seed": 0, "messages": 40},
 )
 def collect_telemetry(
     params: Dict[str, Any], inputs: Dict[str, Dict[str, Any]]
@@ -501,7 +501,6 @@ def collect_telemetry(
         seed=int(params["seed"]),
         registry=TelemetryRegistry(),
         messages=int(params["messages"]),
-        sim_engine=str(params["sim_engine"]),
     )
     return {"snapshot": reg.snapshot(redact_timings=True)}
 

@@ -19,15 +19,13 @@ moved flits.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
-
-import numpy as np
+from typing import Dict, Optional, Set, Tuple
 
 from ..mesh.faults import FaultSet
 from ..mesh.geometry import Node
 from .packets import Hop
 
-__all__ = ["ResourceKey", "VirtualNetwork", "ArrayVirtualNetwork"]
+__all__ = ["ResourceKey", "VirtualNetwork"]
 
 ResourceKey = Tuple[Node, Node, int]  # (src, dst, vc)
 
@@ -192,129 +190,3 @@ class VirtualNetwork:
 
     def new_cycle(self) -> None:
         self._stamp += 1
-
-
-class ArrayVirtualNetwork(VirtualNetwork):
-    """Struct-of-arrays resource state for the ``"vector"`` engine.
-
-    Resource keys are interned to dense integer ids on first use
-    (routes are interned when messages are registered, off the hot
-    path), and ownership / buffer occupancy / bandwidth stamps live in
-    flat numpy arrays indexed by id.  The batched step then updates
-    whole batches with ``np.add.at`` scatters, while the inherited
-    ``*_key`` API keeps working — every override is a dict-lookup plus
-    an array index — so the shared sequential flit-advance kernel,
-    park/wake bookkeeping, wait-graph diagnostics and tests observe
-    exactly the same semantics as the dict-backed network (including
-    the over/underflow and foreign-release guards).
-    """
-
-    def __init__(self, faults: FaultSet, num_vcs: int, buffer_flits: int = 2):
-        super().__init__(faults, num_vcs=num_vcs, buffer_flits=buffer_flits)
-        self._ids: Dict[ResourceKey, int] = {}
-        self._key_of: List[ResourceKey] = []
-        cap = 256
-        self.owner_arr = np.full(cap, -1, dtype=np.int64)
-        self.occ_arr = np.zeros(cap, dtype=np.int64)
-        self.stamp_arr = np.full(cap, -1, dtype=np.int64)
-
-    # -- interning -----------------------------------------------------
-    @property
-    def num_resources(self) -> int:
-        return len(self._key_of)
-
-    def _grow(self, need: int) -> None:
-        cap = self.owner_arr.shape[0]
-        if need <= cap:
-            return
-        new_cap = max(need, 2 * cap)
-        grow = new_cap - cap
-        self.owner_arr = np.concatenate(
-            [self.owner_arr, np.full(grow, -1, dtype=np.int64)]
-        )
-        self.occ_arr = np.concatenate(
-            [self.occ_arr, np.zeros(grow, dtype=np.int64)]
-        )
-        self.stamp_arr = np.concatenate(
-            [self.stamp_arr, np.full(grow, -1, dtype=np.int64)]
-        )
-
-    def intern_key(self, key: ResourceKey) -> int:
-        rid = self._ids.get(key)
-        if rid is None:
-            rid = len(self._key_of)
-            self._ids[key] = rid
-            self._key_of.append(key)
-            self._grow(rid + 1)
-        return rid
-
-    def intern_keys(self, keys: Sequence[ResourceKey]) -> np.ndarray:
-        """Intern a route's resource keys; returns their ids (int64)."""
-        return np.fromiter(
-            (self.intern_key(k) for k in keys), dtype=np.int64, count=len(keys)
-        )
-
-    def key_of(self, rid: int) -> ResourceKey:
-        return self._key_of[rid]
-
-    # -- key-based API over the arrays ---------------------------------
-    def owner_key(self, key: ResourceKey) -> Optional[int]:
-        rid = self._ids.get(key)
-        if rid is None:
-            return None
-        owner = self.owner_arr[rid]
-        return None if owner < 0 else int(owner)
-
-    def try_acquire_key(self, key: ResourceKey, msg_id: int) -> bool:
-        rid = self.intern_key(key)
-        owner = self.owner_arr[rid]
-        if owner < 0:
-            self.owner_arr[rid] = msg_id
-            return True
-        return owner == msg_id
-
-    def release_key(self, key: ResourceKey, msg_id: int) -> None:
-        rid = self._ids.get(key)
-        if rid is None or self.owner_arr[rid] != msg_id:
-            raise RuntimeError(f"message {msg_id} does not own {key}")
-        self.owner_arr[rid] = -1
-
-    def buffer_has_space_key(self, key: ResourceKey) -> bool:
-        rid = self._ids.get(key)
-        if rid is None:
-            return True
-        return self.occ_arr[rid] < self.buffer_flits
-
-    def buffer_push_key(self, key: ResourceKey) -> None:
-        rid = self.intern_key(key)
-        if self.occ_arr[rid] >= self.buffer_flits:
-            raise RuntimeError(f"buffer overflow on {key}")
-        self.occ_arr[rid] += 1
-
-    def buffer_pop_key(self, key: ResourceKey) -> None:
-        rid = self._ids.get(key)
-        if rid is None or self.occ_arr[rid] <= 0:
-            raise RuntimeError(f"buffer underflow on {key}")
-        self.occ_arr[rid] -= 1
-
-    def channel_free_key(self, key: ResourceKey) -> bool:
-        rid = self._ids.get(key)
-        if rid is None:
-            return True
-        return self.stamp_arr[rid] != self._stamp
-
-    def mark_used_key(self, key: ResourceKey) -> None:
-        rid = self.intern_key(key)
-        self.stamp_arr[rid] = self._stamp
-
-    # -- message-level operations --------------------------------------
-    def release_message(self, msg_id: int) -> int:
-        n = len(self._key_of)
-        mine = np.flatnonzero(self.owner_arr[:n] == msg_id)
-        self.owner_arr[mine] = -1
-        return int(mine.size)
-
-    def owned_resources(self, msg_id: int) -> Set[ResourceKey]:
-        n = len(self._key_of)
-        mine = np.flatnonzero(self.owner_arr[:n] == msg_id)
-        return {self._key_of[int(i)] for i in mine}

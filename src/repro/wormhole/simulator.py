@@ -22,15 +22,10 @@ which is deterministic and starvation-free.
 
 Engines
 -------
-Three cycle-exact step engines are provided:
-
-``"scan"``
-    The historical reference loop: every cycle visits every active
-    message (O(messages) per cycle even when almost everything is
-    blocked or still queued).
+Two cycle-exact step engines are provided:
 
 ``"frontier"`` (default)
-    An event-driven fast path.  Messages waiting for a future
+    The event-driven fast path.  Messages waiting for a future
     injection cycle sit in a heap; messages whose head is blocked on
     a (link, VC) resource held by another message — or on a full
     downstream buffer — are *parked* on those resource keys and only
@@ -43,24 +38,15 @@ Three cycle-exact step engines are provided:
     only, which reproduces the scan's snapshot visit order exactly.
     Live-fault events conservatively rebuild the whole frontier.
 
-``"vector"``
-    Array-native batched engine built on top of the frontier
-    machinery.  Resource state lives in flat numpy arrays
-    (:class:`ArrayVirtualNetwork`), flit positions live in one flat
-    store of which each ``Message.flit_pos`` is a view, and every
-    cycle the conflict-free *all-move* subset of the runnable set is
-    advanced in a handful of vectorized scatters
-    (:class:`repro.wormhole.vector.VectorState`); only messages with
-    overlapping resource windows fall back to the sequential kernel
-    at their arbitration slot.  Under saturation — many concurrently
-    moving messages — one cycle collapses from thousands of dict
-    operations to a few dozen numpy kernels.
+``"scan"``
+    The reference oracle: every cycle visits every active message
+    (O(messages) per cycle even when almost everything is blocked or
+    still queued).
 
-All engines share the flit-advance kernel (:meth:`_advance_message`)
+Both engines share the flit-advance kernel (:meth:`_advance_message`)
 and produce bit-identical :class:`SimStats`, trace streams and
-deadlock diagnostics; golden tests pin the frontier and vector
-engines against the scan engine on seeded scenarios.  Select with
-``engine=`` or the ``REPRO_SIM_ENGINE`` environment variable.
+deadlock diagnostics; golden tests pin the frontier engine against
+the scan oracle on seeded scenarios.
 
 Route cache
 -----------
@@ -77,7 +63,6 @@ fixed configuration the simulation itself remains deterministic.
 from __future__ import annotations
 
 import heapq
-import os
 from bisect import insort
 from typing import (
     TYPE_CHECKING,
@@ -104,11 +89,10 @@ from .deadlock import (
     find_deadlock_cycle,
     snapshot_stalls,
 )
-from .network import ArrayVirtualNetwork, ResourceKey, VirtualNetwork
+from .network import ResourceKey, VirtualNetwork
 from .packets import Hop, Message
 from .stats import SimStats
 from .trace import SYSTEM_MSG_ID, TraceEvent, Tracer
-from .vector import VectorState, _Replay
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .chaos import FaultEvent, FaultSchedule
@@ -122,14 +106,9 @@ ABORT_RETRY_BUDGET = "retry-budget-exhausted"
 ABORT_QUARANTINED = "quarantined"
 
 #: Valid ``engine=`` values.
-SIM_ENGINES = ("frontier", "scan", "vector")
+SIM_ENGINES = ("frontier", "scan")
 
 _MISSING = object()  # route-cache sentinel (None is a cached miss)
-
-
-def _default_engine() -> str:
-    want = os.environ.get("REPRO_SIM_ENGINE", "").strip()
-    return want if want else "frontier"
 
 
 class WormholeSimulator:
@@ -177,10 +156,8 @@ class WormholeSimulator:
         ``retry_backoff * 2**(r-1)`` cycles (exponential backoff).
     engine:
         Step engine: ``"frontier"`` (event-driven fast path, the
-        default), ``"scan"`` (historical per-cycle full scan) or
-        ``"vector"`` (array-native batched stepper); all three are
-        cycle-exact.  ``None`` reads ``REPRO_SIM_ENGINE`` from the
-        environment, falling back to ``"frontier"``.
+        default) or ``"scan"`` (per-cycle full scan, the parity
+        oracle); both are cycle-exact.
     route_cache:
         Memoize :meth:`build_hops` per (src, dst) within a routing
         epoch (invalidated on live faults / :meth:`set_orderings`).
@@ -203,7 +180,7 @@ class WormholeSimulator:
         ] = None,
         max_retries: int = 3,
         retry_backoff: int = 8,
-        engine: Optional[str] = None,
+        engine: str = "frontier",
         route_cache: bool = True,
     ):
         self.faults = faults
@@ -211,21 +188,14 @@ class WormholeSimulator:
         self.orderings = orderings
         self.policy = policy
         self._vc_of_round = vc_of_round or (lambda t: t)
-        # --- engine selection (before the network: the vector engine
-        # needs the array-backed resource state) -----------------------
-        engine = _default_engine() if engine is None else engine
         if engine not in SIM_ENGINES:
             raise ValueError(f"unknown engine {engine!r}; expected one of "
                              f"{SIM_ENGINES}")
         self.engine = engine
-        net_cls = ArrayVirtualNetwork if engine == "vector" else VirtualNetwork
-        self.net = net_cls(
+        self.net = VirtualNetwork(
             faults,
             num_vcs=(orderings.k if num_vcs is None else num_vcs),
             buffer_flits=buffer_flits,
-        )
-        self._vector: Optional[VectorState] = (
-            VectorState(self.net) if engine == "vector" else None
         )
         self.grids = FaultGrids(faults)
         self.rng = np.random.default_rng(seed)
@@ -379,11 +349,8 @@ class WormholeSimulator:
             msg.delivered_flits = msg.num_flits
             msg.deliver_cycle = when
             self._finished_count += 1
-        else:
-            if self.engine != "scan":
-                heapq.heappush(self._pending, (when, msg.msg_id))
-            if self._vector is not None:
-                self._vector.register(msg)
+        elif self.engine != "scan":
+            heapq.heappush(self._pending, (when, msg.msg_id))
         self.messages[msg.msg_id] = msg
         if self.tracer is not None:
             self.tracer.record(
@@ -569,13 +536,6 @@ class WormholeSimulator:
         )
         if self.engine == "scan":
             return
-        if self._vector is not None:
-            # Victims got fresh routes and/or plain-list flit_pos from
-            # reset_for_retry: re-adopt them into the flat stores.
-            self._vector.reset_waiters()
-            for m in self.messages.values():
-                if not m.is_finished and self._vector.needs_reregister(m):
-                    self._vector.register(m)
         self._parked.clear()
         self._waiters.clear()
         self._runnable.clear()
@@ -605,8 +565,6 @@ class WormholeSimulator:
         lst = waiters.pop(key, None)
         if lst is None:
             return
-        if self._vector is not None:
-            self._vector.waiter_delta(key, -len(lst))
         parked = self._parked
         agenda = self._agenda
         for mid in lst:
@@ -771,12 +729,10 @@ class WormholeSimulator:
         """
         if self.engine == "frontier":
             return self._step_frontier()
-        if self.engine == "vector":
-            return self._step_vector()
         return self._step_scan()
 
     def _step_scan(self) -> int:
-        """Reference engine: visit every active message each cycle."""
+        """Reference oracle: visit every active message each cycle."""
         self._process_due_events()
         self.net.new_cycle()
         moved = 0
@@ -874,145 +830,6 @@ class WormholeSimulator:
             self._idle_cycles = 0
         return moved
 
-    def _step_vector(self) -> int:
-        """Array-native engine: apply the conflict-free all-move batch
-        in vectorized scatters, then walk the remaining runnable
-        messages through the sequential kernel exactly as the frontier
-        engine does.  Disjoint resource windows make the up-front batch
-        application commute with every sequential visit, so the cycle
-        is bit-identical to the scan engine's."""
-        self._process_due_events()
-        self.net.new_cycle()
-        cycle = self.cycle
-        messages = self.messages
-        pending = self._pending
-        runnable = self._runnable
-        while pending and pending[0][0] <= cycle:
-            _, mid = heapq.heappop(pending)
-            m = messages[mid]
-            if m.is_finished:
-                continue
-            if m.inject_cycle <= cycle:
-                runnable.add(mid)
-            else:  # defensive: injection was re-delayed
-                heapq.heappush(pending, (m.inject_cycle, mid))
-        # Agenda snapshot first: batch members keep their arbitration
-        # slots (the tracer replays their events there).
-        agenda = sorted((messages[mid].inject_cycle, mid) for mid in runnable)
-        self._agenda = agenda
-        self._visited = visited = set()
-        vec = self._vector
-        moved = 0
-        batch_members: Set[int] = set()
-        replay: Optional[Dict[int, _Replay]] = None
-        if runnable:
-            r_arr = np.fromiter(runnable, dtype=np.int64, count=len(runnable))
-            if self._parked:
-                p_arr = np.fromiter(
-                    self._parked.keys(), dtype=np.int64, count=len(self._parked)
-                )
-            else:
-                p_arr = np.zeros(0, dtype=np.int64)
-            batch = vec.plan_and_apply(r_arr, p_arr, self.tracer is not None)
-            moved += batch.moved
-            batch_members = set(batch.members)
-            replay = batch.replay
-            for mid in batch.delivered:
-                m = messages[mid]
-                m.deliver_cycle = cycle + 1
-                self._finished_count += 1
-                runnable.discard(mid)
-            if replay is None and len(batch_members) == len(agenda):
-                # Every runnable message was batched: the walk below
-                # would only do visited-bookkeeping (no advances, no
-                # parks, no wakes).  Skip it entirely.
-                self._agenda = None
-                self.cycle += 1
-                self._idle_cycles = 0
-                return moved
-        parked = self._parked
-        waiters = self._waiters
-        i = 0
-        while i < len(agenda):
-            sk = agenda[i]
-            i += 1
-            mid = sk[1]
-            if mid in visited:
-                continue
-            visited.add(mid)
-            self._agenda_cur_key = sk
-            if mid in batch_members:
-                if replay is not None:
-                    self._replay_member(messages[mid], replay[mid])
-                continue
-            m = messages[mid]
-            if m.is_finished:  # finished out-of-band
-                runnable.discard(mid)
-                continue
-            n = self._advance_message(m)
-            moved += n
-            if m.delivered_flits == m.num_flits and m.deliver_cycle is None:
-                m.deliver_cycle = cycle + 1
-                self._finished_count += 1
-                runnable.discard(mid)
-                if self.tracer is not None:
-                    self.tracer.record(
-                        TraceEvent(cycle, "deliver", mid,
-                                   src=m.source, dst=m.dest)
-                    )
-            elif n == 0:
-                keys = self._park_keys(m)
-                if keys is not None:
-                    runnable.discard(mid)
-                    parked[mid] = keys
-                    self.park_events += 1
-                    for k in keys:
-                        lst = waiters.get(k)
-                        if lst is None:
-                            waiters[k] = [mid]
-                        else:
-                            lst.append(mid)
-                        vec.waiter_delta(k, 1)
-        self._agenda = None
-        self.cycle += 1
-        if moved == 0 and (runnable or parked):
-            self._check_deadlock()
-        else:
-            self._idle_cycles = 0
-        return moved
-
-    def _replay_member(self, m: Message, rep: _Replay) -> None:
-        """Emit the trace events of a batch member at its arbitration
-        slot, in the exact order the sequential kernel would have:
-        acquire (head onto a free resource), flit hops in flit order,
-        release after the tail's hop, deliver last."""
-        tracer = self.tracer
-        cycle = self.cycle
-        mid = m.msg_id
-        hops = m.hops
-        tail_ord = m.num_flits - 1
-        if rep.acquired:
-            hop = hops[int(rep.nxts[0])]  # head (flit 0) is first
-            tracer.record(
-                TraceEvent(cycle, "acquire", mid,
-                           src=hop.src, dst=hop.dst, vc=hop.vc)
-            )
-        for ford, nxt in zip(rep.fords, rep.nxts):
-            hop = hops[int(nxt)]
-            tracer.record(
-                TraceEvent(cycle, "flit", mid, flit=int(ford),
-                           src=hop.src, dst=hop.dst, vc=hop.vc)
-            )
-            if ford == tail_ord:
-                tracer.record(
-                    TraceEvent(cycle, "release", mid,
-                               src=hop.src, dst=hop.dst, vc=hop.vc)
-                )
-        if m.deliver_cycle == cycle + 1:
-            tracer.record(
-                TraceEvent(cycle, "deliver", mid, src=m.source, dst=m.dest)
-            )
-
     def _check_deadlock(self) -> None:
         """Count an idle cycle; run the wait-graph detector once the
         idle streak reaches the check interval."""
@@ -1076,7 +893,6 @@ class WormholeSimulator:
         """
         reg = get_registry()
         eng = self.engine
-        vec = self._vector
         totals = {
             "sim_cycles_total": self.cycle,
             "sim_stall_cycles_total": self.stall_cycles,
@@ -1084,10 +900,6 @@ class WormholeSimulator:
             "sim_wake_events_total": self.wake_events,
             "sim_retries_total": self.retry_events,
             "sim_messages_finished_total": self._finished_count,
-            # Zero for the sequential engines — the zero-delta incs
-            # keep the exported schema identical across engines.
-            "sim_batched_messages_total": vec.batched_messages if vec else 0,
-            "sim_batched_flits_total": vec.batched_flits if vec else 0,
         }
         pub = self._published
         for name, total in sorted(totals.items()):

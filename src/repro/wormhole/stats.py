@@ -8,8 +8,8 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from ..core.reachability import _ragged_ranges
 from .packets import Message
-from .vector import _ragged_ranges
 
 __all__ = ["SimStats"]
 

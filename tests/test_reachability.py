@@ -292,18 +292,6 @@ class TestPackedBoolMatrix:
         with pytest.raises(TypeError):
             PackedBoolMatrix.pack(np.ones((2, 3), dtype=np.int64))
 
-    def test_one_round_packed_output(self, paper_faults):
-        pi = xy()
-        index = LineFaultIndex(paper_faults)
-        ses = find_ses_partition(paper_faults, pi)
-        des = find_des_partition(paper_faults, pi)
-        sr = _reps(ses, paper_faults.mesh)
-        dr = _reps(des, paper_faults.mesh)
-        dense = one_round_reachability_matrix(index, pi, sr, dr)
-        packed = one_round_reachability_matrix(index, pi, sr, dr, packed=True)
-        assert isinstance(packed, PackedBoolMatrix)
-        assert np.array_equal(packed.unpack(), dense)
-
     def test_find_reachability_packed_matches_dense(self, paper_faults):
         pi = xy()
         orderings = repeated(pi, 3)

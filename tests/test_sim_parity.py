@@ -17,6 +17,7 @@ from repro.mesh.faults import FaultSet
 from repro.routing import repeated, xy
 from repro.wormhole.chaos import seeded_chaos_run
 from repro.wormhole.deadlock import DeadlockError
+import repro.wormhole.simulator as simulator_module
 from repro.wormhole.packets import Hop
 from repro.wormhole.simulator import SIM_ENGINES, WormholeSimulator
 from repro.wormhole.trace import Tracer
@@ -55,18 +56,20 @@ def _fates(sim):
 class TestEngineSelection:
     def test_unknown_engine_rejected(self):
         mesh = Mesh((4, 4))
-        with pytest.raises(ValueError, match="unknown engine"):
-            WormholeSimulator(FaultSet(mesh), repeated(xy(), 2), engine="warp")
+        for engine in ("warp", "vector"):
+            with pytest.raises(ValueError, match="unknown engine"):
+                WormholeSimulator(
+                    FaultSet(mesh), repeated(xy(), 2), engine=engine
+                )
 
     def test_env_default(self, monkeypatch):
+        """The engine is chosen by ``engine=`` alone: no environment
+        variable can swap the production fast path for the oracle."""
         mesh = Mesh((4, 4))
         monkeypatch.setenv("REPRO_SIM_ENGINE", "scan")
         sim = WormholeSimulator(FaultSet(mesh), repeated(xy(), 2))
-        assert sim.engine == "scan"
-        monkeypatch.delenv("REPRO_SIM_ENGINE")
-        sim = WormholeSimulator(FaultSet(mesh), repeated(xy(), 2))
         assert sim.engine == "frontier"
-        assert sim.engine in SIM_ENGINES
+        assert SIM_ENGINES == ("frontier", "scan")
 
 
 class TestGoldenStats:
@@ -145,13 +148,24 @@ class TestCycleExactParity:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_chaos_run_parity(self, monkeypatch, seed):
         """The full chaos machinery (schedules, rollback epochs,
-        escalation, quarantine) through both engines."""
-        reports = {}
-        for engine in SIM_ENGINES:
-            monkeypatch.setenv("REPRO_SIM_ENGINE", engine)
-            reports[engine] = seeded_chaos_run(
-                seed=seed, num_events=4, num_messages=150
-            )
+        escalation, quarantine) through both engines.  ``ChaosEngine``
+        builds its simulator with the default engine; the scan run
+        swaps in a subclass that pins the oracle."""
+        built = []
+
+        class ScanSimulator(WormholeSimulator):
+            def __init__(self, *args, **kw):
+                super().__init__(*args, engine="scan", **kw)
+                built.append(self.engine)
+
+        reports = {"frontier": seeded_chaos_run(
+            seed=seed, num_events=4, num_messages=150
+        )}
+        monkeypatch.setattr(simulator_module, "WormholeSimulator", ScanSimulator)
+        reports["scan"] = seeded_chaos_run(
+            seed=seed, num_events=4, num_messages=150
+        )
+        assert built == ["scan"]
         assert reports["scan"].summary() == reports["frontier"].summary()
         assert reports["scan"].stats == reports["frontier"].stats
 

@@ -37,20 +37,6 @@ class TestInjectionSweep:
         b = injection_rate_sweep(small_result, rates=(0.5,), window=80, seed=2)
         assert a.series[0].values == b.series[0].values
 
-    def test_sim_engine_plumbing_is_cycle_exact(self, small_result):
-        # The engine choice rides the pickled payload; every engine is
-        # cycle-exact, so the sweep numbers must be identical.
-        base = injection_rate_sweep(
-            small_result, rates=(0.5,), window=80, seed=2,
-            sim_engine="frontier",
-        )
-        for eng in ("scan", "vector"):
-            other = injection_rate_sweep(
-                small_result, rates=(0.5,), window=80, seed=2,
-                sim_engine=eng,
-            )
-            assert other.series[0].values == base.series[0].values, eng
-
     def test_rejects_degenerate_machine(self):
         mesh = Mesh((2, 2))
         faults = FaultSet(mesh, [(0, 0), (0, 1), (1, 0)])
