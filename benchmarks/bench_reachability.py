@@ -1,62 +1,17 @@
-"""Micro-benchmarks of the reachability kernels.
+"""Micro-benchmark of the one-round reachability kernel at paper-scale
+representative counts, p = q = (2d-1)f + 1.
 
-The one-round matrix groups representative rows by their line keys
-once per dimension; ``_group_rows`` used to walk rows in Python and is
-now a single ``np.unique(..., return_inverse=True)`` + stable argsort.
-This file pins both the speed (at paper-scale representative counts,
-p, q ~ (2d-1)f + 1) and bit-identical grouping vs the reference loop.
+The kernel builds each dimension's blocking windows into one lookup
+table and gathers it to p x q, with no loop over faulty lines.
 """
 
 import numpy as np
-import pytest
 
-from repro.core.reachability import _group_rows, one_round_reachability_matrix
+from repro.core.reachability import one_round_reachability_matrix
 from repro.mesh import Mesh, random_node_faults
 from repro.routing import LineFaultIndex, xyz
 
 from conftest import run_once
-
-
-def _reference_group_rows(arr, cols):
-    """The historical per-row Python loop (kept as the oracle)."""
-    groups = {}
-    if len(cols) == 0:
-        return {(): np.arange(arr.shape[0])}
-    key_arr = arr[:, list(cols)]
-    for i in range(arr.shape[0]):
-        groups.setdefault(tuple(int(x) for x in key_arr[i]), []).append(i)
-    return {k: np.asarray(v, dtype=np.intp) for k, v in groups.items()}
-
-
-def _rep_array(d=3, f=160, seed=0):
-    """(p, d) representative-like rows at p = (2d-1)f + 1."""
-    p = (2 * d - 1) * f + 1
-    rng = np.random.default_rng(seed)
-    return rng.integers(0, 32, size=(p, d)).astype(np.int64)
-
-
-def test_group_rows(benchmark, show):
-    """Vectorized grouping at paper scale, checked against the loop."""
-    arr = _rep_array()
-    cols = [1, 2]
-    got = _group_rows(arr, cols)
-    want = _reference_group_rows(arr, cols)
-    assert got.keys() == want.keys()
-    for k in want:
-        assert np.array_equal(got[k], want[k])
-    benchmark(_group_rows, arr, cols)
-    show(f"\n_group_rows: {arr.shape[0]} rows -> {len(got)} groups, "
-         "bit-identical to the reference loop\n")
-
-
-@pytest.mark.parametrize("cols", [[], [0], [0, 1, 2]])
-def test_group_rows_matches_reference(cols):
-    arr = _rep_array(seed=3)
-    got = _group_rows(arr, cols)
-    want = _reference_group_rows(arr, cols)
-    assert got.keys() == want.keys()
-    for k in want:
-        assert np.array_equal(got[k], want[k])
 
 
 def test_one_round_matrix_kernel(benchmark):

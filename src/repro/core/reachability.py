@@ -5,15 +5,16 @@ matrices ``R_t`` between SES and DES representatives, the intersection
 matrices ``I_t``, and the k-round boolean product
 ``R^(k) = R_1 I_1 R_2 ... I_{k-1} R_k`` (Lemma 5.1).
 
-The one-round matrix is computed by a faulty-line-grouped vectorized
-kernel rather than p*q independent route walks: segment ``t`` of the
-``pi``-route from source ``v`` to destination ``w`` lies on the line
-determined by ``w``'s already-routed coordinates and ``v``'s
-not-yet-routed coordinates, so for each of the O(f) obstacle-carrying
-lines per dimension we can locate the affected (source, destination)
-pairs by hash-grouping and mark the blocked ones with two
-``searchsorted`` calls per source (see DESIGN.md).  Every (i, l) pair
-maps to exactly one line per dimension, so total work is O(d p q) in
+The one-round matrix is computed by a table-and-gather kernel rather
+than p*q independent route walks: segment ``t`` of the ``pi``-route
+from source ``v`` to destination ``w`` lies on the line determined by
+``w``'s already-routed coordinates and ``v``'s not-yet-routed
+coordinates.  Per dimension, each of the O(f) obstacle-carrying lines
+becomes a pair of integer codes; one sort and a few ``searchsorted``
+calls pair the lines with the representatives on one side and find
+each pair's blocking window, which is scattered into a small table
+and gathered to ``p x q`` for one comparison (see DESIGN.md).  There
+is no Python loop over faulty lines, and total work is O(d p q) in
 numpy inner loops.
 
 Matrix products follow the paper's engineering notes: the intersection
@@ -34,7 +35,7 @@ import scipy.sparse as sp
 
 from ..mesh.regions import Rect, rect_intersection_matrix
 from ..obs import get_registry
-from ..routing.linefaults import LineFaultIndex
+from ..routing.linefaults import FlatLines, LineFaultIndex
 from ..routing.ordering import KRoundOrdering, Ordering
 
 __all__ = [
@@ -48,51 +49,59 @@ __all__ = [
 ]
 
 
-def _group_rows(
-    arr: np.ndarray, cols: Sequence[int]
-) -> Dict[Tuple[int, ...], np.ndarray]:
-    """Group row indices of ``arr`` by the tuple of values in ``cols``.
+def _codes(
+    coords: np.ndarray, dims: Sequence[int], widths: Sequence[int]
+) -> np.ndarray:
+    """Mixed-radix code of the ``dims`` columns of ``coords`` (all zero
+    when ``dims`` is empty)."""
+    code = np.zeros(coords.shape[0], dtype=np.int64)
+    for m in dims:
+        code = code * widths[m] + coords[:, m]
+    return code
 
-    Vectorized: one ``np.unique(..., return_inverse=True)`` over the
-    key columns plus a stable argsort of the inverse labels replaces
-    the former per-row Python loop (this runs once per dimension per
-    one-round matrix, with ``p, q ~ (2d-1)f + 1`` rows — see
-    ``benchmarks/bench_reachability.py::test_group_rows``).  Row
-    indices within each group are ascending, exactly as the loop
-    produced them, so downstream results are bit-identical.
 
-    ``arr`` must be an integer coordinate array; packed matrices and
-    float/bool arrays are rejected with a typed error instead of being
-    silently coerced through ``np.unique`` (whose float tuple keys
-    would never match the integer partition keys downstream).
+def _int_reps(reps, d: int, name: str) -> np.ndarray:
+    """``reps`` as an ``(m, d)`` int64 array; non-integer input is a
+    ``TypeError`` rather than a silent truncation."""
+    arr = np.asarray(reps)
+    if arr.size and arr.dtype.kind not in ("i", "u"):
+        raise TypeError(
+            f"{name} must be integer node coordinates, got dtype {arr.dtype}"
+        )
+    return arr.astype(np.int64, copy=False).reshape(-1, d)
+
+
+def _windows(
+    lines: FlatLines, line: np.ndarray, pos: np.ndarray, reverse: bool, top: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Blocking windows ``(lo, hi)`` around doubled positions ``pos`` on
+    the faulty lines ``line``; ``-1`` and ``top`` mean open.
+
+    Forward (``pos`` is a source): ``lo`` is the largest down-obstacle
+    below ``pos`` and ``hi`` the smallest up-obstacle at or above it.
+    Reversed (``pos`` is a destination): ``lo`` is the largest
+    up-obstacle at or below and ``hi`` the smallest down-obstacle at or
+    above.  Either way the pair is blocked iff the other endpoint's
+    doubled position is ``<= lo`` or ``>= hi``.  Each side is one
+    ``searchsorted`` over all lines' obstacles, keyed by
+    ``line * span + position``.
     """
-    if isinstance(arr, PackedBoolMatrix):
-        raise TypeError(
-            "_group_rows groups integer representative coordinates; "
-            "got a PackedBoolMatrix (unpack-copy round-trips are "
-            "deliberately not implicit — call .unpack() only if you "
-            "really mean it)"
-        )
-    arr = np.asarray(arr)
-    if arr.dtype.kind not in ("i", "u"):
-        raise TypeError(
-            f"_group_rows needs an integer coordinate array, got "
-            f"dtype {arr.dtype}"
-        )
-    n = arr.shape[0]
-    if len(cols) == 0:
-        return {(): np.arange(n)}
-    if n == 0:
-        return {}
-    key_arr = np.ascontiguousarray(arr[:, list(cols)])
-    uniq, inverse = np.unique(key_arr, axis=0, return_inverse=True)
-    inverse = inverse.ravel()  # numpy >= 2.1 returns (n, 1) for axis=0
-    order = np.argsort(inverse, kind="stable").astype(np.intp, copy=False)
-    counts = np.bincount(inverse, minlength=uniq.shape[0])
-    splits = np.split(order, np.cumsum(counts)[:-1])
-    return {
-        tuple(int(x) for x in uniq[g]): idx for g, idx in enumerate(splits)
-    }
+    span = top + 1
+    low, low_off, high, high_off = (
+        (lines.up, lines.up_off, lines.down, lines.down_off)
+        if reverse
+        else (lines.down, lines.down_off, lines.up, lines.up_off)
+    )
+
+    def keyed(arr: np.ndarray, off: np.ndarray) -> np.ndarray:
+        return np.repeat(np.arange(off.size - 1) * span, np.diff(off)) + arr
+
+    probe = line * span + pos
+    i = np.searchsorted(keyed(low, low_off), probe, "right" if reverse else "left")
+    k = np.searchsorted(keyed(high, high_off), probe, "left")
+    lo = np.where(i > low_off[line], np.concatenate(([-1], low))[i], -1)
+    hi = np.where(k < high_off[line + 1], np.concatenate((high, [top]))[k], top)
+    return lo, hi
 
 
 def one_round_reachability_matrix(
@@ -105,137 +114,80 @@ def one_round_reachability_matrix(
     """Boolean matrix ``R[i, l] = sources[i] can (F, pi)-reach dests[l]``.
 
     ``sources`` and ``dests`` are ``(p, d)`` / ``(q, d)`` integer arrays
-    of *good* nodes (checked when ``validate`` is True).
+    of *good* nodes (checked when ``validate`` is True); any other
+    dtype raises ``TypeError``.
 
-    The blocked-pair scatter is batched per destination group rather
-    than per faulty line: every line that maps to the same destination
-    key carries a *disjoint* source set (a source determines its line's
-    source-key projection uniquely), so their (lo, hi) window rows can
-    be concatenated and OR-scattered in one ``np.ix_`` call per group.
-    For round dimension ``t = 0`` the destination key is empty and the
-    whole dimension collapses to a single broadcast — this is where the
-    former per-line loop spent most of its time in tiny numpy calls.
+    Segment ``t`` of the route runs along ``j = pi[t]`` on the line
+    keyed by the destination's already-routed coordinates and the
+    source's not-yet-routed ones, so each faulty line is a pair of
+    integer codes (source side, destination side).  Per dimension the
+    kernel indexes by the side whose partner has fewer distinct codes:
+    it pairs every line with that side's rows (one sort, two
+    ``searchsorted``), finds each pair's blocking window (:func:`_windows`),
+    scatters the windows into a ``(U + 1, rows)`` table over the ``U``
+    distinct partner codes (the extra row is the open window for "no
+    faulty line"), gathers it to ``p x q`` by each partner row's code
+    and compares once.  There is no loop over faulty lines.
     """
     mesh = index.mesh
     d = mesh.d
-    S = np.asarray(sources, dtype=np.int64).reshape(-1, d)
-    D = np.asarray(dests, dtype=np.int64).reshape(-1, d)
+    S = _int_reps(sources, d, "sources")
+    D = _int_reps(dests, d, "dests")
     p, q = S.shape[0], D.shape[0]
     if validate and (p or q):
-        faulty = index.faults.node_fault_indices()
-        for arr, name in ((S, "source"), (D, "destination")):
-            if arr.size and any(int(i) in faulty for i in mesh.indices_of(arr)):
-                raise ValueError(f"a {name} representative is faulty")
+        faulty = np.fromiter(index.faults.node_fault_indices(), dtype=np.int64)
+        hit = np.isin(mesh.indices_of(np.concatenate((S, D))), faulty)
+        if hit.any():
+            name = "source" if hit[:p].any() else "destination"
+            raise ValueError(f"a {name} representative is faulty")
+    # Dimensions indexed by destination fill ``blocked``; those indexed
+    # by source fill its transpose, so every gather copies whole rows.
     blocked = np.zeros((p, q), dtype=bool)
+    blocked_t = np.zeros((q, p), dtype=bool)
     if p == 0 or q == 0:
         return ~blocked
+    widths = mesh.widths
+    dtype = np.int16 if 2 * max(widths) < 2**15 else np.int32
     perm = pi.perm
-    inf = np.inf
-    for t in range(d):
-        j = perm[t]
-        src_dims = [perm[u] for u in range(t + 1, d)]
-        dst_dims = [perm[u] for u in range(t)]
-        if index.num_faulty_lines(j) == 0:
+    for t, j in enumerate(perm):
+        lines = index.flat_lines(j)
+        if lines.keys.shape[0] == 0:
             continue
-        src_groups = _group_rows(S, src_dims)
-        dst_groups = _group_rows(D, dst_dims)
-
-        def key_pos(m: int) -> int:
-            return m if m < j else m - 1
-
-        src_pos = [key_pos(m) for m in src_dims]
-        dst_pos = [key_pos(m) for m in dst_dims]
-        # Collect per-line (lo, hi) windows, then flush them in batched
-        # broadcast+scatter calls bucketed by whichever side repeats
-        # fewer keys.  Lines sharing a destination key have *disjoint*
-        # source sets (and vice versa), so concatenation within a
-        # bucket never collides — one ``np.ix_`` per bucket replaces
-        # one per faulty line.  For the first round dimension the
-        # destination key is empty and the whole dimension collapses to
-        # a single scatter; for the last, the source key does.
-        matched: List[
-            Tuple[
-                Tuple[int, ...],
-                Tuple[int, ...],
-                np.ndarray,
-                np.ndarray,
-                np.ndarray,
-                np.ndarray,
-            ]
-        ] = []
-        skeys: set = set()
-        dkeys: set = set()
-        for key, up, down in index.faulty_lines(j):
-            skey = tuple(key[m] for m in src_pos)
-            I = src_groups.get(skey)
-            if I is None:
-                continue
-            dkey = tuple(key[m] for m in dst_pos)
-            L = dst_groups.get(dkey)
-            if L is None:
-                continue
-            a = S[I, j].astype(np.float64)
-            if down.size:
-                idx = np.searchsorted(down, a)
-                lo = np.where(idx > 0, down[np.maximum(idx - 1, 0)], -inf)
-            else:
-                lo = np.full(a.shape, -inf)
-            if up.size:
-                idx = np.searchsorted(up, a)
-                hi = np.where(idx < up.size, up[np.minimum(idx, up.size - 1)], inf)
-            else:
-                hi = np.full(a.shape, inf)
-            matched.append((skey, dkey, I, L, lo, hi))
-            skeys.add(skey)
-            dkeys.add(dkey)
-        if not matched:
+        src_dims, dst_dims = perm[t + 1 :], perm[:t]
+        keys = np.insert(lines.keys, j, 0, axis=1)  # back to d columns
+        line_s, line_d = _codes(keys, src_dims, widths), _codes(keys, dst_dims, widths)
+        sides = (
+            (S, _codes(S, src_dims, widths), line_s),
+            (D, _codes(D, dst_dims, widths), line_d),
+        )
+        uniq_s, uniq_d = np.unique(line_s), np.unique(line_d)
+        by_source = uniq_d.size <= uniq_s.size
+        (own, own_codes, own_line), (other, other_codes, other_line) = (
+            sides if by_source else sides[::-1]
+        )
+        uniq, acc = (uniq_d, blocked_t) if by_source else (uniq_s, blocked)
+        order = np.argsort(own_codes, kind="stable")
+        sorted_codes = own_codes[order]
+        start = np.searchsorted(sorted_codes, own_line, "left")
+        count = np.searchsorted(sorted_codes, own_line, "right") - start
+        if not count.any():
             continue
-        if len(dkeys) <= len(skeys):
-            # Bucket by destination key: concatenate along the source
-            # (row) axis; every row keeps its own (lo, hi) window.
-            by_dkey: Dict[Tuple[int, ...], List] = {}
-            for skey, dkey, I, L, lo, hi in matched:
-                by_dkey.setdefault(dkey, []).append((I, lo, hi))
-            for dkey, parts in by_dkey.items():
-                L = dst_groups[dkey]
-                w = D[L, j].astype(np.float64)
-                if len(parts) == 1:
-                    I, lo, hi = parts[0]
-                else:
-                    I = np.concatenate([part[0] for part in parts])
-                    lo = np.concatenate([part[1] for part in parts])
-                    hi = np.concatenate([part[2] for part in parts])
-                blocked[np.ix_(I, L)] |= (w[None, :] <= lo[:, None]) | (
-                    w[None, :] >= hi[:, None]
-                )
-        else:
-            # Bucket by source key: concatenate along the destination
-            # (column) axis; each column selects its line's (lo, hi)
-            # window for the shared source rows.
-            by_skey: Dict[Tuple[int, ...], List] = {}
-            for skey, dkey, I, L, lo, hi in matched:
-                by_skey.setdefault(skey, []).append((L, lo, hi))
-            for skey, parts in by_skey.items():
-                I = src_groups[skey]
-                if len(parts) == 1:
-                    L, lo, hi = parts[0]
-                    w = D[L, j].astype(np.float64)
-                    lo_sel = lo[:, None]
-                    hi_sel = hi[:, None]
-                else:
-                    L = np.concatenate([part[0] for part in parts])
-                    w = D[L, j].astype(np.float64)
-                    lo_mat = np.stack([part[1] for part in parts], axis=1)
-                    hi_mat = np.stack([part[2] for part in parts], axis=1)
-                    line_of = np.repeat(
-                        np.arange(len(parts)),
-                        [part[0].size for part in parts],
-                    )
-                    lo_sel = lo_mat[:, line_of]
-                    hi_sel = hi_mat[:, line_of]
-                blocked[np.ix_(I, L)] |= (w[None, :] <= lo_sel) | (
-                    w[None, :] >= hi_sel
-                )
+        line = np.repeat(np.arange(own_line.size), count)
+        row = order[_ragged_ranges(start, count)]
+        top = 2 * widths[j]
+        lo, hi = _windows(lines, line, 2 * own[row, j], not by_source, top)
+        U = uniq.size
+        lo_table = np.full((U + 1, own.shape[0]), -1, dtype=dtype)
+        hi_table = np.full((U + 1, own.shape[0]), top, dtype=dtype)
+        table_row = np.searchsorted(uniq, other_line)[line]
+        lo_table[table_row, row] = lo
+        hi_table[table_row, row] = hi
+        c = np.minimum(np.searchsorted(uniq, other_codes), U - 1)
+        pick = np.where(uniq[c] == other_codes, c, U)
+        x = (2 * other[:, j]).astype(dtype)[:, None]
+        acc |= x <= lo_table[pick]
+        acc |= x >= hi_table[pick]
+    blocked |= blocked_t.T
     return ~blocked
 
 

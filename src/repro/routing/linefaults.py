@@ -12,24 +12,25 @@ lies in its closed coordinate interval, where an obstacle is either
   motion through the same position.
 
 Keeping node faults and cuts in one sorted float array per direction
-makes the segment test two ``bisect`` calls, and gives the vectorized
-reachability kernel its ``searchsorted`` form (see
-:mod:`repro.core.reachability`).  Only lines containing at least one
-obstacle are stored, so the index costs O(d * f) space, independent of
-the mesh size.
+makes the segment test two ``bisect`` calls.  :meth:`LineFaultIndex.flat_lines`
+flattens one dimension's lines into a few integer arrays (positions
+doubled, so cuts at ``c + 0.5`` stay exact) for the vectorized
+reachability kernel (see :mod:`repro.core.reachability`).  Only lines
+containing at least one obstacle are stored, so the index costs
+O(d * f) space, independent of the mesh size.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from ..mesh.faults import FaultSet
 from ..mesh.geometry import Mesh
 
-__all__ = ["LineFaultIndex", "LineKey"]
+__all__ = ["FlatLines", "LineFaultIndex", "LineKey"]
 
 LineKey = Tuple[int, ...]
 
@@ -38,6 +39,31 @@ _INF = float("inf")
 
 def _drop(coords: Tuple[int, ...], j: int) -> LineKey:
     return coords[:j] + coords[j + 1 :]
+
+
+class FlatLines(NamedTuple):
+    """One dimension's obstacle-carrying lines as flat integer arrays.
+
+    ``keys`` is the ``(n, d - 1)`` array of line keys in ascending
+    (lexicographic) order.  Line ``i``'s up-obstacles are
+    ``up[up_off[i]:up_off[i + 1]]``, ascending, and likewise for
+    ``down``.  Positions are doubled: a node fault at ``x`` is ``2x``
+    and a cut at ``c + 0.5`` is ``2c + 1``.
+    """
+
+    keys: np.ndarray
+    up: np.ndarray
+    up_off: np.ndarray
+    down: np.ndarray
+    down_off: np.ndarray
+
+
+def _flatten(arrays: List[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """Concatenate per-line obstacle arrays, doubled, plus offsets."""
+    off = np.zeros(len(arrays) + 1, dtype=np.int64)
+    np.cumsum([a.size for a in arrays], out=off[1:])
+    flat = np.concatenate(arrays) if arrays else np.empty(0)
+    return (2 * flat).astype(np.int64), off
 
 
 class LineFaultIndex:
@@ -50,7 +76,7 @@ class LineFaultIndex:
         one if the fault set changes.
     """
 
-    __slots__ = ("faults", "mesh", "_up", "_down")
+    __slots__ = ("faults", "mesh", "_up", "_down", "_flat")
 
     def __init__(self, faults: FaultSet) -> None:
         self.faults = faults
@@ -82,15 +108,31 @@ class LineFaultIndex:
             {k: np.asarray(sorted(vals)) for k, vals in down[j].items()}
             for j in range(d)
         ]
+        self._flat: List[Optional[FlatLines]] = [None] * d
 
     # ------------------------------------------------------------------
+    def flat_lines(self, j: int) -> FlatLines:
+        """The dimension-``j`` faulty lines as :class:`FlatLines`,
+        built on first use and then kept (the index is immutable)."""
+        flat = self._flat[j]
+        if flat is None:
+            keys = sorted(set(self._up[j]) | set(self._down[j]))
+            empty = np.empty(0)
+            up, up_off = _flatten([self._up[j].get(k, empty) for k in keys])
+            down, down_off = _flatten([self._down[j].get(k, empty) for k in keys])
+            shape = (len(keys), self.mesh.d - 1)
+            key_arr = np.asarray(keys, dtype=np.int64).reshape(shape)
+            flat = FlatLines(key_arr, up, up_off, down, down_off)
+            self._flat[j] = flat
+        return flat
+
     def line_has_obstacle(self, j: int, key: LineKey) -> bool:
         """Whether the dimension-``j`` line ``key`` has any obstacle."""
         return key in self._up[j] or key in self._down[j]
 
     def num_faulty_lines(self, j: int) -> int:
         """Number of dimension-``j`` lines containing an obstacle."""
-        return len(set(self._up[j]) | set(self._down[j]))
+        return int(self.flat_lines(j).keys.shape[0])
 
     def faulty_lines(
         self, j: int
@@ -98,8 +140,7 @@ class LineFaultIndex:
         """Iterate ``(key, up_obstacles, down_obstacles)`` for every
         dimension-``j`` line containing at least one obstacle."""
         empty = np.empty(0)
-        keys = set(self._up[j]) | set(self._down[j])
-        for key in sorted(keys):
+        for key in map(tuple, self.flat_lines(j).keys.tolist()):
             yield key, self._up[j].get(key, empty), self._down[j].get(key, empty)
 
     # ------------------------------------------------------------------

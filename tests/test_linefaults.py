@@ -123,3 +123,19 @@ class TestIndexStructure:
         idx = LineFaultIndex(FaultSet(Mesh((4, 4))))
         assert idx.num_faulty_lines(0) == 0
         assert not idx.segment_blocked(0, (0,), 0, 3)
+
+    def test_flat_lines_doubles_positions(self):
+        """Node faults sit at 2x and cuts at 2c + 1, per line in key
+        order, so the kernel's window tests are exact integers."""
+        m = Mesh((10, 10))
+        faults = FaultSet(
+            m, [(5, 3), (2, 7)], [((3, 3), (4, 3)), ((8, 3), (7, 3))]
+        )
+        flat = LineFaultIndex(faults).flat_lines(0)
+        assert flat.keys.tolist() == [[3], [7]]
+        assert flat.up.tolist() == [7, 10, 4]  # line 3: cut 3.5, node 5
+        assert flat.up_off.tolist() == [0, 2, 3]
+        assert flat.down.tolist() == [10, 15, 4]  # line 3: node 5, cut 7.5
+        assert flat.down_off.tolist() == [0, 2, 3]
+        # Dimension-0 cuts put nothing on dimension-1 lines.
+        assert LineFaultIndex(faults).flat_lines(1).keys.tolist() == [[2], [5]]

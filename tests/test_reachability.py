@@ -18,15 +18,20 @@ from repro.core import (
 )
 from repro.core.reachability import (
     PackedBoolMatrix,
-    _group_rows,
     packed_bool_matmul,
 )
-from repro.mesh import FaultSet, Mesh
+from repro.mesh import FaultSet, Mesh, random_link_faults
+from repro.mesh.patterns import (
+    clustered_faults,
+    dust_and_clusters,
+    partial_plane_faults,
+)
 from repro.routing import (
     KRoundOrdering,
     LineFaultIndex,
     Ordering,
     dor_path,
+    one_round_reachable,
     path_is_fault_free,
     repeated,
     xy,
@@ -42,23 +47,68 @@ def _reps(rects, mesh):
 
 
 class TestOneRoundMatrix:
-    @given(faulty_meshes_with_ordering())
-    @settings(max_examples=50, deadline=None)
-    def test_matches_route_walking(self, fm):
+    @given(
+        st.one_of(
+            faulty_meshes_with_ordering(),
+            faulty_meshes_with_ordering(max_d=4, max_width=4),
+        ),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_route_walking(self, fm, data):
         """The vectorized kernel must agree with explicit route checks
-        for every pair of good nodes (not just partition reps)."""
+        on independent random source and destination subsets of the
+        good nodes, so source-side and destination-side indexing are
+        each exercised (d up to 4)."""
         faults, pi = fm
         mesh = faults.mesh
         good = faults.good_nodes()
         if not good:
             return
-        nodes = np.asarray(good, dtype=np.int64)
+        subset = st.lists(
+            st.sampled_from(range(len(good))), min_size=1, max_size=40,
+            unique=True,
+        )
+        src = [good[i] for i in data.draw(subset, label="sources")]
+        dst = [good[i] for i in data.draw(subset, label="dests")]
         idx = LineFaultIndex(faults)
-        R = one_round_reachability_matrix(idx, pi, nodes, nodes)
-        for i, v in enumerate(good):
-            for j, w in enumerate(good):
+        R = one_round_reachability_matrix(
+            idx, pi, np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+        )
+        assert R.shape == (len(src), len(dst))
+        for i, v in enumerate(src):
+            for j, w in enumerate(dst):
                 expected = path_is_fault_free(faults, dor_path(mesh, pi, v, w))
                 assert R[i, j] == expected, (v, w)
+
+    @pytest.mark.parametrize("family", ["clustered", "partial_plane", "dust"])
+    @pytest.mark.parametrize("d, width", [(2, 40), (3, 16)])
+    def test_patterned_faults_match_segment_walk(self, family, d, width):
+        """Clustered and planar fault sets put many obstacles and cuts
+        on one line, which uniform faults rarely do.  With directed
+        link faults on top, each ordering's real SES x DES
+        representative matrix must match the per-pair segment walk."""
+        mesh = Mesh.square(d, width)
+        rng = np.random.default_rng([d, width, len(family)])
+        if family == "clustered":
+            base = clustered_faults(mesh, 12 * d, 6, rng)
+        elif family == "partial_plane":
+            base = partial_plane_faults(mesh, d - 1, width // 2, 0.3, rng)
+        else:
+            base = dust_and_clusters(mesh, 8 * d, 2, 8, rng)
+        faults = base.with_links_as_faults(
+            random_link_faults(mesh, 10 * d, rng).link_faults
+        )
+        assert faults.num_link_faults > 0
+        idx = LineFaultIndex(faults)
+        for pi in (Ordering(tuple(range(d))), Ordering(tuple(range(d))[::-1])):
+            S = _reps(find_ses_partition(faults, pi), mesh)
+            D = _reps(find_des_partition(faults, pi), mesh)
+            R = one_round_reachability_matrix(idx, pi, S, D)
+            want = np.asarray(
+                [[one_round_reachable(idx, pi, v, w) for w in D] for v in S]
+            )
+            assert np.array_equal(R, want), pi
 
     def test_rejects_faulty_reps(self):
         m = Mesh((4, 4))
@@ -316,9 +366,10 @@ class TestPackedBoolMatrix:
 
 
 class TestTypedInputErrors:
-    """density/_group_rows reject wrong-typed inputs instead of
-    silently coercing (regression: packed matrices used to round-trip
-    through an unpack copy, floats through np.unique)."""
+    """density and the one-round kernel reject wrong-typed inputs
+    instead of silently coercing (regression: packed matrices used to
+    round-trip through an unpack copy, float coordinates were
+    truncated)."""
 
     def test_density_rejects_non_bool_dense(self):
         with pytest.raises(TypeError):
@@ -331,20 +382,42 @@ class TestTypedInputErrors:
         pa = PackedBoolMatrix.pack(A)
         assert density(pa) == density(A)
 
-    def test_group_rows_rejects_packed(self):
+    def test_one_round_rejects_packed(self):
+        idx = LineFaultIndex(FaultSet(Mesh((4, 4))))
         pa = PackedBoolMatrix.pack(np.ones((4, 4), dtype=bool))
         with pytest.raises(TypeError):
-            _group_rows(pa, [0])
+            one_round_reachability_matrix(idx, xy(), pa, np.asarray([(0, 0)]))
 
-    def test_group_rows_rejects_float(self):
+    def test_one_round_rejects_float(self):
+        """Regression: float coordinates used to be truncated, so
+        ``(0.9, 3.7)`` was silently read as node ``(0, 3)``."""
+        idx = LineFaultIndex(FaultSet(Mesh((4, 4))))
+        good = np.asarray([(0, 0)])
         with pytest.raises(TypeError):
-            _group_rows(np.ones((4, 2), dtype=np.float64), [0])
+            one_round_reachability_matrix(idx, xy(), [[0.9, 3.7]], good)
+        with pytest.raises(TypeError):
+            one_round_reachability_matrix(idx, xy(), good, [[0.9, 3.7]])
 
-    def test_group_rows_still_groups_ints(self):
-        arr = np.asarray([[0, 1], [0, 2], [1, 1]])
-        groups = _group_rows(arr, [0])
-        assert sorted(groups) == [(0,), (1,)]
-        assert list(groups[(0,)]) == [0, 1]
+    def test_one_round_rejects_bool(self):
+        idx = LineFaultIndex(FaultSet(Mesh((4, 4))))
+        good = np.asarray([(0, 0)])
+        with pytest.raises(TypeError):
+            one_round_reachability_matrix(idx, xy(), np.ones((1, 2), bool), good)
+
+    def test_one_round_accepts_any_int_dtype(self):
+        faults = FaultSet(Mesh((4, 4)), [(1, 1)], [((2, 0), (3, 0))])
+        idx = LineFaultIndex(faults)
+        nodes = np.asarray(faults.good_nodes(), dtype=np.int64)
+        want = one_round_reachability_matrix(idx, xy(), nodes, nodes)
+        for dtype in (np.uint8, np.int32):
+            got = one_round_reachability_matrix(
+                idx, xy(), nodes.astype(dtype), nodes.astype(dtype)
+            )
+            assert np.array_equal(got, want)
+        empty = np.empty((0, 2))  # an empty float array carries no coordinate
+        assert one_round_reachability_matrix(idx, xy(), empty, nodes).shape == (
+            0, nodes.shape[0]
+        )
 
 
 class TestBoolMatmulOverflowRegression:
