@@ -222,6 +222,9 @@ def find_lamb_set(
         if faults.node_is_faulty(v):
             raise ValueError(f"predetermined lamb {v} is faulty")
     values = dict(values or {})
+    for v in values:
+        if faults.node_is_faulty(v):
+            raise ValueError(f"valued node {v} is faulty")
     for v in predetermined:
         values[v] = 0.0
 

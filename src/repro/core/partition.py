@@ -17,6 +17,15 @@ Lemma 6.1 — the final segment of a route out of ``S' . c`` is
 identical for all sources in the set — and Lemma 6.3 — the interval
 sets remain internally fault-free).
 
+The faults are sorted once by reversed pi-coordinates, which makes every
+slab of every recursion level a contiguous run of that order.  A level
+groups its run by one coordinate in a single pass and builds the
+maximal intervals of step 2(c) from the sorted blocked positions and
+cuts in O(|blocked| + |cuts|), never scanning a line position by
+position.  The total work is O(d f log f + d |Sigma|), with no term in
+the mesh widths (the partition share of Theorem 6.8's bound).  The
+rectangles are validated and built in one ``Rect.batch`` call.
+
 Every rectangle produced is fault-free, so its minimal corner is a
 valid representative; ``rep(S) = S.lo`` reproduces the paper's
 ``rep(S) = (0, ..., 0, l_j, c_{j+1}, ..., c_d)`` convention.
@@ -24,10 +33,12 @@ valid representative; ``rep(S) = S.lo`` reproduces the paper's
 
 from __future__ import annotations
 
-from typing import List, Sequence, Set, Tuple
+from typing import List, Sequence, Tuple
+
+import numpy as np
 
 from ..mesh.faults import FaultSet
-from ..mesh.geometry import Mesh, Node
+from ..mesh.geometry import Node
 from ..mesh.regions import Rect
 from .ordering_utils import flip_link_faults
 from ..routing.ordering import Ordering
@@ -38,110 +49,93 @@ __all__ = [
     "partition_representatives",
 ]
 
-# In pi-space, a node fault is a coordinate tuple; a link fault is
-# (position, line_coords_without_position, lower_coordinate) meaning a
-# cut between lower and lower+1 along that position (direction is
-# irrelevant for partitioning: we split conservatively on any cut).
-_PNode = Tuple[int, ...]
-_PCut = Tuple[int, Tuple[int, ...], int]
 
+def _sorted_faults(faults: FaultSet, pi: Ordering) -> List[List[int]]:
+    """The faults in pi-space, deduplicated and sorted by reversed
+    coordinates, as ``d + 1`` columns ``c_{d-1}, ..., c_0, t``.
 
-def _to_pi_space(
-    faults: FaultSet, pi: Ordering
-) -> Tuple[List[int], List[_PNode], List[_PCut]]:
-    mesh = faults.mesh
-    perm = pi.perm
-    widths = [mesh.widths[j] for j in perm]
-    pnodes = [tuple(v[j] for j in perm) for v in faults.node_faults]
-    pcuts: List[_PCut] = []
-    seen: Set[_PCut] = set()
-    inv = {dim: t for t, dim in enumerate(perm)}
+    ``t = -1`` marks a node fault.  A directed link fault becomes a
+    cut between ``lower`` and ``lower + 1`` along position ``t``, stored
+    with ``c_t = lower`` (direction is irrelevant for partitioning: we
+    split conservatively on any cut).  Sorting by reversed coordinates
+    makes every slab of every recursion level a contiguous run.
+    """
+    d = faults.mesh.d
+    rev = list(reversed(pi.perm))
+    pos = {dim: t for t, dim in enumerate(pi.perm)}
+    rows = np.full((faults.num_node_faults, d + 1), -1, dtype=np.int64)
+    rows[:, :d] = faults.node_fault_array()[:, rev]
+    cuts = set()
     for (u, w) in faults.link_faults:
-        j = next(i for i in range(mesh.d) if u[i] != w[i])
-        t = inv[j]
-        pu = tuple(u[dim] for dim in perm)
-        lower = min(u[j], w[j])
-        key = pu[:t] + pu[t + 1 :]
-        cut = (t, key, lower)
-        if cut not in seen:
-            seen.add(cut)
-            pcuts.append(cut)
-    return widths, pnodes, pcuts
+        j = next(i for i in range(d) if u[i] != w[i])
+        lower = list(u)
+        lower[j] = min(u[j], w[j])
+        cuts.add(tuple(lower[k] for k in rev) + (pos[j],))
+    if cuts:
+        rows = np.vstack([rows, np.asarray(sorted(cuts), dtype=np.int64)])
+    return rows[np.lexsort(rows.T[::-1])].T.tolist()
 
 
-def _split_intervals(
-    n: int, blocked: Set[int], cuts_between: Set[int]
-) -> List[Tuple[int, int]]:
-    """Maximal intervals of ``[0, n-1] - blocked`` that do not span any
-    cut between ``c`` and ``c+1`` for ``c`` in ``cuts_between``."""
-    out = []
-    start = None
-    for x in range(n):
-        if x in blocked:
-            if start is not None:
-                out.append((start, x - 1))
-                start = None
-            continue
-        if start is None:
-            start = x
-        if x in cuts_between and x + 1 < n:
-            out.append((start, x))
-            start = None
-    if start is not None:
-        out.append((start, n - 1))
-    return out
-
-
-def _find_partition_pi_space(
-    widths: Sequence[int], pnodes: List[_PNode], pcuts: List[_PCut]
-) -> List[Tuple[Tuple[int, int], ...]]:
-    """Recursive Fig. 11 kernel; returns rects as interval tuples in
-    pi-space."""
+def _pi_space_rects(
+    widths: Sequence[int], cols: List[List[int]]
+) -> Tuple[List[List[int]], List[List[int]]]:
+    """The Fig. 11 recursion over ``_sorted_faults`` columns; returns the
+    rectangles' pi-space lower and upper corners as ``d`` columns each,
+    rectangles in the paper's order."""
     d = len(widths)
-    last = d - 1
-    n_last = widths[last]
-    if d == 1:
-        blocked = {v[0] for v in pnodes}
-        cuts = {lower for (t, _key, lower) in pcuts}
-        return [((a, b),) for (a, b) in _split_intervals(n_last, blocked, cuts)]
-    # Step 2(a): slabs (values of the last coordinate) containing a node
-    # fault or an intra-slab link fault.
-    H: Set[int] = {v[last] for v in pnodes}
-    for (t, key, _lower) in pcuts:
-        if t != last:
-            # key omits position t; the last coordinate sits at index
-            # last - 1 of key (since t < last).
-            H.add(key[-1])
-    out: List[Tuple[Tuple[int, int], ...]] = []
-    # Step 2(b): recurse into each faulty slab.
-    for c in sorted(H):
-        sub_nodes = [v[:last] for v in pnodes if v[last] == c]
-        sub_cuts = [
-            (t, key[:-1], lower)
-            for (t, key, lower) in pcuts
-            if t != last and key[-1] == c
-        ]
-        for rect in _find_partition_pi_space(widths[:last], sub_nodes, sub_cuts):
-            out.append(rect + ((c, c),))
-    # Steps 2(c)-(d): fault-free slab runs, split at inter-slab cuts.
-    last_cuts = {lower for (t, _key, lower) in pcuts if t == last}
-    prefix = tuple((0, w - 1) for w in widths[:last])
-    for (a, b) in _split_intervals(n_last, H, last_cuts):
-        out.append(prefix + ((a, b),))
-    return out
+    tops = [w - 1 for w in widths]
+    kinds = cols[d]
+    lo: List[List[int]] = [[] for _ in range(d)]
+    hi: List[List[int]] = [[] for _ in range(d)]
 
+    def level(i: int, j: int, m: int, suffix: Tuple[int, ...]) -> None:
+        # Faults i..j-1 share coordinates m+1.. (``suffix``) and are
+        # sorted by coordinate m.  Those with t > m are cuts that a
+        # higher level already applied; they are skipped here.
+        x = cols[d - 1 - m]
+        starts: List[int] = []
+        ends: List[int] = []
+        start = 0
+        k = i
+        while k < j:
+            # Group slab c; its smallest t decides what it is at level m.
+            c = x[k]
+            low = kinds[k]
+            g = k + 1
+            while g < j and x[g] == c:
+                low = min(low, kinds[g])
+                g += 1
+            if low < m:
+                # Steps 2(a)-(b): slab c holds a node fault or an
+                # intra-slab cut, so it recurses.
+                if m:
+                    level(k, g, m - 1, (c,) + suffix)
+                if start < c:
+                    starts.append(start)
+                    ends.append(c - 1)
+                start = c + 1
+            elif low == m:
+                starts.append(start)
+                ends.append(c)
+                start = c + 1
+            k = g
+        if start < widths[m]:
+            starts.append(start)
+            ends.append(tops[m])
+        # Steps 2(c)-(d): fault-free slab runs, split at inter-slab cuts,
+        # spanning every position before m.
+        n = len(starts)
+        for t in range(m):
+            lo[t] += [0] * n
+            hi[t] += [tops[t]] * n
+        lo[m] += starts
+        hi[m] += ends
+        for t, c in enumerate(suffix, m + 1):
+            lo[t] += [c] * n
+            hi[t] += [c] * n
 
-def _from_pi_space(
-    mesh: Mesh, pi: Ordering, rects: List[Tuple[Tuple[int, int], ...]]
-) -> List[Rect]:
-    out = []
-    for intervals in rects:
-        lo = [0] * mesh.d
-        hi = [0] * mesh.d
-        for t, dim in enumerate(pi.perm):
-            lo[dim], hi[dim] = intervals[t]
-        out.append(Rect(mesh, lo, hi))
-    return out
+    level(0, len(kinds), d - 1, ())
+    return lo, hi
 
 
 def find_ses_partition(faults: FaultSet, pi: Ordering) -> List[Rect]:
@@ -153,9 +147,15 @@ def find_ses_partition(faults: FaultSet, pi: Ordering) -> List[Rect]:
     """
     if pi.d != faults.mesh.d:
         raise ValueError("ordering dimensionality mismatch")
-    widths, pnodes, pcuts = _to_pi_space(faults, pi)
-    return _from_pi_space(
-        faults.mesh, pi, _find_partition_pi_space(widths, pnodes, pcuts)
+    mesh = faults.mesh
+    widths = [mesh.widths[j] for j in pi.perm]
+    lo, hi = _pi_space_rects(widths, _sorted_faults(faults, pi))
+    # Natural dimension j is pi-space column pi.perm.index(j).
+    order = sorted(range(mesh.d), key=pi.perm.__getitem__)
+    return Rect.batch(
+        mesh,
+        np.asarray([lo[t] for t in order], dtype=np.int64).T,
+        np.asarray([hi[t] for t in order], dtype=np.int64).T,
     )
 
 

@@ -7,6 +7,12 @@ interval the role of a constant ``c_j``.  A rectangle with ``m``
 nodes is stored in O(d) space; the lamb algorithms never materialize
 node sets until a lamb set has been chosen (keeping the running time
 independent of the mesh size N).
+
+Bounds are integers: ``Rect`` rejects float and bool bounds with
+``TypeError`` rather than truncating them.  ``Rect.batch`` builds many
+rectangles from ``(m, d)`` integer bound arrays with one vectorized
+check, for producers such as Find-SES-Partition that emit hundreds of
+rectangles per call.
 """
 
 from __future__ import annotations
@@ -35,6 +41,9 @@ class Rect:
     __slots__ = ("mesh", "lo", "hi")
 
     def __init__(self, mesh: Mesh, lo: Sequence[int], hi: Sequence[int]):
+        for x in (*lo, *hi):
+            if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+                raise TypeError(f"rectangle bounds must be integers, got {x!r}")
         lo = tuple(int(x) for x in lo)
         hi = tuple(int(x) for x in hi)
         if len(lo) != mesh.d or len(hi) != mesh.d:
@@ -73,6 +82,48 @@ class Rect:
                 lo.append(int(s))
                 hi.append(int(s))
         return cls(mesh, lo, hi)
+
+    @classmethod
+    def batch(cls, mesh: Mesh, lo: np.ndarray, hi: np.ndarray) -> List["Rect"]:
+        """Rectangles from ``(m, d)`` integer arrays of bounds, one per row.
+
+        Validates all bounds at once with the rules of the constructor
+        (same ``TypeError`` / ``ValueError``), then builds the objects
+        without checking each one again.
+
+        >>> m = Mesh((12, 12))
+        >>> rects = Rect.batch(m, np.array([[0, 2]]), np.array([[11, 5]]))
+        >>> [r.spec() for r in rects]
+        [('*', (2, 5))]
+        """
+        lo = np.asarray(lo)
+        hi = np.asarray(hi)
+        if lo.size == 0 and hi.size == 0:
+            return []
+        for a in (lo, hi):
+            if a.dtype.kind not in "iu":
+                raise TypeError(
+                    f"rectangle bounds must be integers, got dtype {a.dtype}"
+                )
+            if a.ndim != 2 or a.shape != lo.shape or a.shape[1] != mesh.d:
+                raise ValueError("bounds dimensionality mismatch")
+        bad = (lo < 0) | (lo > hi) | (hi >= np.asarray(mesh.widths))
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise ValueError(
+                f"invalid interval [{lo[i, j]}, {hi[i, j]}] "
+                f"in dimension {j} of {mesh}"
+            )
+        out: List["Rect"] = []
+        new, append = object.__new__, out.append
+        # Zipping the columns yields each row as a tuple of Python ints.
+        for a, b in zip(zip(*lo.T.tolist()), zip(*hi.T.tolist())):
+            r = new(cls)
+            r.mesh = mesh
+            r.lo = a
+            r.hi = b
+            append(r)
+        return out
 
     @classmethod
     def single(cls, mesh: Mesh, node: Sequence[int]) -> "Rect":

@@ -137,6 +137,14 @@ class TestExtensions:
             find_lamb_set(
                 paper_faults, repeated(xy(), 2), values={(0, 0): 1.5}
             )
+        with pytest.raises(ValueError, match="is not a node of Mesh"):
+            find_lamb_set(
+                paper_faults, repeated(xy(), 2), values={(50, 50): 0.5}
+            )
+        with pytest.raises(ValueError, match="is faulty"):
+            find_lamb_set(
+                paper_faults, repeated(xy(), 2), values={(9, 1): 0.5}
+            )
 
     def test_predetermined_lambs_are_included(self, paper_faults):
         orderings = repeated(xy(), 2)

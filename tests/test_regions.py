@@ -63,6 +63,23 @@ class TestRectBasics:
         with pytest.raises(ValueError):
             Rect(m, (0,), (0,))
 
+    @pytest.mark.parametrize(
+        "lo",
+        [[0.9, 3.7], [True, 0], [np.float64(1.0), 0], [np.bool_(True), 0]],
+        ids=["float", "bool", "np.float64", "np.bool_"],
+    )
+    def test_non_integer_bounds_rejected(self, lo):
+        """Bounds used to be truncated: [0.9, 3.7] read as (0, 3)."""
+        with pytest.raises(TypeError):
+            Rect(Mesh((12, 12)), lo, [5, 5])
+        with pytest.raises(TypeError):
+            Rect(Mesh((12, 12)), [0, 0], lo)
+
+    def test_numpy_integer_bounds_accepted(self):
+        r = Rect(Mesh((12, 12)), np.array([1, 2], dtype=np.uint8), [np.int32(5), 7])
+        assert (r.lo, r.hi) == ((1, 2), (5, 7))
+        assert all(type(x) is int for x in r.lo + r.hi)
+
     def test_contains(self):
         m = Mesh((10, 10))
         r = Rect(m, (2, 3), (5, 7))
@@ -80,6 +97,43 @@ class TestRectBasics:
     def test_nodes_all_contained(self, mr):
         _, (r,) = mr
         assert all(r.contains(v) for v in r.nodes())
+
+
+class TestBatch:
+    @given(mesh_with_rects(count=5))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_constructor(self, mr):
+        mesh, rects = mr
+        lo = np.asarray([r.lo for r in rects], dtype=np.int32)
+        hi = np.asarray([r.hi for r in rects], dtype=np.int32)
+        got = Rect.batch(mesh, lo, hi)
+        assert got == rects
+        assert all(type(x) is int for r in got for x in r.lo + r.hi)
+
+    def test_invalid_interval_same_error(self):
+        m = Mesh((5, 5))
+        lo = np.array([[0, 0], [3, 1]])
+        hi = np.array([[4, 4], [2, 1]])
+        msg = r"invalid interval \[3, 2\] in dimension 0"
+        with pytest.raises(ValueError, match=msg):
+            Rect.batch(m, lo, hi)
+        with pytest.raises(ValueError, match=r"\[0, 5\] in dimension 1"):
+            Rect.batch(m, [[0, 0]], [[0, 5]])
+        with pytest.raises(ValueError, match="dimensionality"):
+            Rect.batch(m, [[0]], [[0]])
+
+    @pytest.mark.parametrize("dtype", [np.float64, bool])
+    def test_non_integer_dtype_rejected(self, dtype):
+        m = Mesh((5, 5))
+        ok = np.zeros((1, 2), dtype=np.int64)
+        bad = np.zeros((1, 2), dtype=dtype)
+        with pytest.raises(TypeError):
+            Rect.batch(m, bad, ok)
+        with pytest.raises(TypeError):
+            Rect.batch(m, ok, bad)
+
+    def test_empty(self):
+        assert Rect.batch(Mesh((5, 5)), [], []) == []
 
 
 class TestIntersection:
