@@ -1,15 +1,15 @@
 """Machine-readable perf-regression harness.
 
 Runs a small curated benchmark subset — the lamb pipeline, the
-reachability product kernel (dense and bit-packed), the wormhole
+one-round reachability kernel, the wormhole
 simulator under saturation, the seeded chaos scenario, the parallel
 trial engine, the route-query service data path, and the workflow
 engine's checkpoint-replay overhead — and writes ``BENCH_<date>.json``
 rows of ``{bench, mesh, wall_s, cycles_per_s / trials_per_s /
 queries_per_s}``.  A comparator mode diffs a fresh run against the
 latest committed baseline and fails on a >25% wall-clock regression;
-rows with an embedded oracle ``speedup`` ratio (bitpack vs dense) must
-additionally stay above ``SPEEDUP_FLOOR`` on every host.
+rows with an embedded ``speedup`` ratio (sharded vs single-process
+service) must additionally stay above ``SPEEDUP_FLOOR`` on every host.
 
 Usage (from the repo root, ``PYTHONPATH=src``)::
 
@@ -55,11 +55,10 @@ from repro.wormhole.simulator import WormholeSimulator
 #: slower than the committed baseline.
 REGRESSION_TOLERANCE = 0.25
 
-#: Acceptance floor for rows that embed a ``speedup`` field (packed vs
-#: dense products): the optimized path must
-#: stay at least this many times faster than its oracle — a host-
-#: independent ratio, so it is enforced even when wall-clock
-#: comparisons are skipped.
+#: Acceptance floor for rows that embed a ``speedup`` field (the sharded
+#: service row): the optimized path must stay at least this many times
+#: faster than its baseline — a host-independent ratio, so it is
+#: enforced even when wall-clock comparisons are skipped.
 SPEEDUP_FLOOR = 5.0
 
 SCHEMA_VERSION = 1
@@ -103,51 +102,6 @@ def _bench_reachability_product() -> Dict[str, object]:
     assert R.shape == (p, p)
     return {"bench": "reachability_product", "mesh": f"M3(32) p=q={p}",
             "wall_s": wall, "trials_per_s": 1.0 / wall}
-
-
-def _bench_reachability_bitpack() -> Dict[str, object]:
-    """Bit-packed R·I·R product chain vs the dense-bool oracle at
-    paper-scale p = (2d-1)f + 1 on M3(32), f = 160.  Both chains are
-    computed on the same operands; the row embeds the dense wall time
-    and the packed/dense ``speedup`` (the comparator requires >= 5x)
-    and asserts bit-identical results."""
-    import scipy.sparse as sp
-
-    from repro.core.reachability import (
-        PackedBoolMatrix, bool_matmul, packed_bool_matmul,
-    )
-
-    mesh = Mesh.square(3, 32)
-    f = 160
-    faults = random_node_faults(mesh, f, np.random.default_rng(1))
-    index = LineFaultIndex(faults)
-    rng = np.random.default_rng(2)
-    good = np.array(
-        [v for v in mesh.nodes() if not faults.node_is_faulty(tuple(v))],
-        dtype=np.int64,
-    )
-    p = (2 * mesh.d - 1) * f + 1
-    S = good[rng.choice(good.shape[0], size=p, replace=False)]
-    D = good[rng.choice(good.shape[0], size=p, replace=False)]
-    R = one_round_reachability_matrix(index, xyz(), S, D)
-    I_dense = np.zeros((p, p), dtype=bool)
-    idx = rng.integers(0, p, size=(p * 3, 2))
-    I_dense[idx[:, 0], idx[:, 1]] = True
-    np.fill_diagonal(I_dense, True)
-    I = sp.csr_matrix(I_dense)
-
-    t0 = time.perf_counter()
-    expect = bool_matmul(bool_matmul(R, I), R)
-    dense_wall = time.perf_counter() - t0
-
-    Rp = PackedBoolMatrix.pack(R)
-    t0 = time.perf_counter()
-    got = packed_bool_matmul(packed_bool_matmul(Rp, I), Rp).unpack()
-    wall = time.perf_counter() - t0
-    assert np.array_equal(got, expect)
-    return {"bench": "reachability_bitpack", "mesh": f"M3(32) p=q={p}",
-            "wall_s": wall, "trials_per_s": 1.0 / wall,
-            "dense_wall_s": dense_wall, "speedup": dense_wall / wall}
 
 
 def _bench_sim_saturation() -> Dict[str, object]:
@@ -382,7 +336,6 @@ def _bench_workflow_resume() -> Dict[str, object]:
 BENCHES: Tuple[Callable[[], Dict[str, object]], ...] = (
     _bench_lamb_pipeline,
     _bench_reachability_product,
-    _bench_reachability_bitpack,
     _bench_sim_saturation,
     _bench_chaos_smoke,
     _bench_trial_engine,
@@ -430,9 +383,6 @@ def run_benches(repeats: int = 3) -> List[Dict[str, object]]:
                     "speedup"):
             if key in best:
                 best[key] = round(float(best[key]), 3)
-        for key in ("dense_wall_s", "frontier_wall_s"):
-            if key in best:
-                best[key] = round(float(best[key]), 6)
         rows.append(best)
         print(f"  {best['bench']:<22} {best['mesh']:<18} "
               f"{best['wall_s']:>9.3f} s", file=sys.stderr)

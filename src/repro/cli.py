@@ -148,9 +148,7 @@ def cmd_lamb(args) -> int:
     faults = _build_faults(args)
     mesh = faults.mesh
     orderings = _orderings(args, mesh.d)
-    result = find_lamb_set(
-        faults, orderings, method=args.method, engine=args.engine
-    )
+    result = find_lamb_set(faults, orderings, method=args.method)
     print(f"mesh {mesh} | faults {faults.f} | rounds {orderings.k}")
     print(f"SES/DES sets: {result.num_ses} / {result.num_des}")
     print(f"lambs: {result.size} "
@@ -982,8 +980,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounds", type=int, default=2)
     p.add_argument("--method", choices=("bipartite", "general", "general-exact"),
                    default="bipartite")
-    p.add_argument("--engine", choices=("lines", "spanning", "auto"),
-                   default="lines")
     p.add_argument("--show-lambs", action="store_true")
     p.add_argument("--render", action="store_true",
                    help="ASCII-render the result (2D meshes)")

@@ -39,11 +39,6 @@ from .reconfigure import (
     largest_good_component,
 )
 from .routing_table import RouteEntry, RoutingTable, build_routing_table
-from .spanning import (
-    find_reachability_spanning,
-    one_round_reachability_matrix_spanning,
-    recommended_engine,
-)
 from .validate import (
     full_reach_matrix,
     is_lamb_set,
@@ -84,9 +79,6 @@ __all__ = [
     "RoutingTable",
     "RouteEntry",
     "build_routing_table",
-    "find_reachability_spanning",
-    "one_round_reachability_matrix_spanning",
-    "recommended_engine",
     "k_round_matrix_from_relation",
     "torus_lamb_set",
     "torus_reach_matrix",

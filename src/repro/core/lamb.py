@@ -158,7 +158,6 @@ def find_lamb_set(
     predetermined: Iterable[Node] = (),
     index: Optional[LineFaultIndex] = None,
     wvc_max_vertices: int = 40,
-    engine: str = "lines",
 ) -> LambResult:
     """Find a ``(k, F, pi_vec)``-lamb set (Definition 2.6).
 
@@ -185,12 +184,6 @@ def find_lamb_set(
     wvc_max_vertices:
         Size guard for the exponential exact WVC solver used by
         ``method="general-exact"`` (ignored by the other methods).
-    engine:
-        Reachability engine: ``"lines"`` (the O(k d^3 f^3)
-        representative-pair kernel, mesh-size independent — the
-        default), ``"spanning"`` (per-representative k-round floods,
-        O(d^2 f N), better when f is large relative to N — footnote 7
-        of the paper), or ``"auto"`` (cost-model choice).
 
     Returns
     -------
@@ -210,12 +203,6 @@ def find_lamb_set(
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
-    if engine not in ("lines", "spanning", "auto"):
-        raise ValueError("engine must be 'lines', 'spanning' or 'auto'")
-    if engine == "auto":
-        from .spanning import recommended_engine
-
-        engine = recommended_engine(faults, orderings)
     mesh = faults.mesh
     predetermined = frozenset(tuple(v) for v in predetermined)
     for v in predetermined:
@@ -230,8 +217,7 @@ def find_lamb_set(
 
     reg = get_registry()
     with reg.span(
-        "lamb.find_lamb_set", method=method, engine=engine,
-        f=faults.f, k=orderings.k,
+        "lamb.find_lamb_set", method=method, f=faults.f, k=orderings.k,
     ) as sp_total:
         # Phase 1 (Find-SES-Partition / Find-DES-Partition, Fig. 14):
         # the line-fault index plus the per-round partitions (shared
@@ -266,19 +252,11 @@ def find_lamb_set(
             des_reps = [reps(p) for p in des_partitions]
 
         # Phase 2 (Find-Reachability: the R^(k) boolean products).
-        with reg.span("lamb.reachability", engine=engine) as sp_reach:
-            if engine == "spanning":
-                from .spanning import find_reachability_spanning
-
-                reach = find_reachability_spanning(
-                    faults, orderings, ses_partitions, des_partitions,
-                    ses_reps, des_reps,
-                )
-            else:
-                reach = find_reachability(
-                    index, orderings, ses_partitions, des_partitions,
-                    ses_reps, des_reps,
-                )
+        with reg.span("lamb.reachability") as sp_reach:
+            reach = find_reachability(
+                index, orderings, ses_partitions, des_partitions,
+                ses_reps, des_reps,
+            )
 
         # Phase 3 (Reduce-WVC + the max-flow / local-ratio cover).
         with reg.span("lamb.wvc", method=method) as sp_wvc:

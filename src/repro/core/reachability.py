@@ -17,18 +17,15 @@ and gathered to ``p x q`` for one comparison (see DESIGN.md).  There
 is no Python loop over faulty lines, and total work is O(d p q) in
 numpy inner loops.
 
-Matrix products follow the paper's engineering notes: the intersection
-matrices are typically very sparse (~1% density on M3(32) at 3%
-faults) so ``R_t I_t`` uses ``scipy.sparse``; the dense product uses
-float32 BLAS — the moral equivalent of the paper's 32-bit bitwise-word
-trick.
+Every matrix is dense bool, and Step 3 multiplies them with one
+float32 BLAS product per factor (:func:`bool_matmul`) — the moral
+equivalent of the paper's 32-bit bitwise-word trick.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -192,58 +189,49 @@ def one_round_reachability_matrix(
 
 
 def density(matrix) -> float:
-    """Fraction of nonzero entries.
+    """Fraction of nonzero entries of a dense bool matrix or a
+    :class:`PackedBoolMatrix` (counted in place via popcount).
 
-    Accepts dense bool arrays, scipy sparse matrices, and
-    :class:`PackedBoolMatrix` (counted in place via popcount — no
-    unpack round-trip).  Dense inputs of non-bool dtype raise
-    ``TypeError``: a float or int matrix reaching this function is a
-    bug upstream, and ``count_nonzero`` would quietly report something
-    that is not a boolean density.
+    Any other input raises ``TypeError``: a float, int or sparse matrix
+    reaching this function is a bug upstream, and ``count_nonzero``
+    would quietly report something that is not a boolean density.
     """
     size = matrix.shape[0] * matrix.shape[1]
     if size == 0:
         return 0.0
     if isinstance(matrix, PackedBoolMatrix):
         return matrix.count_nonzero() / size
-    if sp.issparse(matrix):
-        return matrix.nnz / size
-    matrix = np.asarray(matrix)
-    if matrix.dtype != np.bool_:
-        raise TypeError(
-            f"density expects a boolean matrix (or sparse/packed); got "
-            f"dense dtype {matrix.dtype}"
-        )
-    return float(np.count_nonzero(matrix)) / size
+    return float(np.count_nonzero(_dense_bool(matrix, "density"))) / size
 
 
-_SPARSE_THRESHOLD = 0.05
+def _dense_bool(matrix, name: str) -> np.ndarray:
+    """``matrix`` as a dense bool array; sparse or non-bool input is a
+    ``TypeError``."""
+    if not sp.issparse(matrix):
+        matrix = np.asarray(matrix)
+        if matrix.dtype == np.bool_:
+            return matrix
+    raise TypeError(
+        f"{name} expects dense boolean matrices, got "
+        f"{type(matrix).__name__} of dtype {matrix.dtype}"
+    )
 
 
-def bool_matmul(A: np.ndarray, B) -> np.ndarray:
-    """Boolean matrix product of a dense bool matrix with a dense or
-    sparse bool matrix, returning dense bool.
+def bool_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Boolean matrix product of two dense bool matrices.
 
-    Routes through ``scipy.sparse`` when the right factor is sparse (or
-    sparse enough), and through a float32 BLAS product otherwise.
-    float32 accumulation is exact here: row sums are bounded by the
-    inner dimension, far below 2**24.
+    One float32 BLAS product thresholded at 0.5 — the moral equivalent
+    of the paper's 32-bit bitwise-word trick.  Each entry is a sum of
+    0/1 terms, which float32 holds exactly below 2**24 and which never
+    rounds below 1 once a term is 1, so the threshold is exact at any
+    inner dimension.  Sparse or non-bool operands raise ``TypeError``.
     """
+    A = _dense_bool(A, "bool_matmul")
+    B = _dense_bool(B, "bool_matmul")
     if A.shape[1] != B.shape[0]:
         raise ValueError("inner dimensions differ")
     if A.shape[0] == 0 or B.shape[1] == 0 or A.shape[1] == 0:
         return np.zeros((A.shape[0], B.shape[1]), dtype=bool)
-    # NOTE: accumulate in int32 — scipy sparse products keep the input
-    # dtype, and int8 row sums overflow (wrap) once the inner dimension
-    # exceeds 127, silently corrupting the boolean threshold.
-    if sp.issparse(B):
-        out = (sp.csr_matrix(A.astype(np.int32)) @ B.astype(np.int32)) > 0
-        return np.asarray(out.todense())
-    if density(B) < _SPARSE_THRESHOLD or density(A) < _SPARSE_THRESHOLD:
-        out = (
-            sp.csr_matrix(A.astype(np.int32)) @ sp.csr_matrix(B.astype(np.int32))
-        ) > 0
-        return np.asarray(out.todense())
     return (A.astype(np.float32) @ B.astype(np.float32)) > 0.5
 
 
@@ -259,38 +247,30 @@ _WORD_BITS = 64
 # usually finishes the product outright.
 _SATURATE_PROBE = 48
 
-# Cumulative wall-clock spent packing/unpacking, published as telemetry
-# by find_reachability (zero deltas included so the exporter schema is
-# stable from the first packed run onward).
-_pack_seconds = 0.0
-_unpack_seconds = 0.0
-
 
 def _pack_words(dense: np.ndarray) -> np.ndarray:
     """Pack the rows of a dense bool matrix into little-endian uint64
     words, zero-padded to a whole number of words."""
-    global _pack_seconds
-    t0 = time.perf_counter()
     dense = np.ascontiguousarray(dense, dtype=bool)
     ncols = dense.shape[1]
     nbytes = ((ncols + _WORD_BITS - 1) // _WORD_BITS) * (_WORD_BITS // 8)
     b = np.packbits(dense, axis=1, bitorder="little")
     if b.shape[1] < nbytes:
         b = np.pad(b, ((0, 0), (0, nbytes - b.shape[1])))
-    words = b.view(np.uint64)
-    _pack_seconds += time.perf_counter() - t0
-    return words
+    return b.view(np.uint64)
 
 
+# Production code does not call PackedBoolMatrix: Find-Reachability uses
+# bool_matmul.  The class remains only because perfbench/tracer.py's
+# LAYER_TARGETS patches PackedBoolMatrix.matmul; delete it once a
+# benchmark change drops that entry.
 class PackedBoolMatrix:
     """A dense boolean matrix with each row packed into uint64 words.
 
-    This is the paper's Section 6.2 bitwise-word trick done properly:
-    64 matrix entries per machine word, so the R·I·R products of
-    *Find-Reachability* become word-wide OR-gathers instead of float32
-    BLAS or scipy-sparse round-trips.  All operations are bit-identical
-    to their dense-bool counterparts (``bool_matmul`` stays the oracle;
-    see ``tests/test_reachability.py``).
+    64 matrix entries per machine word, so a boolean product becomes
+    word-wide OR-gathers.  All operations are bit-identical to their
+    dense-bool counterparts (``bool_matmul``; see
+    ``tests/test_reachability.py``).
 
     The padding bits beyond ``shape[1]`` are an invariant zero: ``pack``
     writes them as zero and AND/OR of zeros stays zero, which is what
@@ -330,18 +310,13 @@ class PackedBoolMatrix:
 
     def unpack(self) -> np.ndarray:
         """The dense bool matrix this packs (fresh array)."""
-        global _unpack_seconds
-        t0 = time.perf_counter()
         nrows, ncols = self.shape
         if nrows == 0 or ncols == 0:
-            out = np.zeros(self.shape, dtype=bool)
-        else:
-            out = np.unpackbits(
-                self.words.view(np.uint8), axis=1, count=ncols,
-                bitorder="little",
-            ).astype(bool)
-        _unpack_seconds += time.perf_counter() - t0
-        return out
+            return np.zeros(self.shape, dtype=bool)
+        return np.unpackbits(
+            self.words.view(np.uint8), axis=1, count=ncols,
+            bitorder="little",
+        ).astype(bool)
 
     def transpose(self) -> "PackedBoolMatrix":
         return PackedBoolMatrix.pack(self.unpack().T)
@@ -530,8 +505,8 @@ def packed_bool_matmul(A, B) -> PackedBoolMatrix:
     """Boolean matrix product through the packed kernels.
 
     Accepts any mix of dense bool, scipy sparse, and packed operands;
-    returns packed.  Bit-identical to ``bool_matmul`` (the dense
-    oracle) by construction — pinned by property tests.
+    returns packed.  Bit-identical to ``bool_matmul`` — pinned by
+    property tests.
     """
     return PackedBoolMatrix.pack(A).matmul(PackedBoolMatrix.pack(B))
 
@@ -547,7 +522,7 @@ class ReachabilityData:
     round_matrices:
         The per-round one-round matrices ``R_t``.
     intersection_matrices:
-        The ``I_t`` matrices (``q_t x p_{t+1}``), stored sparse.
+        The ``I_t`` matrices (``q_t x p_{t+1}``).
     partial:
         ``partial[r]`` is ``R^(r+1)`` — useful for route selection
         (Section 6.2's remark on intermediate matrices).
@@ -557,16 +532,9 @@ class ReachabilityData:
 
     Rk: np.ndarray
     round_matrices: List[np.ndarray]
-    intersection_matrices: List[sp.spmatrix]
+    intersection_matrices: List[np.ndarray]
     partial: List[np.ndarray]
     stats: Dict[str, float] = field(default_factory=dict)
-
-
-# Auto-select the packed product path once a single product touches at
-# least this many matrix entries.  Below it, pack/unpack overhead beats
-# the kernel win; paper-scale runs ((2d-1)f + 1 representatives at a few
-# percent faults) sit far above it.
-_PACK_AUTO_THRESHOLD = 32768
 
 
 def find_reachability(
@@ -576,28 +544,32 @@ def find_reachability(
     des_partitions: Sequence[Sequence[Rect]],
     ses_reps: Sequence[np.ndarray],
     des_reps: Sequence[np.ndarray],
-    packed: Optional[bool] = None,
 ) -> ReachabilityData:
     """Algorithm *Find-Reachability* (Fig. 12).
 
     ``ses_partitions[t]`` / ``des_partitions[t]`` are the partitions
     for round ``t``'s ordering, with representative arrays
-    ``ses_reps[t]`` / ``des_reps[t]`` (``(m, d)`` int arrays).  When the
-    k-round ordering is uniform, pass the same objects for every round;
-    identical rounds share one ``R_t`` computation.
-
-    ``packed`` selects the product kernel for Step 3: ``True`` forces
-    the bit-packed word kernels, ``False`` forces the dense-bool oracle
-    (``bool_matmul``), and ``None`` (default) picks packed
-    automatically once the matrices are large enough to pay for the
-    packing.  Both paths are bit-identical; the public fields of
-    :class:`ReachabilityData` are dense either way.
+    ``ses_reps[t]`` / ``des_reps[t]`` (``(m, d)`` int arrays, one row
+    per set).  When the k-round ordering is uniform, pass the same
+    objects for every round; identical rounds share one ``R_t``
+    computation.  Every matrix is dense bool, and every product of
+    Step 3 is one :func:`bool_matmul`.
     """
     k = orderings.k
     if not (len(ses_partitions) == len(des_partitions) == k):
         raise ValueError(f"need {k} partitions per side")
-    pack_t0 = _pack_seconds
-    unpack_t0 = _unpack_seconds
+    for name, reps, parts in (
+        ("ses_reps", ses_reps, ses_partitions),
+        ("des_reps", des_reps, des_partitions),
+    ):
+        if len(reps) != k:
+            raise ValueError(f"need {k} {name} entries, got {len(reps)}")
+        for t in range(k):
+            if len(reps[t]) != len(parts[t]):
+                raise ValueError(
+                    f"{name}[{t}] has {len(reps[t])} representatives for "
+                    f"{len(parts[t])} sets"
+                )
     # Step 1: R_t (cache by round ordering identity).
     round_matrices: List[np.ndarray] = []
     cache: Dict[Tuple[Ordering, int, int], np.ndarray] = {}
@@ -610,79 +582,28 @@ def find_reachability(
             )
         round_matrices.append(cache[key])
     # Step 2: I_t = (D_{t,j} intersects S_{t+1,i}).
-    intersection_matrices: List[sp.spmatrix] = []
-    icache: Dict[Tuple[int, int], sp.spmatrix] = {}
+    intersection_matrices: List[np.ndarray] = []
+    icache: Dict[Tuple[int, int], np.ndarray] = {}
     for t in range(k - 1):
         key = (id(des_partitions[t]), id(ses_partitions[t + 1]))
-        if key in icache:
-            intersection_matrices.append(icache[key])
-            continue
-        dense = rect_intersection_matrix(des_partitions[t], ses_partitions[t + 1])
-        I = sp.csr_matrix(dense)
-        icache[key] = I
-        intersection_matrices.append(I)
+        if key not in icache:
+            icache[key] = rect_intersection_matrix(
+                des_partitions[t], ses_partitions[t + 1]
+            )
+        intersection_matrices.append(icache[key])
     # Step 3: the product, keeping partial results.
-    if packed is None:
-        largest = max(
-            (R.shape[0] * R.shape[1] for R in round_matrices), default=0
-        )
-        use_packed = k > 1 and largest >= _PACK_AUTO_THRESHOLD
-    else:
-        use_packed = bool(packed) and k > 1
-    partial: List[np.ndarray] = [round_matrices[0]]
-    r1i1_density: Optional[float] = None
-    if use_packed:
-        packed_rounds: Dict[int, PackedBoolMatrix] = {}
-
-        def packed_round(t: int) -> PackedBoolMatrix:
-            key = id(round_matrices[t])
-            if key not in packed_rounds:
-                packed_rounds[key] = PackedBoolMatrix.pack(round_matrices[t])
-            return packed_rounds[key]
-
-        acc_packed = packed_round(0)
-        for t in range(1, k):
-            acc_packed = acc_packed.matmul(
-                PackedBoolMatrix.pack(intersection_matrices[t - 1])
-            )
-            if t == 1:
-                r1i1_density = density(acc_packed)
-            acc_packed = acc_packed.matmul(packed_round(t))
-            partial.append(acc_packed.unpack())
-        acc = partial[-1]
-    else:
-        acc = round_matrices[0]
-        for t in range(1, k):
-            acc = bool_matmul(acc, intersection_matrices[t - 1])
-            if t == 1:
-                r1i1_density = density(acc)
-            acc = bool_matmul(acc, round_matrices[t])
-            partial.append(acc)
-    stats = {
-        "R1_density": density(round_matrices[0]),
-        "Rk_density": density(acc),
-        "packed_products": 1.0 if use_packed else 0.0,
-    }
-    if intersection_matrices:
-        stats["I1_density"] = density(intersection_matrices[0])
-        if r1i1_density is None:
-            r1i1_density = density(
-                bool_matmul(round_matrices[0], intersection_matrices[0])
-            )
-        stats["R1I1_density"] = r1i1_density
-    pack_delta = _pack_seconds - pack_t0
-    unpack_delta = _unpack_seconds - unpack_t0
-    stats["pack_seconds"] = pack_delta
-    stats["unpack_seconds"] = unpack_delta
-    reg = get_registry()
-    # Zero-delta incs keep both engine label sets present in exporter
-    # output regardless of which path this run took.
-    eng = "packed" if use_packed else "dense"
-    for label in ("packed", "dense"):
-        reg.inc("reachability_runs_total", 1 if label == eng else 0,
-                engine=label)
-    reg.observe("reachability_pack_seconds", pack_delta, op="pack")
-    reg.observe("reachability_pack_seconds", unpack_delta, op="unpack")
+    acc = round_matrices[0]
+    partial: List[np.ndarray] = [acc]
+    stats = {"R1_density": density(acc)}
+    for t in range(1, k):
+        acc = bool_matmul(acc, intersection_matrices[t - 1])
+        if t == 1:
+            stats["I1_density"] = density(intersection_matrices[0])
+            stats["R1I1_density"] = density(acc)
+        acc = bool_matmul(acc, round_matrices[t])
+        partial.append(acc)
+    stats["Rk_density"] = density(acc)
+    get_registry().inc("reachability_runs_total")
     return ReachabilityData(
         Rk=acc,
         round_matrices=round_matrices,

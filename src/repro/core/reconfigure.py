@@ -141,7 +141,7 @@ class ReconfigurationManager:
         Keep previous lambs predetermined across epochs (default).  A
         sticky lamb that later fails outright is dropped from the
         predetermined set (it is now simply faulty).
-    method, engine:
+    method:
         Forwarded to :func:`find_lamb_set`.
     """
 
@@ -151,13 +151,11 @@ class ReconfigurationManager:
         orderings: KRoundOrdering,
         sticky_lambs: bool = True,
         method: str = "bipartite",
-        engine: str = "lines",
     ):
         self.mesh = mesh
         self.orderings = orderings
         self.sticky_lambs = sticky_lambs
         self.method = method
-        self.engine = engine
         self._node_faults: List[Node] = []
         self._link_faults: List[Link] = []
         self._quarantined: Set[Node] = set()
@@ -211,7 +209,6 @@ class ReconfigurationManager:
             self.orderings,
             method=self.method,
             predetermined=predetermined,
-            engine=self.engine,
         )
         epoch = Epoch(
             index=len(self.epochs),
@@ -250,7 +247,6 @@ class ReconfigurationManager:
                 orderings,
                 method=self.method,
                 predetermined=self._sticky_predetermined(faults),
-                engine=self.engine,
             )
         except LADDER_RUNG_FAILURES as exc:
             reason = f"k={orderings.k}: {type(exc).__name__}: {exc}"

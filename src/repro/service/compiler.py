@@ -158,7 +158,6 @@ class ReconfigurationCompiler:
         verify: bool = False,
         lamb_budget: Optional[int] = None,
         max_extra_rounds: int = 1,
-        engine: str = "lines",
         slow_compile_seconds: float = 2.0,
         slow_query_seconds: float = 0.05,
     ) -> None:
@@ -171,7 +170,6 @@ class ReconfigurationCompiler:
         self.verify = verify
         self.lamb_budget = lamb_budget
         self.max_extra_rounds = int(max_extra_rounds)
-        self.engine = engine
         #: Slow-op thresholds (seconds): compiles and queries past
         #: these land in the registry's structured slow-op log.
         self.slow_compile_seconds = float(slow_compile_seconds)
@@ -373,7 +371,6 @@ class ReconfigurationCompiler:
             self.orderings,
             sticky_lambs=False,
             method=self.method,
-            engine=self.engine,
         )
         try:
             epoch = mgr.report_faults_degraded(

@@ -318,7 +318,6 @@ class ChaosEngine:
         max_extra_rounds: int = 1,
         sticky_lambs: bool = True,
         method: str = "bipartite",
-        engine: str = "lines",
         buffer_flits: int = 2,
         policy: str = "shortest",
         seed: int = 0,
@@ -339,7 +338,6 @@ class ChaosEngine:
             orderings,
             sticky_lambs=sticky_lambs,
             method=method,
-            engine=engine,
         )
         # Epoch 0: reconfigure for the initial fault state (possibly
         # empty) so the survivor set is defined before traffic starts.

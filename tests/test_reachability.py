@@ -11,9 +11,11 @@ from repro.core import (
     bool_matmul,
     density,
     find_des_partition,
+    find_lamb_set,
     find_reachability,
     find_ses_partition,
     full_reach_matrix,
+    is_lamb_set,
     one_round_reachability_matrix,
 )
 from repro.core.reachability import (
@@ -27,6 +29,7 @@ from repro.mesh.patterns import (
     partial_plane_faults,
 )
 from repro.routing import (
+    FaultGrids,
     KRoundOrdering,
     LineFaultIndex,
     Ordering,
@@ -38,12 +41,30 @@ from repro.routing import (
 )
 
 from conftest import faulty_meshes_with_ordering
+from reachability_oracle import oracle_one_round_matrix, oracle_reachability
 
 
 def _reps(rects, mesh):
     if not rects:
         return np.empty((0, mesh.d), dtype=np.int64)
     return np.asarray([r.lo for r in rects], dtype=np.int64)
+
+
+def _patterned_faults(family, d, width):
+    """A ``mesh.patterns`` fault set with directed link faults on top."""
+    mesh = Mesh.square(d, width)
+    rng = np.random.default_rng([d, width, len(family)])
+    if family == "clustered":
+        base = clustered_faults(mesh, 12 * d, 6, rng)
+    elif family == "partial_plane":
+        base = partial_plane_faults(mesh, d - 1, width // 2, 0.3, rng)
+    else:
+        base = dust_and_clusters(mesh, 8 * d, 2, 8, rng)
+    faults = base.with_links_as_faults(
+        random_link_faults(mesh, 10 * d, rng).link_faults
+    )
+    assert faults.num_link_faults > 0
+    return faults
 
 
 class TestOneRoundMatrix:
@@ -88,18 +109,8 @@ class TestOneRoundMatrix:
         on one line, which uniform faults rarely do.  With directed
         link faults on top, each ordering's real SES x DES
         representative matrix must match the per-pair segment walk."""
-        mesh = Mesh.square(d, width)
-        rng = np.random.default_rng([d, width, len(family)])
-        if family == "clustered":
-            base = clustered_faults(mesh, 12 * d, 6, rng)
-        elif family == "partial_plane":
-            base = partial_plane_faults(mesh, d - 1, width // 2, 0.3, rng)
-        else:
-            base = dust_and_clusters(mesh, 8 * d, 2, 8, rng)
-        faults = base.with_links_as_faults(
-            random_link_faults(mesh, 10 * d, rng).link_faults
-        )
-        assert faults.num_link_faults > 0
+        faults = _patterned_faults(family, d, width)
+        mesh = faults.mesh
         idx = LineFaultIndex(faults)
         for pi in (Ordering(tuple(range(d))), Ordering(tuple(range(d))[::-1])):
             S = _reps(find_ses_partition(faults, pi), mesh)
@@ -140,7 +151,6 @@ class TestBoolMatmul:
         B = rng.random((n, k)) < rng.uniform(0.02, 0.9)
         expected = (A @ B) > 0
         assert np.array_equal(bool_matmul(A, B), expected)
-        assert np.array_equal(bool_matmul(A, sp.csr_matrix(B)), expected)
 
     def test_empty(self):
         A = np.zeros((0, 3), dtype=bool)
@@ -154,7 +164,6 @@ class TestBoolMatmul:
     def test_density(self):
         A = np.asarray([[True, False], [False, False]])
         assert density(A) == 0.25
-        assert density(sp.csr_matrix(A)) == 0.25
         assert density(np.zeros((0, 3), bool)) == 0.0
 
 
@@ -253,6 +262,122 @@ class TestFindReachability:
         )
         for key in ("R1_density", "Rk_density", "I1_density", "R1I1_density"):
             assert 0.0 <= data.stats[key] <= 1.0
+        (I,) = data.intersection_matrices
+        assert isinstance(I, np.ndarray) and I.dtype == np.bool_
+
+    @staticmethod
+    def _paper_args(faults):
+        pi = xy()
+        ses = find_ses_partition(faults, pi)
+        des = find_des_partition(faults, pi)
+        sr, dr = _reps(ses, faults.mesh), _reps(des, faults.mesh)
+        return LineFaultIndex(faults), repeated(pi, 2), [ses] * 2, [des] * 2, sr, dr
+
+    def test_short_ses_reps_rejected(self, paper_faults):
+        """Regression: a short reps list used to fail with a bare
+        ``IndexError``."""
+        index, orderings, ses, des, sr, dr = self._paper_args(paper_faults)
+        with pytest.raises(ValueError, match="ses_reps"):
+            find_reachability(index, orderings, ses, des, [sr], [dr, dr])
+
+    def test_short_des_reps_rejected(self, paper_faults):
+        index, orderings, ses, des, sr, dr = self._paper_args(paper_faults)
+        with pytest.raises(ValueError, match="des_reps"):
+            find_reachability(index, orderings, ses, des, [sr, sr], [dr])
+
+    def test_reps_must_match_partition_sizes(self, paper_faults):
+        """Regression: ``des_reps=[dr, dr[:-2]]`` on the Section 5
+        example used to return a 9 x 5 ``R^(k)`` for a 7-set DES
+        partition."""
+        index, orderings, ses, des, sr, dr = self._paper_args(paper_faults)
+        assert len(des[1]) == 7
+        with pytest.raises(ValueError, match=r"des_reps\[1\]"):
+            find_reachability(index, orderings, ses, des, [sr, sr], [dr, dr[:-2]])
+        with pytest.raises(ValueError, match=r"ses_reps\[0\]"):
+            find_reachability(index, orderings, ses, des, [sr[1:], sr], [dr, dr])
+
+
+def _assert_matches_oracle(faults, orderings):
+    """``find_reachability`` on the real SES/DES partitions of each
+    round must equal the flood oracle bit for bit."""
+    mesh = faults.mesh
+    ses = [find_ses_partition(faults, pi) for pi in orderings]
+    des = [find_des_partition(faults, pi) for pi in orderings]
+    sreps = [_reps(p, mesh) for p in ses]
+    dreps = [_reps(p, mesh) for p in des]
+    data = find_reachability(
+        LineFaultIndex(faults), orderings, ses, des, sreps, dreps
+    )
+    rounds, partial = oracle_reachability(faults, orderings, sreps, dreps)
+    assert len(data.round_matrices) == len(data.partial) == orderings.k
+    for got, want in zip(data.round_matrices + data.partial, rounds + partial):
+        assert np.array_equal(got, want)
+    assert np.array_equal(data.Rk, partial[-1])
+
+
+class TestFloodOracleParity:
+    """``round_matrices``, ``partial`` and ``Rk`` against the footnote-7
+    flood computation in ``reachability_oracle``, which shares no code
+    with the table kernel or the products."""
+
+    @given(faulty_meshes_with_ordering(max_width=6))
+    @settings(max_examples=25, deadline=None)
+    def test_one_round_matrices_agree(self, fm):
+        faults, pi = fm
+        good = faults.good_nodes()
+        if not good:
+            return
+        nodes = np.asarray(good, dtype=np.int64)
+        fast = one_round_reachability_matrix(LineFaultIndex(faults), pi, nodes, nodes)
+        slow = oracle_one_round_matrix(FaultGrids(faults), pi, nodes, nodes)
+        assert np.array_equal(fast, slow)
+
+    @given(faulty_meshes_with_ordering(max_width=6), st.integers(2, 3))
+    @settings(max_examples=20, deadline=None)
+    def test_full_reachability_data_agrees(self, fm, k):
+        faults, pi = fm
+        _assert_matches_oracle(faults, repeated(pi, k))
+
+    @given(faulty_meshes_with_ordering(max_width=6))
+    @settings(max_examples=20, deadline=None)
+    def test_mixed_round_orderings(self, fm):
+        """Each round routes in the reverse order of the previous one,
+        so the rounds have different partitions and representatives."""
+        faults, pi = fm
+        rev = Ordering(pi.perm[::-1])
+        _assert_matches_oracle(faults, KRoundOrdering([pi, rev, pi]))
+
+    @pytest.mark.parametrize("family", ["clustered", "partial_plane", "dust"])
+    @pytest.mark.parametrize("d, width", [(2, 40), (3, 16)])
+    def test_patterned_faults(self, family, d, width):
+        """The ``mesh.patterns`` families with directed link faults on
+        top, under uniform and mixed two-round orderings."""
+        faults = _patterned_faults(family, d, width)
+        pi = Ordering(tuple(range(d)))
+        rev = Ordering(pi.perm[::-1])
+        _assert_matches_oracle(faults, repeated(pi, 2))
+        _assert_matches_oracle(faults, KRoundOrdering([pi, rev]))
+
+    def test_lamb_set_reach_matches_oracle(self):
+        mesh = Mesh((10, 10))
+        faults = FaultSet(mesh, [(3, 2), (7, 7), (2, 8), (5, 5)])
+        orderings = repeated(xy(), 2)
+        result = find_lamb_set(faults, orderings)
+        sreps = _reps(result.ses_partition, mesh)
+        dreps = _reps(result.des_partition, mesh)
+        _, partial = oracle_reachability(
+            faults, orderings, [sreps] * 2, [dreps] * 2
+        )
+        assert np.array_equal(result.reach.Rk, partial[-1])
+        assert is_lamb_set(faults, orderings, result.lambs)
+
+    def test_oracle_rejects_faulty_rep(self):
+        faults = FaultSet(Mesh((4, 4)), [(1, 1)])
+        with pytest.raises(ValueError):
+            oracle_one_round_matrix(
+                FaultGrids(faults), xy(),
+                np.asarray([(1, 1)]), np.asarray([(0, 0)]),
+            )
 
 
 class TestPackedBoolMatrix:
@@ -342,32 +467,10 @@ class TestPackedBoolMatrix:
         with pytest.raises(TypeError):
             PackedBoolMatrix.pack(np.ones((2, 3), dtype=np.int64))
 
-    def test_find_reachability_packed_matches_dense(self, paper_faults):
-        pi = xy()
-        orderings = repeated(pi, 3)
-        ses = find_ses_partition(paper_faults, pi)
-        des = find_des_partition(paper_faults, pi)
-        index = LineFaultIndex(paper_faults)
-        kw = dict()
-        args = (
-            index, orderings, [ses] * 3, [des] * 3,
-            [_reps(ses, paper_faults.mesh)] * 3,
-            [_reps(des, paper_faults.mesh)] * 3,
-        )
-        d_dense = find_reachability(*args, packed=False)
-        d_packed = find_reachability(*args, packed=True)
-        assert d_dense.stats["packed_products"] == 0.0
-        assert d_packed.stats["packed_products"] == 1.0
-        assert np.array_equal(d_dense.Rk, d_packed.Rk)
-        for a, b in zip(d_dense.partial, d_packed.partial):
-            assert np.array_equal(a, b)
-        assert d_packed.Rk.dtype == np.bool_  # public fields stay dense
-        assert d_dense.stats["R1I1_density"] == d_packed.stats["R1I1_density"]
-
 
 class TestTypedInputErrors:
-    """density and the one-round kernel reject wrong-typed inputs
-    instead of silently coercing (regression: packed matrices used to
+    """density, bool_matmul and the one-round kernel reject wrong-typed
+    inputs instead of silently coercing (regression: packed matrices used to
     round-trip through an unpack copy, float coordinates were
     truncated)."""
 
@@ -376,6 +479,28 @@ class TestTypedInputErrors:
             density(np.ones((2, 2), dtype=np.float64))
         with pytest.raises(TypeError):
             density(np.ones((2, 2), dtype=np.int32))
+
+    def test_density_rejects_sparse(self):
+        with pytest.raises(TypeError):
+            density(sp.csr_matrix(np.eye(2, dtype=bool)))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.array([[0.3]]),
+            np.array([[1]], dtype=np.int64),
+            sp.csr_matrix(np.array([[True]])),
+        ],
+        ids=["float", "int", "csr"],
+    )
+    def test_bool_matmul_rejects_operand(self, bad):
+        """Regression: a float operand such as ``[[0.3]]`` used to pass
+        through the float32 product and threshold to ``False``."""
+        good = np.array([[True]])
+        with pytest.raises(TypeError):
+            bool_matmul(bad, good)
+        with pytest.raises(TypeError):
+            bool_matmul(good, bad)
 
     def test_density_accepts_packed_without_unpack(self):
         A = np.eye(130, dtype=bool)
@@ -421,19 +546,20 @@ class TestTypedInputErrors:
 
 
 class TestBoolMatmulOverflowRegression:
-    """Regression for the int8-overflow bug: scipy sparse products keep
-    the input dtype, so int8 accumulation wrapped once the inner
-    dimension exceeded 127 and silently zeroed true entries."""
+    """Regression for the int8-overflow bug of the former scipy-sparse
+    branch (int8 row sums wrapped once the inner dimension exceeded
+    127).  The same row sums now pin the float32 product's exactness
+    over large inner dimensions."""
 
     def test_row_sum_256_sparse_rhs(self):
         A = np.ones((1, 300), dtype=bool)
         B = np.zeros((300, 1), dtype=bool)
-        B[:256] = True  # int8 row sum would wrap to exactly 0
-        assert bool_matmul(A, sp.csr_matrix(B))[0, 0]
+        B[:256] = True  # an int8 row sum would wrap to exactly 0
+        assert bool_matmul(A, B)[0, 0]
 
     def test_row_sum_200_both_sparse_path(self):
-        # Densities ~3% trigger the sparse-sparse path; sums in
-        # [128, 255] wrapped to negative int8 (also lost by "> 0").
+        # ~3% dense operands; sums in [128, 255] wrapped to negative
+        # int8 (also lost by "> 0").
         n = 4000
         A = np.zeros((4, n), dtype=bool)
         B = np.zeros((n, 4), dtype=bool)
