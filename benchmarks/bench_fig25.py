@@ -3,7 +3,8 @@ Theorem 6.4 bound B(d, f).
 
 Paper shape: the measured SES counts sit well below B(d, f), which in
 turn is far below the loose (2d-1) f + 1 = 5f + 1.  Also reports the
-matrix densities of Section 6.2 (I1 ~ 0.0099, R1 ~ 0.175 at 3%).
+matrix densities of Section 6.2 (I1 ~ 0.0099, R1 ~ 0.175,
+R1·I1 ~ 0.668 at 3%).
 """
 
 from repro.core import partition_size_bound_loose
@@ -16,7 +17,8 @@ from conftest import run_once
 
 def test_fig25(benchmark, show):
     result = run_once(benchmark, fig25, trials=default_trials(3))
-    show(render_sweep(result, keys=["num_ses", "bound"]))
+    show(render_sweep(result, keys=["num_ses", "bound", "I1_density",
+                                    "R1_density", "R1I1_density"]))
     mesh = Mesh.square(3, 32)
     for s in result.series:
         f = _faults_for_percent(mesh, s.x)

@@ -17,15 +17,19 @@ and gathered to ``p x q`` for one comparison (see DESIGN.md).  There
 is no Python loop over faulty lines, and total work is O(d p q) in
 numpy inner loops.
 
-Every matrix is dense bool, and Step 3 multiplies them with one
-float32 BLAS product per factor (:func:`bool_matmul`) — the moral
-equivalent of the paper's 32-bit bitwise-word trick.
+Every matrix is dense bool, and every product is a float32 BLAS
+product thresholded at 0.5 (:func:`bool_matmul`) — the moral
+equivalent of the paper's 32-bit bitwise-word trick.  Lamb1 needs only
+the zeros of ``R^(k)``, which is nearly saturated (Section 6.2), so
+Step 3 multiplies through a strided probe of each ``R_{t+1}`` first,
+certifies the columns whose probe already reaches their ceiling, and
+finishes only the columns left open (``_chain_step``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -233,6 +237,60 @@ def bool_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     if A.shape[0] == 0 or B.shape[1] == 0 or A.shape[1] == 0:
         return np.zeros((A.shape[0], B.shape[1]), dtype=bool)
     return (A.astype(np.float32) @ B.astype(np.float32)) > 0.5
+
+
+#: Step 3's probe multiplies through every ``_PROBE_STRIDE``-th row of
+#: ``R_{t+1}``.  On M3(32) at 1.5% faults a 1/8 probe leaves a median
+#: 12% of the columns of ``R^(k)`` open.  Rows are no use as the
+#: certificate: a few DES columns are reached by only 1-10 SES, so
+#: after the same probe almost no row of ``R^(k)`` is final.
+_PROBE_STRIDE = 8
+
+
+def _chain_step(
+    acc: np.ndarray, I: np.ndarray, R: np.ndarray
+) -> Tuple[np.ndarray, int, str]:
+    """One exact factor ``acc · I · R`` of Step 3, from a strided probe
+    and an open-column residual.
+
+    The probe ``low = (acc · I[:, H]) · R[H]`` over the rows ``H =
+    R[::_PROBE_STRIDE]`` is a lower bound on every entry.  The ceiling
+    — the OR of the rows ``R[j]`` whose column ``I[:, j]`` is nonzero —
+    is an upper bound on every entry of its column.  A column whose
+    probe already equals its ceiling in every row is exact ("closed").
+    The open columns ``C`` are finished in the association with fewer
+    flops: ``(acc · I[:, H']) · R[H']`` over the rows ``H'`` outside
+    the probe, on all columns (the old chain's flops, with no column
+    scatter), or ``acc · (I · R[:, C])`` on ``C`` alone.  The latter
+    runs over all of ``R``'s rows, since gathering ``I[:, H']`` costs
+    more than the probe rows' share of the flops.  Every product is a
+    :func:`bool_matmul`, so the result is bit-identical to
+    ``bool_matmul(bool_matmul(acc, I), R)``.
+
+    Returns the product, the number of open columns, and the
+    association that finished them (``"none"``, ``"left"`` or
+    ``"right"``).
+    """
+    low = bool_matmul(
+        bool_matmul(acc, I[:, ::_PROBE_STRIDE]), R[::_PROBE_STRIDE]
+    )
+    # A column the probe filled is closed, so the ceiling is needed
+    # only for the others: those with a nonempty ceiling are open.
+    unfilled = np.flatnonzero(~low.all(axis=0))
+    R_unfilled = R.take(unfilled, axis=1)
+    ceiling = R_unfilled[I.any(axis=0)].any(axis=0)
+    cols = unfilled[ceiling]
+    if cols.size == 0:
+        return low, 0, "none"
+    (p, q), (n, r) = acc.shape, R.shape
+    m = n - len(range(0, n, _PROBE_STRIDE))
+    if p * m * (q + r) <= q * cols.size * (n + p):
+        rest = np.ones(n, dtype=bool)
+        rest[::_PROBE_STRIDE] = False
+        residual = bool_matmul(bool_matmul(acc, I[:, rest]), R[rest])
+        return low | residual, int(cols.size), "left"
+    low[:, cols] = bool_matmul(acc, bool_matmul(I, R_unfilled[:, ceiling]))
+    return low, int(cols.size), "right"
 
 
 # ----------------------------------------------------------------------
@@ -527,14 +585,21 @@ class ReachabilityData:
         ``partial[r]`` is ``R^(r+1)`` — useful for route selection
         (Section 6.2's remark on intermediate matrices).
     stats:
-        Densities mirroring the paper's Section 6.2 measurements.
+        ``R1_density``, ``I1_density`` (when ``k > 1``) and
+        ``Rk_density``, plus Step 3's bookkeeping for each chain step
+        ``t = 1 .. k-1``: ``open_columns_t``, the columns of
+        ``R^(t+1)`` the probe left open, and ``association_t``, the
+        product that finished them (``"none"``, ``"left"`` or
+        ``"right"``; see ``_chain_step``).  Section 6.2's ``R_1 I_1``
+        density is not here, since Step 3 never forms ``R_1 I_1``;
+        :func:`repro.experiments.figures.fig25` measures it.
     """
 
     Rk: np.ndarray
     round_matrices: List[np.ndarray]
     intersection_matrices: List[np.ndarray]
     partial: List[np.ndarray]
-    stats: Dict[str, float] = field(default_factory=dict)
+    stats: Dict[str, Union[float, int, str]] = field(default_factory=dict)
 
 
 def find_reachability(
@@ -552,8 +617,11 @@ def find_reachability(
     ``ses_reps[t]`` / ``des_reps[t]`` (``(m, d)`` int arrays, one row
     per set).  When the k-round ordering is uniform, pass the same
     objects for every round; identical rounds share one ``R_t``
-    computation.  Every matrix is dense bool, and every product of
-    Step 3 is one :func:`bool_matmul`.
+    computation.  Every matrix is dense bool.  Step 3 builds each
+    factor ``R^(t+1) = R^(t) I_t R_{t+1}`` with ``_chain_step``: a
+    strided probe through 1/8 of ``R_{t+1}``'s rows, a per-column
+    certificate against the ceiling, and a residual product over the
+    columns left open; every product is a :func:`bool_matmul`.
     """
     k = orderings.k
     if not (len(ses_partitions) == len(des_partitions) == k):
@@ -594,13 +662,13 @@ def find_reachability(
     # Step 3: the product, keeping partial results.
     acc = round_matrices[0]
     partial: List[np.ndarray] = [acc]
-    stats = {"R1_density": density(acc)}
+    stats: Dict[str, Union[float, int, str]] = {"R1_density": density(acc)}
+    if k > 1:
+        stats["I1_density"] = density(intersection_matrices[0])
     for t in range(1, k):
-        acc = bool_matmul(acc, intersection_matrices[t - 1])
-        if t == 1:
-            stats["I1_density"] = density(intersection_matrices[0])
-            stats["R1I1_density"] = density(acc)
-        acc = bool_matmul(acc, round_matrices[t])
+        acc, stats[f"open_columns_{t}"], stats[f"association_{t}"] = (
+            _chain_step(acc, intersection_matrices[t - 1], round_matrices[t])
+        )
         partial.append(acc)
     stats["Rk_density"] = density(acc)
     get_registry().inc("reachability_runs_total")

@@ -14,7 +14,7 @@ the numbers quoted in the paper).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 
 from ..baselines.one_round import compare_one_vs_two_rounds
@@ -22,10 +22,13 @@ from ..core.bounds import (
     one_round_expected_lamb_lower_bound,
     partition_size_bound,
 )
+from ..core.lamb import LambResult
+from ..core.reachability import bool_matmul, density
 from ..mesh.geometry import Mesh
 from .harness import SweepResult, TrialSeries, default_trials, lamb_trials
 
 __all__ = [
+    "PAPER_DENSITIES",
     "PERCENTS",
     "fig17",
     "fig18",
@@ -38,6 +41,7 @@ __all__ = [
     "fig25",
     "fig26",
     "section3_one_vs_two_rounds",
+    "section62_densities",
 ]
 
 #: The fault percentages used throughout Section 8.
@@ -214,9 +218,28 @@ def fig24(trials: Optional[int] = None, seed: int = 0) -> SweepResult:
     )
 
 
+#: Section 6.2's matrix densities on M3(32) at 3% faults.
+PAPER_DENSITIES = {"I1_density": 0.00987, "R1_density": 0.175,
+                   "R1I1_density": 0.668}
+
+
+def section62_densities(result: LambResult) -> Dict[str, float]:
+    """The densities of ``R_1``, ``I_1`` and ``R_1 I_1`` for one lamb
+    trial (Section 6.2).  Find-Reachability never forms ``R_1 I_1``, so
+    it is multiplied out here, after the timed pipeline."""
+    R1 = result.reach.round_matrices[0]
+    I1 = result.reach.intersection_matrices[0]
+    return {
+        "R1_density": density(R1),
+        "I1_density": density(I1),
+        "R1I1_density": density(bool_matmul(R1, I1)),
+    }
+
+
 def fig25(trials: Optional[int] = None, seed: int = 0) -> SweepResult:
     """Fig. 25: avg & max #SES vs fault %% on M3(32), with the
-    Theorem 6.4 bound B(d, f) for comparison."""
+    Theorem 6.4 bound B(d, f) for comparison, and the Section 6.2
+    densities of ``R_1``, ``I_1`` and ``R_1 I_1`` per trial."""
     trials = default_trials(10) if trials is None else trials
     mesh = Mesh.square(3, 32)
     out = SweepResult(
@@ -227,7 +250,8 @@ def fig25(trials: Optional[int] = None, seed: int = 0) -> SweepResult:
     )
     for i, pct in enumerate(PERCENTS):
         f = _faults_for_percent(mesh, pct)
-        s = lamb_trials(mesh, f, trials, seed=seed, tag=2500 + i)
+        s = lamb_trials(mesh, f, trials, seed=seed, tag=2500 + i,
+                        extra=section62_densities)
         s.x = pct
         s.values["bound"] = [float(partition_size_bound(mesh.widths, f))]
         out.series.append(s)

@@ -2,6 +2,7 @@
 (repro.experiments) — run with tiny trial counts."""
 
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -19,7 +20,11 @@ from repro.experiments import (
     section3_one_vs_two_rounds,
     sweep_to_markdown,
 )
-from repro.experiments.figures import PERCENTS, _faults_for_percent
+from repro.experiments.figures import (
+    PERCENTS,
+    _faults_for_percent,
+    section62_densities,
+)
 from repro.mesh import Mesh
 
 
@@ -96,6 +101,17 @@ class TestFigures:
             bound = partition_size_bound((32, 32, 32), f)
             assert s.values["bound"] == [bound]
             assert s.max("num_ses") <= bound
+
+    def test_fig25_records_section62_densities(self):
+        """R1, I1 and R1·I1 densities per trial, from a picklable
+        ``extra`` so ``jobs > 1`` keeps them."""
+        assert pickle.loads(pickle.dumps(section62_densities)) is section62_densities
+        r = fig25(trials=1, seed=1)
+        for s in r.series:
+            for key in ("R1_density", "I1_density", "R1I1_density"):
+                (value,) = s.values[key]
+                assert 0.0 <= value <= 1.0
+            assert s.avg("R1I1_density") > 0.0
 
     def test_section3(self):
         r = section3_one_vs_two_rounds(trials=1, seed=0, n=12, f=12)

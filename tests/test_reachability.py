@@ -19,7 +19,9 @@ from repro.core import (
     one_round_reachability_matrix,
 )
 from repro.core.reachability import (
+    _PROBE_STRIDE,
     PackedBoolMatrix,
+    _chain_step,
     packed_bool_matmul,
 )
 from repro.mesh import FaultSet, Mesh, random_link_faults
@@ -260,8 +262,11 @@ class TestFindReachability:
             [_reps(ses, paper_faults.mesh)] * 2,
             [_reps(des, paper_faults.mesh)] * 2,
         )
-        for key in ("R1_density", "Rk_density", "I1_density", "R1I1_density"):
+        for key in ("R1_density", "Rk_density", "I1_density"):
             assert 0.0 <= data.stats[key] <= 1.0
+        assert "R1I1_density" not in data.stats
+        assert 0 <= data.stats["open_columns_1"] <= data.Rk.shape[1]
+        assert data.stats["association_1"] in ("none", "left", "right")
         (I,) = data.intersection_matrices
         assert isinstance(I, np.ndarray) and I.dtype == np.bool_
 
@@ -378,6 +383,144 @@ class TestFloodOracleParity:
                 FaultGrids(faults), xy(),
                 np.asarray([(1, 1)]), np.asarray([(0, 0)]),
             )
+
+
+def _plain_chain(acc, I, R):
+    """Step 3's factor as two plain products: the reference
+    ``_chain_step`` must match bit for bit."""
+    return bool_matmul(bool_matmul(acc, I), R)
+
+
+def _assert_step_matches_chain(acc, I, R):
+    got, open_columns, association = _chain_step(acc, I, R)
+    assert got.dtype == np.bool_
+    assert np.array_equal(got, _plain_chain(acc, I, R))
+    assert 0 <= open_columns <= R.shape[1]
+    assert (association == "none") == (open_columns == 0)
+    return open_columns, association
+
+
+class TestChainStep:
+    """``_chain_step`` (Step 3's probe, column certificate and residual)
+    against the plain two-product chain, one test per branch."""
+
+    def test_every_column_closed_by_probe(self):
+        rng = np.random.default_rng(1)
+        acc = np.ones((30, 20), dtype=bool)
+        I = rng.random((20, 50)) < 0.2
+        I[0, 0] = True  # probe row 0 is reachable ...
+        R = rng.random((50, 40)) < 0.3
+        R[0] = True  # ... and fills every column
+        assert _assert_step_matches_chain(acc, I, R) == (0, "none")
+
+    def test_few_open_columns_finish_right_first(self):
+        rng = np.random.default_rng(2)
+        acc = rng.random((96, 96)) < 0.9
+        I = rng.random((96, 96)) < 0.3
+        R = rng.random((96, 96)) < 0.5
+        # A hard column: its only supporting row is outside the probe.
+        R[:, 5] = False
+        R[3, 5] = True
+        I[0, 3] = True
+        open_columns, association = _assert_step_matches_chain(acc, I, R)
+        assert association == "right"
+        assert 1 <= open_columns <= 4
+
+    def test_all_columns_open_finish_left_first(self):
+        rng = np.random.default_rng(3)
+        acc = rng.random((4, 40)) < 0.5
+        I = np.ones((40, 40), dtype=bool)
+        R = rng.random((40, 40)) < 0.3
+        R[::_PROBE_STRIDE] = False  # the probe reaches nothing
+        R[1] = True  # every column has a support outside the probe
+        acc[:, 0] = True  # every row reaches every inner row
+        assert _assert_step_matches_chain(acc, I, R) == (40, "left")
+
+    @pytest.mark.parametrize("n", range(1, _PROBE_STRIDE + 1))
+    def test_r_with_at_most_stride_rows(self, n):
+        """With n <= 8 rows the probe is R's first row alone (all of R
+        when n = 1)."""
+        rng = np.random.default_rng(n)
+        acc = rng.random((12, 9)) < 0.4
+        I = rng.random((9, n)) < 0.3
+        R = rng.random((n, 11)) < 0.4
+        _assert_step_matches_chain(acc, I, R)
+
+    def test_ceiling_zero_columns(self):
+        """A DES no SES reaches: an all-zero column of R, and a column
+        supported only by a row that no column of I reaches."""
+        rng = np.random.default_rng(4)
+        acc = rng.random((20, 16)) < 0.5
+        I = rng.random((16, 24)) < 0.3
+        R = rng.random((24, 18)) < 0.4
+        R[:, 2] = False
+        I[:, 5] = False
+        R[:, 7] = False
+        R[5, 7] = True
+        got, _, _ = _chain_step(acc, I, R)
+        assert not got[:, [2, 7]].any()
+        _assert_step_matches_chain(acc, I, R)
+
+    def test_all_zero_intersection(self):
+        rng = np.random.default_rng(5)
+        acc = rng.random((10, 12)) < 0.6
+        I = np.zeros((12, 20), dtype=bool)
+        R = rng.random((20, 14)) < 0.6
+        assert _assert_step_matches_chain(acc, I, R) == (0, "none")
+        assert not _chain_step(acc, I, R)[0].any()
+
+    @pytest.mark.parametrize(
+        "p, q, n, r",
+        [(0, 5, 6, 7), (5, 0, 6, 7), (5, 6, 0, 7), (5, 6, 7, 0), (0, 0, 0, 0)],
+    )
+    def test_empty_dimensions(self, p, q, n, r):
+        rng = np.random.default_rng(p * 1000 + q * 100 + n * 10 + r)
+        acc = rng.random((p, q)) < 0.5
+        I = rng.random((q, n)) < 0.5
+        R = rng.random((n, r)) < 0.5
+        got, _, _ = _chain_step(acc, I, R)
+        assert got.shape == (p, r)
+        _assert_step_matches_chain(acc, I, R)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.tuples(*[st.integers(1, 40)] * 4),
+        st.tuples(*[st.floats(0.01, 0.9)] * 3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_triples_with_a_hard_column(self, seed, dims, dens):
+        p, q, n, r = dims
+        rng = np.random.default_rng(seed)
+        acc = rng.random((p, q)) < dens[0]
+        I = rng.random((q, n)) < dens[1]
+        R = rng.random((n, r)) < dens[2]
+        hard, row = int(rng.integers(r)), int(rng.integers(n))
+        R[:, hard] = False
+        R[row, hard] = True
+        _assert_step_matches_chain(acc, I, R)
+
+    @pytest.mark.parametrize("family", ["clustered", "partial_plane", "dust"])
+    def test_partials_match_plain_chain(self, family):
+        """``partial`` and ``Rk`` of three-round Find-Reachability
+        against the plain chain over its own ``R_t`` and ``I_t``."""
+        faults = _patterned_faults(family, 3, 16)
+        pi = Ordering((0, 1, 2))
+        orderings = KRoundOrdering([pi, Ordering((2, 1, 0)), pi])
+        mesh = faults.mesh
+        ses = [find_ses_partition(faults, o) for o in orderings]
+        des = [find_des_partition(faults, o) for o in orderings]
+        data = find_reachability(
+            LineFaultIndex(faults), orderings, ses, des,
+            [_reps(x, mesh) for x in ses], [_reps(x, mesh) for x in des],
+        )
+        acc = data.round_matrices[0]
+        for t in range(1, orderings.k):
+            acc = _plain_chain(
+                acc, data.intersection_matrices[t - 1], data.round_matrices[t]
+            )
+            assert np.array_equal(data.partial[t], acc)
+            assert data.stats[f"association_{t}"] in ("none", "left", "right")
+        assert np.array_equal(data.Rk, acc)
 
 
 class TestPackedBoolMatrix:
