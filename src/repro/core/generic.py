@@ -18,6 +18,7 @@ import numpy as np
 from ..graphs.bipartite_vc import (
     compact_edges,
     min_weight_vertex_cover_bipartite,
+    zero_pairs,
 )
 from ..graphs.wvc import wvc_exact, wvc_local_ratio
 from ..mesh.faults import FaultSet
@@ -81,7 +82,7 @@ def generic_lamb_set(
         raise ValueError("Rk shape mismatch")
     if weights is None:
         weights = [1.0] * n
-    zeros = np.argwhere(~Rk)
+    zeros = zero_pairs(Rk)
     if zeros.size == 0:
         return set()
     if method == "bipartite":

@@ -25,6 +25,7 @@ re-added to the final lamb set).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import (
     Dict,
     FrozenSet,
@@ -42,6 +43,7 @@ import numpy as np
 from ..graphs.bipartite_vc import (
     compact_edges,
     min_weight_vertex_cover_bipartite,
+    zero_pairs,
 )
 from ..graphs.wvc import wvc_exact, wvc_local_ratio
 from ..obs import get_registry
@@ -132,22 +134,44 @@ class LambResult:
         return self.size / self.faults.f
 
 
+def _corners(corners: Iterable[Tuple[int, ...]], d: int) -> np.ndarray:
+    """Corner tuples as an ``(m, d)`` int64 array; ``np.fromiter`` over
+    the flattened tuples skips ``np.asarray``'s per-tuple inspection."""
+    return np.fromiter(chain.from_iterable(corners), np.int64).reshape(-1, d)
+
+
 def _rect_weights(
     rects: Sequence[Rect], values: Mapping[Node, float]
 ) -> List[float]:
     """Vertex weights: set sizes adjusted by per-node values
     (Section 7: the weight of a vertex is the sum of the values of its
-    nodes, defaulting to 1)."""
-    weights = [float(r.size) for r in rects]
+    nodes, defaulting to 1).
+
+    Sizes come from the ``(m, d)`` corner arrays; each valued node
+    adjusts the first rectangle containing it, found by one ``(|values|,
+    m)`` containment mask, in ``values`` order (``np.subtract.at`` is
+    unbuffered, so the float sums match a sequential loop bit for bit).
+    """
+    vals = np.fromiter(values.values(), dtype=np.float64, count=len(values))
+    bad = ~((vals >= 0.0) & (vals <= 1.0))
+    if bad.any():
+        node = list(values)[int(np.argmax(bad))]
+        raise ValueError(f"value of {node} must lie in [0, 1]")
+    if not rects:
+        return []
+    d = rects[0].mesh.d
+    lo = _corners((r.lo for r in rects), d)
+    hi = _corners((r.hi for r in rects), d)
+    weights = np.prod(hi - lo + 1, axis=1).astype(np.float64)
     if values:
-        for node, val in values.items():
-            if not 0.0 <= val <= 1.0:
-                raise ValueError(f"value of {node} must lie in [0, 1]")
-            for i, r in enumerate(rects):
-                if r.contains(node):
-                    weights[i] -= 1.0 - val
-                    break
-    return weights
+        nodes = _corners(values, d)
+        inside = np.ones((nodes.shape[0], lo.shape[0]), dtype=bool)
+        for c in range(d):
+            x = nodes[:, c, None]
+            inside &= (lo[:, c] <= x) & (x <= hi[:, c])
+        hit = inside.any(axis=1)
+        np.subtract.at(weights, inside.argmax(axis=1)[hit], 1.0 - vals[hit])
+    return weights.tolist()
 
 
 def find_lamb_set(
@@ -240,12 +264,7 @@ def find_lamb_set(
             def reps(rects: List[Rect]) -> np.ndarray:
                 key = id(rects)
                 if key not in rep_cache:
-                    if rects:
-                        rep_cache[key] = np.asarray(
-                            [r.lo for r in rects], dtype=np.int64
-                        )
-                    else:
-                        rep_cache[key] = np.empty((0, mesh.d), dtype=np.int64)
+                    rep_cache[key] = _corners((r.lo for r in rects), mesh.d)
                 return rep_cache[key]
 
             ses_reps = [reps(p) for p in ses_partitions]
@@ -263,7 +282,7 @@ def find_lamb_set(
             ses = ses_partitions[0]
             des = des_partitions[-1]
             Rk = reach.Rk
-            zeros = np.argwhere(~Rk)
+            zeros = zero_pairs(Rk)
             lambs: Set[Node] = set()
             chosen_ses: Tuple[int, ...] = ()
             chosen_des: Tuple[int, ...] = ()

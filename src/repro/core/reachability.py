@@ -36,7 +36,7 @@ import scipy.sparse as sp
 
 from ..mesh.regions import Rect, rect_intersection_matrix
 from ..obs import get_registry
-from ..routing.linefaults import FlatLines, LineFaultIndex
+from ..routing.linefaults import FlatLines, LineFaultIndex, _codes
 from ..routing.ordering import KRoundOrdering, Ordering
 
 __all__ = [
@@ -48,17 +48,6 @@ __all__ = [
     "ReachabilityData",
     "find_reachability",
 ]
-
-
-def _codes(
-    coords: np.ndarray, dims: Sequence[int], widths: Sequence[int]
-) -> np.ndarray:
-    """Mixed-radix code of the ``dims`` columns of ``coords`` (all zero
-    when ``dims`` is empty)."""
-    code = np.zeros(coords.shape[0], dtype=np.int64)
-    for m in dims:
-        code = code * widths[m] + coords[:, m]
-    return code
 
 
 def _int_reps(reps, d: int, name: str) -> np.ndarray:

@@ -30,7 +30,7 @@ from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from .maxflow import INF, MaxFlow
 
-__all__ = ["compact_edges", "min_weight_vertex_cover_bipartite"]
+__all__ = ["compact_edges", "min_weight_vertex_cover_bipartite", "zero_pairs"]
 
 Weights = Union[np.ndarray, Sequence[float]]
 EdgesLike = Union[np.ndarray, Iterable[Tuple[int, int]]]
@@ -40,14 +40,32 @@ Cover = Tuple[Set[int], Set[int], float]
 _INT32_LIMIT = 2**31
 
 
+def zero_pairs(matrix: np.ndarray) -> np.ndarray:
+    """The ``(z, 2)`` row/column indices of the zero entries of a 2-D
+    boolean matrix, in row-major order: ``np.argwhere(~matrix)``.
+
+    It reads them through the flat index (``np.flatnonzero`` plus one
+    ``divmod`` by the column count), which skips numpy's slow 2-D
+    ``nonzero`` path; an empty matrix returns no pairs without dividing.
+
+    >>> zero_pairs(np.array([[True, False], [False, True]])).tolist()
+    [[0, 1], [1, 0]]
+    """
+    p, q = matrix.shape
+    if p == 0 or q == 0:
+        return np.empty((0, 2), dtype=np.intp)
+    rows, cols = np.divmod(np.flatnonzero(~matrix), q)
+    return np.stack((rows, cols), axis=1)
+
+
 def compact_edges(pairs: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Relabel the endpoints of ``(m, 2)`` index pairs densely.
 
     Returns ``(rows, cols, edges)``: the sorted distinct first and
     second coordinates, and the pairs rewritten as positions into
-    them.  Applied to ``np.argwhere(~R)`` this is the bipartite graph
-    of ``Reduce-WVC(Bipartite)`` (Fig. 13, step 1): a vertex per row
-    and per column holding a zero, an edge per zero.
+    them.  Applied to :func:`zero_pairs` of ``R`` this is the
+    bipartite graph of ``Reduce-WVC(Bipartite)`` (Fig. 13, step 1): a
+    vertex per row and per column holding a zero, an edge per zero.
 
     >>> rows, cols, edges = compact_edges(np.array([[4, 7], [9, 7]]))
     >>> rows.tolist(), cols.tolist(), edges.tolist()

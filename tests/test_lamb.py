@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import METHODS, find_lamb_set, is_lamb_set
+from repro.core import (
+    METHODS,
+    find_des_partition,
+    find_lamb_set,
+    find_ses_partition,
+    is_lamb_set,
+)
+from repro.core.lamb import _rect_weights
 from repro.mesh import FaultSet, Mesh, random_node_faults
 from repro.routing import KRoundOrdering, Ordering, ascending, repeated, xy, xyz
 
@@ -171,6 +178,56 @@ class TestExtensions:
     def test_unknown_method(self, paper_faults):
         with pytest.raises(ValueError):
             find_lamb_set(paper_faults, repeated(xy(), 2), method="nope")
+
+
+def _loop_weights(rects, values):
+    """The per-node, per-rectangle loop ``_rect_weights`` replaced."""
+    weights = [float(r.size) for r in rects]
+    if values:
+        for node, val in values.items():
+            if not 0.0 <= val <= 1.0:
+                raise ValueError(f"value of {node} must lie in [0, 1]")
+            for i, r in enumerate(rects):
+                if r.contains(node):
+                    weights[i] -= 1.0 - val
+                    break
+    return weights
+
+
+class TestRectWeights:
+    """The vectorized vertex weights against the loop they replaced:
+    the same float list, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_values_and_predetermined_match_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 4))
+        mesh = Mesh.square(d, 9 if d == 2 else 6)
+        faults = random_node_faults(mesh, 4 * d, rng)
+        pi = ascending(d)
+        good = faults.good_nodes()
+        picks = rng.choice(len(good), size=min(len(good), 30), replace=False)
+        # Values as find_lamb_set builds them: user values, then every
+        # predetermined lamb at 0.0 (overwriting or appending).
+        values = {good[i]: float(rng.random()) for i in picks[:20]}
+        for i in picks[15:]:
+            values[good[i]] = 0.0
+        ses, des = find_ses_partition(faults, pi), find_des_partition(faults, pi)
+        cross = [S.intersection(D) for S in ses for D in des if S.intersects(D)]
+        for rects in (ses, des, cross, ses[::3]):
+            assert _rect_weights(rects, values) == _loop_weights(rects, values)
+            assert _rect_weights(rects, {}) == _loop_weights(rects, {})
+
+    def test_empty_rects(self):
+        assert _rect_weights([], {(0, 0): 0.5}) == []
+        with pytest.raises(ValueError, match=r"value of \(0, 0\)"):
+            _rect_weights([], {(1, 1): 0.5, (0, 0): 1.5})
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, float("nan")])
+    def test_out_of_range_value_named(self, paper_faults, bad):
+        values = {(0, 0): 0.5, (3, 4): bad, (5, 5): 2.0}
+        with pytest.raises(ValueError, match=r"value of \(3, 4\) must lie"):
+            _rect_weights(find_ses_partition(paper_faults, xy()), values)
 
 
 class TestHypercube:

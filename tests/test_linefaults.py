@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mesh import FaultSet, Mesh
+from repro.mesh import FaultSet, Mesh, Torus
 from repro.routing import LineFaultIndex
 
 from conftest import faulty_meshes
@@ -119,6 +119,17 @@ class TestIndexStructure:
         assert not idx.line_has_obstacle(0, (1,))
         assert not idx.line_has_obstacle(1, (0,))
 
+    def test_key_outside_the_mesh_has_no_obstacle(self):
+        """Line codes are mixed-radix, so the out-of-range key (0, 4)
+        has the code of the faulty line (1, 0); it must not match it."""
+        idx = LineFaultIndex(FaultSet(Mesh((4, 4, 4)), [(2, 1, 0)]))
+        assert idx.line_has_obstacle(0, (1, 0))
+        assert idx.segment_blocked(0, (1, 0), 0, 3)
+        for key in [(0, 4), (1,), (1, 0, 0), (-1, 4)]:
+            assert not idx.line_has_obstacle(0, key)
+            assert not idx.segment_blocked(0, key, 0, 3)
+            assert idx.blocking_bounds(0, key, 1) == (-math.inf, math.inf)
+
     def test_empty_index(self):
         idx = LineFaultIndex(FaultSet(Mesh((4, 4))))
         assert idx.num_faulty_lines(0) == 0
@@ -139,3 +150,31 @@ class TestIndexStructure:
         assert flat.down_off.tolist() == [0, 2, 3]
         # Dimension-0 cuts put nothing on dimension-1 lines.
         assert LineFaultIndex(faults).flat_lines(1).keys.tolist() == [[2], [5]]
+
+
+class TestTorusWrapLinks:
+    """The index files each link on the line of the dimension it runs
+    along; a wrap link ``<(n - 1, ..), (0, ..)>`` moves ``n - 1`` steps
+    in that coordinate, which no mesh cut can encode."""
+
+    @pytest.mark.parametrize(
+        "link", [((4, 1), (0, 1)), ((0, 1), (4, 1)), ((2, 0), (2, 4))]
+    )
+    def test_wrap_link_rejected(self, link):
+        faults = FaultSet(Torus((5, 5)), [(1, 1)], [link])
+        with pytest.raises(ValueError, match="wraps around"):
+            LineFaultIndex(faults)
+
+    def test_error_names_the_first_wrap_link(self):
+        faults = FaultSet(
+            Torus((5, 5)), (), [((1, 1), (2, 1)), ((4, 3), (0, 3)), ((0, 2), (4, 2))]
+        )
+        with pytest.raises(ValueError, match=r"<\(4, 3\), \(0, 3\)>"):
+            LineFaultIndex(faults)
+
+    def test_torus_without_wrap_links_is_indexed(self):
+        faults = FaultSet(Torus((5, 5)), [(2, 2)], [((1, 1), (2, 1))])
+        idx = LineFaultIndex(faults)
+        assert idx.segment_blocked(0, (1,), 0, 3)
+        assert not idx.segment_blocked(0, (1,), 3, 0)
+        assert idx.segment_blocked(1, (2,), 0, 4)

@@ -18,6 +18,7 @@ from repro.graphs import (
     wvc_exact,
     wvc_local_ratio,
 )
+from repro.graphs.bipartite_vc import zero_pairs
 
 
 def brute_force_wvc(n, weights, edges):
@@ -157,3 +158,40 @@ class TestHelpers:
     def test_random_graph_bad_p(self):
         with pytest.raises(ValueError):
             random_graph(4, 1.5, np.random.default_rng(0))
+
+
+class TestZeroPairs:
+    """``zero_pairs`` is ``np.argwhere(~M)`` read through the flat index."""
+
+    @staticmethod
+    def assert_matches_argwhere(M):
+        got, want = zero_pairs(M), np.argwhere(~M)
+        assert got.dtype == want.dtype
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("shape", [(0, 5), (4, 0), (0, 0)])
+    def test_empty_matrices_never_divide(self, shape, monkeypatch):
+        def no_divmod(*args, **kwargs):
+            raise AssertionError("divmod reached with an empty matrix")
+
+        monkeypatch.setattr(np, "divmod", no_divmod)
+        M = np.zeros(shape, dtype=bool)
+        assert zero_pairs(M).shape == (0, 2)
+        monkeypatch.undo()
+        self.assert_matches_argwhere(M)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 7), (7, 3)])
+    def test_all_true_and_all_false(self, shape):
+        self.assert_matches_argwhere(np.ones(shape, dtype=bool))
+        self.assert_matches_argwhere(np.zeros(shape, dtype=bool))
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_random_matrices(self, seed):
+        rng = np.random.default_rng(seed)
+        p, q = int(rng.integers(1, 40)), int(rng.integers(1, 40))
+        M = rng.random((p, q)) < rng.random()
+        self.assert_matches_argwhere(M)
+        # A transposed view is read in logical (row-major) order.
+        self.assert_matches_argwhere(M.T)
