@@ -19,6 +19,8 @@
 - ``query``       resolve routes / fetch stats from a running server
 - ``stats``       run the seeded telemetry smoke and print the unified
   metrics registry (Prometheus / JSON / NDJSON)
+- ``smoke``       run seeded end-to-end smokes (``repro smoke
+  serve|shard|...``) twice each and check they agree and pass
 - ``workflow``    list/run/resume declarative campaign presets with
   content-addressed checkpoint-resume (``workflow run chaos-campaign
   --store DIR`` survives a SIGKILL; ``workflow resume`` picks up from
@@ -45,7 +47,7 @@ Examples
     python -m repro analyze src/ tests/
     python -m repro prove --mesh 16x16 --faults 8 --rounds 2
     python -m repro serve --mesh 16x16 --faults 5 --seed 4 --port 7420
-    python -m repro serve --smoke
+    python -m repro smoke serve shard
     python -m repro query --port 7420 --source 0,0 --dest 9,9
     python -m repro workflow run chaos-campaign --store /tmp/ckpt --json
     python -m repro workflow resume chaos-campaign --store /tmp/ckpt
@@ -588,26 +590,9 @@ def cmd_serve(args) -> int:
     from .service import ArtifactStore, ReconfigurationCompiler
     from .service.metrics import ServiceMetrics
     from .service.server import RouteQueryServer
-    from .service.smoke import default_smoke_faults, serve_smoke, shard_smoke
 
-    if args.shard_smoke:
-        return shard_smoke(num_shards=args.shards or 3)
     if args.shards:
         return _serve_sharded(args)
-    if args.smoke:
-        if args.mesh is None and not args.fault and not args.faults \
-                and not args.percent and not args.load:
-            faults = default_smoke_faults()
-        else:
-            faults = _build_faults(args)
-        return serve_smoke(
-            faults,
-            rounds=args.rounds,
-            queries=args.queries,
-            seed=args.seed,
-            verify=args.verify,
-            store_root=args.store,
-        )
 
     faults = _build_faults(args)
     mesh = faults.mesh
@@ -773,6 +758,12 @@ def cmd_stats(args) -> int:
         for fmt in sorted(written):
             print(f"telemetry: wrote {written[fmt]}")
     return 0
+
+
+def cmd_smoke(args) -> int:
+    from .smoke import run_smokes
+
+    return run_smokes(args.names)
 
 
 def cmd_query(args) -> int:
@@ -1225,11 +1216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--request-timeout", type=float, default=30.0)
     p.add_argument("--metrics-json", type=str, default=None,
                    help="write a metrics snapshot here on shutdown")
-    p.add_argument("--smoke", action="store_true",
-                   help="run the deterministic end-to-end acceptance "
-                   "scenario and exit (default config: 16x16, 5 faults)")
-    p.add_argument("--queries", type=int, default=1000,
-                   help="route queries issued by --smoke")
     p.add_argument("--telemetry", type=str, default=None, metavar="PREFIX",
                    help="write the telemetry registry to "
                    "PREFIX.{prom,ndjson,json} on shutdown")
@@ -1237,9 +1223,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="serve through a shard router over N replica "
                    "worker processes instead of a single in-process "
                    "server")
-    p.add_argument("--shard-smoke", action="store_true",
-                   help="run the sharded-plane acceptance scenario "
-                   "(loadgen twice + worker kill + recovery) and exit")
     p.set_defaults(fn=cmd_serve)
 
     p = sub.add_parser(
@@ -1257,10 +1240,19 @@ def build_parser() -> argparse.ArgumentParser:
                    "snapshot, or NDJSON event log)")
     p.add_argument("--redact-timings", action="store_true",
                    help="zero every duration field (two seeded runs "
-                   "become byte-identical; used by make obs-smoke)")
+                   "become byte-identical; used by repro smoke obs)")
     p.add_argument("--telemetry", type=str, default=None, metavar="PREFIX",
                    help="also write PREFIX.{prom,ndjson,json}")
     p.set_defaults(fn=cmd_stats)
+
+    p = sub.add_parser(
+        "smoke",
+        help="run seeded end-to-end smokes twice in fresh interpreters, "
+        "diff their artifacts and check typed expectations",
+    )
+    p.add_argument("names", nargs="*", metavar="NAME",
+                   help="smokes to run (default: all)")
+    p.set_defaults(fn=cmd_smoke)
 
     p = sub.add_parser(
         "loadgen",

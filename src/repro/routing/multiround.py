@@ -114,18 +114,25 @@ class FaultGrids:
             self._cut_link(tuple(u), tuple(w))
 
 
-def _propagate_axis(
-    frontier: np.ndarray, grids: FaultGrids, axis: int
+def _scan(
+    frontier: np.ndarray,
+    good: np.ndarray,
+    up_cut: np.ndarray,
+    down_cut: np.ndarray,
+    axis: int,
 ) -> np.ndarray:
     """Extend a frontier along one axis in both directions.
 
     Returns the set of nodes reachable by an axis-``axis`` segment
     (possibly of length zero) starting from a frontier node, passing
-    only through good nodes and non-cut links.
+    only through good nodes and non-cut links.  The grids are either
+    bool (one source set) or uint64 lane masks (:func:`_word_mask`)
+    against a ``frontier`` with a trailing word axis carrying 64
+    sources per word; ``&``, ``|`` and ``~`` act the same on both.
     """
-    good = np.moveaxis(grids.good, axis, 0)
-    up_cut = np.moveaxis(grids.up_cut[axis], axis, 0)
-    down_cut = np.moveaxis(grids.down_cut[axis], axis, 0)
+    good = np.moveaxis(good, axis, 0)
+    up_cut = np.moveaxis(up_cut, axis, 0)
+    down_cut = np.moveaxis(down_cut, axis, 0)
     src = np.moveaxis(frontier, axis, 0)
     n = src.shape[0]
     up = src.copy()
@@ -146,7 +153,9 @@ def reach_set_one_round(
     """
     frontier = start & grids.good
     for j in pi:
-        frontier = _propagate_axis(frontier, grids, j)
+        frontier = _scan(
+            frontier, grids.good, grids.up_cut[j], grids.down_cut[j], j
+        )
     return frontier
 
 
@@ -157,30 +166,6 @@ def _word_mask(grid: np.ndarray) -> np.ndarray:
     """uint64 lane mask of a bool grid (all-ones where True), with a
     trailing broadcast axis for the source-word lanes."""
     return np.where(grid, _FULL_WORD, np.uint64(0))[..., None]
-
-
-def _propagate_axis_words(
-    frontier: np.ndarray,
-    good_m: np.ndarray,
-    up_cut_m: np.ndarray,
-    down_cut_m: np.ndarray,
-    axis: int,
-) -> np.ndarray:
-    """Word-lane variant of :func:`_propagate_axis`: ``frontier`` has a
-    trailing uint64 axis carrying 64 sources per word, so one axis scan
-    advances every source at once."""
-    good = np.moveaxis(good_m, axis, 0)
-    up_cut = np.moveaxis(up_cut_m, axis, 0)
-    down_cut = np.moveaxis(down_cut_m, axis, 0)
-    src = np.moveaxis(frontier, axis, 0)
-    n = src.shape[0]
-    up = src.copy()
-    for i in range(1, n):
-        up[i] |= up[i - 1] & good[i] & ~up_cut[i - 1]
-    down = src.copy()
-    for i in range(n - 2, -1, -1):
-        down[i] |= down[i + 1] & good[i] & ~down_cut[i]
-    return np.moveaxis(up | down, 0, axis)
 
 
 def multi_source_reach_sets(
@@ -218,9 +203,7 @@ def multi_source_reach_sets(
     down_m = [_word_mask(g) for g in grids.down_cut]
     for pi in rounds:
         for j in pi:
-            frontier = _propagate_axis_words(
-                frontier, good_m, up_m[j], down_m[j], j
-            )
+            frontier = _scan(frontier, good_m, up_m[j], down_m[j], j)
     flat = frontier.reshape(N, n_words)
     bits = np.unpackbits(
         flat.view(np.uint8), axis=1, count=n, bitorder="little"
@@ -298,6 +281,8 @@ def find_k_round_route(
       (deterministic);
     - ``"random"``: uniform choice among feasible intermediates.
     """
+    if policy not in ("shortest", "first", "random"):
+        raise ValueError(f"unknown policy {policy!r}")
     mesh = grids.mesh
     v = tuple(int(x) for x in v)
     w = tuple(int(x) for x in w)
@@ -330,21 +315,19 @@ def find_k_round_route(
             return tuple(int(x) for x in coords[order[0]])
         if policy == "random":
             return tuple(int(x) for x in coords[rng.integers(len(coords))])
-        if policy == "shortest":
-            # The goal itself, when feasible, is always a minimum-cost
-            # intermediate (triangle equality) and collapses the
-            # remaining rounds to no-ops — prefer it outright.
-            if candidates[goal]:
-                return goal
-            prev_arr = np.asarray(prev)
-            goal_arr = np.asarray(goal)
-            cost = np.abs(coords - prev_arr).sum(axis=1) + np.abs(
-                coords - goal_arr
-            ).sum(axis=1)
-            best = np.flatnonzero(cost == cost.min())
-            pick = best[rng.integers(len(best))]
-            return tuple(int(x) for x in coords[pick])
-        raise ValueError(f"unknown policy {policy!r}")
+        # "shortest": the goal itself, when feasible, is always a
+        # minimum-cost intermediate (triangle equality) and collapses
+        # the remaining rounds to no-ops — prefer it outright.
+        if candidates[goal]:
+            return goal
+        prev_arr = np.asarray(prev)
+        goal_arr = np.asarray(goal)
+        cost = np.abs(coords - prev_arr).sum(axis=1) + np.abs(
+            coords - goal_arr
+        ).sum(axis=1)
+        best = np.flatnonzero(cost == cost.min())
+        pick = best[rng.integers(len(best))]
+        return tuple(int(x) for x in coords[pick])
 
     paths: List[List[Node]] = []
     cur = v

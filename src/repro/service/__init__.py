@@ -42,7 +42,7 @@ from .errors import (
     UnknownOperationError,
     WireProtocolError,
 )
-from .metrics import Counter, Gauge, Histogram, ServiceMetrics
+from .metrics import ServiceMetrics
 from .store import ArtifactStore, canonical_config, config_digest
 
 __all__ = [
@@ -52,9 +52,6 @@ __all__ = [
     "CompiledArtifact",
     "ReconfigurationCompiler",
     "ServiceMetrics",
-    "Counter",
-    "Gauge",
-    "Histogram",
     "ServiceError",
     "MalformedRequestError",
     "UnknownOperationError",
@@ -69,8 +66,6 @@ __all__ = [
     "LoadgenConfig",
     "run_loadgen",
     "loadgen",
-    "serve_smoke",
-    "shard_smoke",
 ]
 
 
@@ -101,12 +96,4 @@ def __getattr__(name: str):
         from .loadgen import loadgen
 
         return loadgen
-    if name == "serve_smoke":
-        from .smoke import serve_smoke
-
-        return serve_smoke
-    if name == "shard_smoke":
-        from .smoke import shard_smoke
-
-        return shard_smoke
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -6,8 +6,7 @@ gauge, and the deterministic JSON snapshot served by the ``stats``
 RPC — but since the unified observability layer landed it *allocates*
 every primitive through a :class:`repro.obs.TelemetryRegistry` instead
 of owning private ones.  The primitives themselves (``Counter``,
-``Gauge``, ``Histogram``) were promoted to :mod:`repro.obs.metrics`;
-they are re-exported here for backward compatibility.
+``Gauge``, ``Histogram``) live in :mod:`repro.obs.metrics`.
 
 By default each :class:`ServiceMetrics` gets a *private* fresh
 registry, so unit tests that assert exact counts stay isolated.  Pass
@@ -20,13 +19,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from ..obs.metrics import DEFAULT_BUCKETS, Counter, Gauge, Histogram
 from ..obs.registry import TelemetryRegistry
 
-__all__ = ["Counter", "Gauge", "Histogram", "ServiceMetrics"]
-
-#: Kept for backward compatibility with pre-obs imports.
-_DEFAULT_BUCKETS = DEFAULT_BUCKETS
+__all__ = ["ServiceMetrics"]
 
 
 class ServiceMetrics:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -69,7 +69,6 @@ async def _smoke(
     queries: int,
     seed: int,
     verify: bool,
-    store_root: Optional[str],
     emit: Callable[[str], None],
 ) -> int:
     mesh = faults.mesh
@@ -77,7 +76,7 @@ async def _smoke(
     compiler = ReconfigurationCompiler(
         mesh,
         orderings,
-        store=ArtifactStore(root=store_root),
+        store=ArtifactStore(),
         verify=verify,
     )
     server = RouteQueryServer(compiler)
@@ -189,12 +188,11 @@ def serve_smoke(
     queries: int = 1000,
     seed: int = 0,
     verify: bool = False,
-    store_root: Optional[str] = None,
     emit: Callable[[str], None] = print,
 ) -> int:
     """Run the acceptance scenario; returns a process exit code."""
     return asyncio.run(
-        _smoke(faults, rounds, queries, seed, verify, store_root, emit)
+        _smoke(faults, rounds, queries, seed, verify, emit)
     )
 
 

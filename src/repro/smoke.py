@@ -1,0 +1,352 @@
+"""One determinism harness for the seeded end-to-end smokes.
+
+``repro smoke [NAME ...]`` runs each :data:`SMOKES` entry's ``run``
+twice, each time in a fresh ``spawn`` interpreter (new hash seed,
+import-time state and ambient telemetry registry) whose cwd is its own
+working directory, so relative artifact paths print alike.  The two
+``{artifact name: text}`` results must match byte for byte; then
+``expect`` checks typed facts parsed from them and raises
+:class:`SmokeFailure` when one does not hold.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import itertools
+import json
+import multiprocessing
+import os
+import signal
+import sys
+import tempfile
+import traceback
+from functools import partial
+from pathlib import Path
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
+
+__all__ = ["SMOKES", "Smoke", "SmokeFailure", "check", "run_smokes"]
+
+Artifacts = Dict[str, str]
+
+
+class SmokeFailure(Exception):
+    """A smoke crashed, its two runs differ, or an expectation failed."""
+
+
+class Smoke(NamedTuple):
+    """A table entry; ``run`` must pickle by reference (a module-level
+    function or a ``partial`` of one) to reach the spawned runs."""
+
+    description: str
+    run: Callable[[Path], Artifacts]
+    expect: Callable[[Artifacts], None]
+
+
+def _child(run: Callable[[Path], Artifacts], workdir: str, conn) -> None:
+    try:
+        os.chdir(workdir)
+        conn.send(("ok", run(Path(workdir))))
+    except BaseException:  # argparse exits too: report, don't hang
+        conn.send(("error", traceback.format_exc()))
+
+
+def _spawn(target: Callable[..., None], *args) -> multiprocessing.Process:
+    # Non-daemonic: runs start their own workers (process executors,
+    # shard replicas), which a daemonic process may not.
+    proc = multiprocessing.get_context("spawn").Process(
+        target=target, args=args, daemon=False
+    )
+    proc.start()
+    return proc
+
+
+def _first_difference(a: Artifacts, b: Artifacts) -> Optional[str]:
+    if sorted(a) != sorted(b):
+        return f"artifact names {sorted(a)} != {sorted(b)}"
+    for name in sorted(a):
+        pairs = itertools.zip_longest(a[name].splitlines(),
+                                      b[name].splitlines())
+        for n, (x, y) in enumerate(pairs, 1):
+            if x != y:
+                return f"artifact {name!r} line {n}: {x!r} != {y!r}"
+        if a[name] != b[name]:
+            return f"artifact {name!r}: line endings differ"
+    return None
+
+
+def check(smoke: Smoke) -> None:
+    """Run ``smoke`` twice in fresh interpreters, diff, then expect."""
+    runs: List[Artifacts] = []
+    with tempfile.TemporaryDirectory(prefix="repro-smoke-") as tmp:
+        for i in (1, 2):
+            workdir = os.path.join(tmp, f"run{i}")
+            os.mkdir(workdir)
+            recv, send = multiprocessing.Pipe(duplex=False)
+            proc = _spawn(_child, smoke.run, workdir, send)
+            send.close()
+            try:
+                status, payload = recv.recv()
+            except EOFError:  # died without reporting
+                status, payload = "error", ""
+            proc.join()
+            if status != "ok":
+                raise SmokeFailure(
+                    f"run in run{i} crashed (exit {proc.exitcode})\n{payload}"
+                )
+            runs.append(payload)
+    diff = _first_difference(*runs)
+    if diff is not None:
+        raise SmokeFailure(f"runs differ: {diff}")
+    smoke.expect(runs[0])
+
+
+def run_smokes(names: Sequence[str]) -> int:
+    """``repro smoke``: check the named smokes (all when ``names`` is
+    empty); returns the exit code."""
+    unknown = [name for name in names if name not in SMOKES]
+    if unknown:
+        print(f"unknown smoke(s) {', '.join(unknown)}; choose from "
+              f"{', '.join(SMOKES)}", file=sys.stderr)
+        return 2
+    failed = 0
+    for name in names or list(SMOKES):
+        try:
+            check(SMOKES[name])
+        except SmokeFailure as exc:
+            print(f"{name} smoke FAILED: {exc}")
+            failed += 1
+        else:
+            print(f"{name} smoke OK: {SMOKES[name].description}")
+    return 1 if failed else 0
+
+
+# ----------------------------------------------------------------------
+# The smokes
+# ----------------------------------------------------------------------
+def _cli(*argv: str) -> str:
+    """Run ``repro ARGV`` in this interpreter: its stdout, minus the
+    ``wrote PATH`` notices, then an ``exit N`` line."""
+    from .cli import main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(list(argv))
+    kept = (s for s in out.getvalue().splitlines(True)
+            if not s.startswith("wrote "))
+    return "".join(kept) + f"exit {rc}\n"
+
+
+def _repro(
+    commands: Dict[str, str], files: Sequence[str], workdir: Path
+) -> Artifacts:
+    """One artifact per ``repro`` command line, plus each of ``files``."""
+    artifacts = {name: _cli(*line.split()) for name, line in commands.items()}
+    artifacts.update({name: (workdir / name).read_text() for name in files})
+    return artifacts
+
+
+def _need(ok: bool, message: str) -> None:
+    if not ok:
+        raise SmokeFailure(message)
+
+
+def _expect(text: str, prefix: str, **want: str) -> List[str]:
+    """Check ``key value`` token pairs on the first line starting with
+    ``prefix``; returns that line's tokens."""
+    line = next((s.split() for s in text.splitlines()
+                 if s.strip().startswith(prefix)), None)
+    _need(line is not None, f"no line starts with {prefix!r}")
+    got = dict(zip(line, line[1:]))
+    for key, value in want.items():
+        _need(got.get(key) == value,
+              f"{prefix} {key} is {got.get(key)!r}, want {value!r}")
+    return line
+
+
+def _expect_chaos(artifacts: Artifacts) -> None:
+    _expect(artifacts["chaos"], "exit", exit="0")
+    epochs = int(_expect(artifacts["chaos"], "epochs")[1])
+    _need(epochs >= 3, f"{epochs} epochs, want >= 3")
+
+
+def _scenario(name: str, workdir: Path) -> Artifacts:
+    """The ``repro.service.smoke`` scenario's lines, then ``exit N``."""
+    from .service import smoke
+
+    lines: List[str] = []
+    if name == "serve":
+        faults = smoke.default_smoke_faults()
+        rc = smoke.serve_smoke(faults, emit=lines.append)
+    else:
+        rc = smoke.shard_smoke(emit=lines.append)
+    return {"transcript": "".join(f"{s}\n" for s in lines) + f"exit {rc}\n"}
+
+
+def _expect_ok(transcript: str) -> None:
+    tail = transcript.splitlines()[-2:]
+    _need(tail == ["smoke OK", "exit 0"],
+          f"transcript ends {tail}, want ['smoke OK', 'exit 0']")
+
+
+def _expect_serve(artifacts: Artifacts) -> None:
+    text = artifacts["transcript"]
+    _expect(text, "recompile:", cache_hit="True")
+    _expect(text, "stale query:", typed="stale-epoch")
+    _expect(text, "drain:", compiles="0")
+    _expect_ok(text)
+
+
+def _expect_shard(artifacts: Artifacts) -> None:
+    text = artifacts["transcript"]
+    for i in (1, 2):
+        snapshot = " ".join(_expect(text, f"loadgen[{i}]:")[1:])
+        ok = json.loads(snapshot)["ok"]
+        _need(ok == 300, f"loadgen[{i}] ok {ok}, want 300")
+    _expect(text, "recovery:", respawns="1", in_sync="3/3",
+            epoch_divergences="0")
+    _expect_ok(text)
+
+
+def _expect_obs(artifacts: Artifacts) -> None:
+    series = dict(line.rsplit(" ", 1)
+                  for line in artifacts["obs.prom"].splitlines()
+                  if line and not line.startswith("#"))
+    _need(any('span="lamb.wvc"' in key for key in series),
+          'no span="lamb.wvc" series')
+    for key, want in (
+        ('sim_aborts_total{engine="frontier",reason="endpoint-failed"}', 1),
+        ("service_compiles_total", 2),
+        ("trial_chunks_total", 1),
+        ("telemetry_events_dropped", 0),
+    ):
+        got = float(series[key]) if key in series else None
+        _need(got == want, f"{key} is {got}, want {want}")
+
+
+def _expect_reliability(artifacts: Artifacts) -> None:
+    diff = _first_difference(
+        {"json": artifacts["thread.json"], "out": artifacts["thread"]},
+        {"json": artifacts["process.json"], "out": artifacts["process"]},
+    )
+    _need(diff is None, f"thread vs process executor: {diff}")
+    report = json.loads(artifacts["thread.json"])
+    _need(report["accounting"]["all_accounted"] is True,
+          "JSON report: all_accounted is not true")
+    _need("all_accounted=True" in _expect(artifacts["thread"], "accounting:"),
+          "text report: no all_accounted=True")
+
+
+def _killed_workflow() -> None:
+    from .workflow.runner import KILL_AFTER_ENV
+
+    os.environ[KILL_AFTER_ENV] = "chaos-burst"
+    _cli("workflow", "run", "chaos-campaign", "--store", "kill")
+
+
+def _workflow(line: str) -> str:
+    """The outcome of ``repro workflow LINE --json``, minus the step
+    wall times."""
+    out = _cli("workflow", *line.split(), "--json")
+    outcome = json.loads(out[:out.rindex("exit ")])  # drop the exit line
+    for step in outcome["steps"]:
+        del step["seconds"]
+    return json.dumps(outcome, indent=2, sort_keys=True)
+
+
+def _run_workflow(workdir: Path) -> Artifacts:
+    artifacts = {
+        "outcome1": _workflow("run chaos-campaign --store s --out run1.json"),
+        "outcome2": _workflow("run chaos-campaign --store s --out run2.json"),
+    }
+    killed = _spawn(_killed_workflow)
+    killed.join()
+    artifacts["kill.exit"] = str(killed.exitcode)
+    artifacts["outcome3"] = _workflow(
+        "resume chaos-campaign --store kill --out resumed.json"
+    )
+    for name in ("run1.json", "run2.json", "resumed.json"):
+        artifacts[name] = (workdir / name).read_text()
+    return artifacts
+
+
+def _expect_workflow(artifacts: Artifacts) -> None:
+    outcomes = [json.loads(artifacts[f"outcome{i}"]) for i in (1, 2, 3)]
+    _need(all(o["status"] == "completed" for o in outcomes),
+          f"statuses {[o['status'] for o in outcomes]}")
+    for i, key, want in ((2, "executed_steps", 0), (2, "cached_steps", 5),
+                         (3, "cached_steps", 2)):
+        got = outcomes[i - 1][key]
+        _need(got == want, f"outcome{i} {key} {got}, want {want}")
+    for other in ("run2.json", "resumed.json"):
+        _need(artifacts[other] == artifacts["run1.json"],
+              f"{other} differs from run1.json")
+    _need(artifacts["kill.exit"] == str(-signal.SIGKILL),
+          f"killed run exit {artifacts['kill.exit']}, want SIGKILL")
+
+
+def _run_concurrency(workdir: Path) -> Artifacts:
+    # Baseline entries key on "src/..." paths: analyze from the checkout.
+    os.chdir(Path(__file__).resolve().parents[2])
+    try:
+        gate = _cli("analyze", "--concurrency", "src",
+                    "--baseline", "concurrency_baseline.json",
+                    "--out", str(workdir / "report.json"))
+    finally:
+        os.chdir(workdir)
+    return {"gate": gate, "report.json": (workdir / "report.json").read_text()}
+
+
+def _expect_concurrency(artifacts: Artifacts) -> None:
+    report = json.loads(artifacts["report.json"])
+    _need(report["schema"] == 1, f"schema {report['schema']}, want 1")
+    _need(report["cycles"] == [], f"lock-order cycles {report['cycles']}")
+    baseline = " ".join(_expect(artifacts["gate"], "baseline:"))
+    _need(artifacts["gate"].endswith("exit 0\n"), f"gate failed: {baseline}")
+
+
+def _expect_prove(artifacts: Artifacts) -> None:
+    _expect(artifacts["good"], "acyclic: deadlock-free")
+    _expect(artifacts["good"], "exit", exit="0")
+    _expect(artifacts["broken"], "CYCLIC:")
+    _expect(artifacts["broken"], "exit", exit="1")
+
+
+_RELIABILITY = ("reliability --mesh 8x8 --rate 1.5 --mttr 0.3 --horizon 2 "
+                "--trials 4 --seed 0 --jobs 2 --executor {0} --json {0}.json")
+
+SMOKES: Dict[str, Smoke] = {
+    "chaos": Smoke(
+        "deterministic and >=3 reconfiguration epochs",
+        partial(_repro, {"chaos": "chaos --mesh 8x8 --faults 2 "
+                         "--messages 120 --events 3 --seed 0"}, ()),
+        _expect_chaos),
+    "serve": Smoke(
+        "control plane deterministic, cached, epoch-safe, drained",
+        partial(_scenario, "serve"), _expect_serve),
+    "shard": Smoke(
+        "no lost replies, killed worker respawned in sync",
+        partial(_scenario, "shard"), _expect_shard),
+    "obs": Smoke(
+        "redacted telemetry exports stable, every layer present",
+        partial(_repro, {"stats": "stats --redact-timings --telemetry obs"},
+                ("obs.prom", "obs.ndjson", "obs.json")),
+        _expect_obs),
+    "reliability": Smoke(
+        "thread == process executor, all trials accounted",
+        partial(_repro, {e: _RELIABILITY.format(e)
+                         for e in ("thread", "process")},
+                ("thread.json", "process.json")),
+        _expect_reliability),
+    "workflow": Smoke(
+        "cached rerun and kill-and-resume reports identical",
+        _run_workflow, _expect_workflow),
+    "concurrency": Smoke(
+        "concurrency report stable, baseline gate clean",
+        _run_concurrency, _expect_concurrency),
+    "prove": Smoke(
+        "good discipline proved, single-VC discipline refuted",
+        partial(_repro, {"good": "prove --mesh 16x16 --faults 8 --seed 1",
+                         "broken": "prove --mesh 4x4 --single-vc"}, ()),
+        _expect_prove),
+}

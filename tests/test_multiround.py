@@ -220,11 +220,23 @@ class TestRouteMaterialization:
         hops = sum(len(p) - 1 for p in paths)
         assert hops == 10  # fault-free: exactly the L1 distance
 
-    def test_unknown_policy(self):
+    @pytest.mark.parametrize(
+        "k, faults, dest",
+        [
+            (1, [], (3, 3)),
+            (2, [], (3, 3)),
+            # Unreachable: (3, 3) is walled in by faulty neighbours.
+            (2, [(2, 3), (3, 2)], (3, 3)),
+        ],
+        ids=["k1", "k2", "unreachable"],
+    )
+    def test_unknown_policy(self, k, faults, dest):
         m = Mesh((4, 4))
-        grids = FaultGrids(FaultSet(m))
-        with pytest.raises(ValueError):
-            find_k_round_route(grids, repeated(xy(), 2), (0, 0), (3, 3), policy="bogus")
+        grids = FaultGrids(FaultSet(m, faults))
+        with pytest.raises(ValueError, match="unknown policy 'bogus'"):
+            find_k_round_route(
+                grids, repeated(xy(), k), (0, 0), dest, policy="bogus"
+            )
 
     def test_faulty_endpoint_returns_none(self):
         m = Mesh((4, 4))
