@@ -12,10 +12,9 @@ import numpy as np
 
 from repro.baselines import BlockFaultRouter
 from repro.baselines.block_fault import comb_blocks
-from repro.core import find_lamb_set
+from repro.core import build_reach_index, find_lamb_set
 from repro.mesh import Mesh, random_node_faults
 from repro.routing import (
-    FaultGrids,
     count_turns,
     count_turns_multiround,
     find_k_round_route,
@@ -62,7 +61,8 @@ def _turns_sweep():
         src, dst = (n // 2, 0), (n // 2, n - 1)
         ring_turns = count_turns(router.route(src, dst))
         faults = router.fault_set()
-        paths = find_k_round_route(FaultGrids(faults), orderings, src, dst)
+        index = build_reach_index(faults, orderings)
+        paths = find_k_round_route(index, src, dst)
         lamb_turns = count_turns_multiround(paths)
         rows.append((n, ring_turns, lamb_turns))
     return rows

@@ -13,7 +13,7 @@ Run:  python examples/quickstart.py
 from repro import FaultSet, Mesh, find_lamb_set, repeated, xy
 from repro.core import is_lamb_set
 from repro.experiments import render_matrix, worked_example
-from repro.routing import FaultGrids, count_turns_multiround, find_k_round_route
+from repro.routing import count_turns_multiround, find_k_round_route
 
 
 def main() -> None:
@@ -42,11 +42,10 @@ def main() -> None:
     print(f"is a valid lamb set: {is_lamb_set(faults, orderings, result.lambs)}")
 
     # Materialize a concrete 2-round route between two survivors that
-    # cannot reach each other in one round.
-    grids = FaultGrids(faults)
-    src, dst = (10, 2), (10, 11)  # dst is a lamb... pick survivors:
+    # cannot reach each other in one round, from the lamb run's own
+    # SES/DES rectangles and reachability matrices.
     src, dst = (0, 1), (9, 2)
-    paths = find_k_round_route(grids, orderings, src, dst)
+    paths = find_k_round_route(result.reach_index, src, dst)
     assert paths is not None
     print(f"\n2-round route {src} -> {dst}:")
     for t, p in enumerate(paths):

@@ -19,12 +19,7 @@ import numpy as np
 from repro import FaultSet, Mesh, find_lamb_set, repeated, xy
 from repro.baselines import BlockFaultRouter, inactivated_nodes
 from repro.baselines.block_fault import comb_blocks
-from repro.routing import (
-    FaultGrids,
-    count_turns,
-    count_turns_multiround,
-    find_k_round_route,
-)
+from repro.routing import count_turns, count_turns_multiround, find_k_round_route
 
 
 def turn_comparison() -> None:
@@ -41,7 +36,7 @@ def turn_comparison() -> None:
         faults = router.fault_set()
         result = find_lamb_set(faults, orderings)
         assert result.is_survivor(src) and result.is_survivor(dst)
-        paths = find_k_round_route(FaultGrids(faults), orderings, src, dst)
+        paths = find_k_round_route(result.reach_index, src, dst)
         assert paths is not None
         lamb_turns = count_turns_multiround(paths)
         print(f"{n:>4} {len(blocks):>6} {ring_turns:>11} {lamb_turns:>11}")

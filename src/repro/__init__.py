@@ -21,6 +21,7 @@ from .core import (
     LambResult,
     ReconfigurationManager,
     RoutingTable,
+    build_reach_index,
     build_routing_table,
     find_des_partition,
     find_lamb_set,
@@ -58,6 +59,7 @@ __all__ = [
     "xyz",
     "dor_path",
     "find_k_round_route",
+    "build_reach_index",
     "find_lamb_set",
     "LambResult",
     "ReconfigurationManager",

@@ -19,7 +19,7 @@ from .generic import (
     torus_lamb_set,
     torus_reach_matrix,
 )
-from .lamb import METHODS, LambResult, find_lamb_set
+from .lamb import METHODS, LambResult, build_reach_index, find_lamb_set
 from .partition import (
     find_des_partition,
     find_ses_partition,
@@ -48,6 +48,7 @@ from .validate import (
 
 __all__ = [
     "find_lamb_set",
+    "build_reach_index",
     "LambResult",
     "METHODS",
     "find_ses_partition",

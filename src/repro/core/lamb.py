@@ -36,6 +36,7 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    cast,
 )
 
 import numpy as np
@@ -52,10 +53,11 @@ from ..mesh.geometry import Mesh, Node
 from ..mesh.regions import Rect
 from ..routing.linefaults import LineFaultIndex
 from ..routing.ordering import KRoundOrdering, Ordering
+from ..routing.reachindex import ReachIndex, corner_array
 from .partition import find_des_partition, find_ses_partition
 from .reachability import ReachabilityData, find_reachability
 
-__all__ = ["LambResult", "find_lamb_set", "METHODS"]
+__all__ = ["LambResult", "build_reach_index", "find_lamb_set", "METHODS"]
 
 METHODS = ("bipartite", "general", "general-exact")
 
@@ -79,6 +81,10 @@ class LambResult:
         densities).
     cover_weight:
         Weight of the vertex cover that produced Λ.
+    reach_index:
+        The :class:`~repro.routing.reachindex.ReachIndex` of phases 1-2,
+        which :func:`repro.routing.find_k_round_route` routes from
+        (``None`` on a lean result restored from a serialized record).
     timings:
         Per-phase wall-clock seconds (``partition``, ``reachability``,
         ``wvc``, ``total``) — the quantity plotted in Fig. 26.
@@ -96,6 +102,7 @@ class LambResult:
     reach: ReachabilityData
     cover_weight: float
     predetermined: FrozenSet[Node] = frozenset()
+    reach_index: Optional[ReachIndex] = None
     timings: Dict[str, float] = field(default_factory=dict)
 
     @property
@@ -134,12 +141,6 @@ class LambResult:
         return self.size / self.faults.f
 
 
-def _corners(corners: Iterable[Tuple[int, ...]], d: int) -> np.ndarray:
-    """Corner tuples as an ``(m, d)`` int64 array; ``np.fromiter`` over
-    the flattened tuples skips ``np.asarray``'s per-tuple inspection."""
-    return np.fromiter(chain.from_iterable(corners), np.int64).reshape(-1, d)
-
-
 def _rect_weights(
     rects: Sequence[Rect], values: Mapping[Node, float]
 ) -> List[float]:
@@ -160,11 +161,11 @@ def _rect_weights(
     if not rects:
         return []
     d = rects[0].mesh.d
-    lo = _corners((r.lo for r in rects), d)
-    hi = _corners((r.hi for r in rects), d)
+    lo = corner_array((r.lo for r in rects), d)
+    hi = corner_array((r.hi for r in rects), d)
     weights = np.prod(hi - lo + 1, axis=1).astype(np.float64)
     if values:
-        nodes = _corners(values, d)
+        nodes = corner_array(values, d)
         inside = np.ones((nodes.shape[0], lo.shape[0]), dtype=bool)
         for c in range(d):
             x = nodes[:, c, None]
@@ -172,6 +173,60 @@ def _rect_weights(
         hit = inside.any(axis=1)
         np.subtract.at(weights, inside.argmax(axis=1)[hit], 1.0 - vals[hit])
     return weights.tolist()
+
+
+def build_reach_index(
+    faults: FaultSet,
+    orderings: KRoundOrdering,
+    index: Optional[LineFaultIndex] = None,
+) -> ReachIndex:
+    """Lamb1's phases 1-2 (Fig. 14): every round's SES/DES partitions
+    and Find-Reachability, as the :class:`ReachIndex` that
+    :func:`repro.routing.find_k_round_route` routes from.
+
+    :func:`find_lamb_set` runs its first two phases through this
+    builder; route materialization without a lamb set (the wormhole
+    simulator, a restored routing table) calls it directly.  The
+    index depends only on ``faults`` and ``orderings``.
+    """
+    mesh = faults.mesh
+    reg = get_registry()
+    # Phase 1 (Find-SES-Partition / Find-DES-Partition): the line-fault
+    # index plus the per-round partitions (shared across identical
+    # round orderings).
+    with reg.span("lamb.partition") as sp_partition:
+        if index is None:
+            index = LineFaultIndex(faults)
+        ses_cache: Dict[Ordering, List[Rect]] = {}
+        des_cache: Dict[Ordering, List[Rect]] = {}
+        ses_partitions: List[List[Rect]] = []
+        des_partitions: List[List[Rect]] = []
+        for pi in orderings:
+            if pi not in ses_cache:
+                ses_cache[pi] = find_ses_partition(faults, pi)
+                des_cache[pi] = find_des_partition(faults, pi)
+            ses_partitions.append(ses_cache[pi])
+            des_partitions.append(des_cache[pi])
+        reps = {
+            id(p): corner_array((r.lo for r in p), mesh.d)
+            for p in chain(ses_cache.values(), des_cache.values())
+        }
+        ses_reps = [reps[id(p)] for p in ses_partitions]
+        des_reps = [reps[id(p)] for p in des_partitions]
+
+    # Phase 2 (Find-Reachability: the R^(k) boolean products).
+    with reg.span("lamb.reachability") as sp_reach:
+        reach = find_reachability(
+            index, orderings, ses_partitions, des_partitions,
+            ses_reps, des_reps,
+        )
+    return ReachIndex(
+        mesh, orderings, ses_partitions, des_partitions, reach,
+        timings={
+            "partition": sp_partition.seconds,
+            "reachability": sp_reach.seconds,
+        },
+    )
 
 
 def find_lamb_set(
@@ -243,44 +298,13 @@ def find_lamb_set(
     with reg.span(
         "lamb.find_lamb_set", method=method, f=faults.f, k=orderings.k,
     ) as sp_total:
-        # Phase 1 (Find-SES-Partition / Find-DES-Partition, Fig. 14):
-        # the line-fault index plus the per-round partitions (shared
-        # across identical round orderings).
-        with reg.span("lamb.partition") as sp_partition:
-            if index is None:
-                index = LineFaultIndex(faults)
-            ses_cache: Dict[Ordering, List[Rect]] = {}
-            des_cache: Dict[Ordering, List[Rect]] = {}
-            ses_partitions: List[List[Rect]] = []
-            des_partitions: List[List[Rect]] = []
-            for pi in orderings:
-                if pi not in ses_cache:
-                    ses_cache[pi] = find_ses_partition(faults, pi)
-                    des_cache[pi] = find_des_partition(faults, pi)
-                ses_partitions.append(ses_cache[pi])
-                des_partitions.append(des_cache[pi])
-            rep_cache: Dict[int, np.ndarray] = {}
-
-            def reps(rects: List[Rect]) -> np.ndarray:
-                key = id(rects)
-                if key not in rep_cache:
-                    rep_cache[key] = _corners((r.lo for r in rects), mesh.d)
-                return rep_cache[key]
-
-            ses_reps = [reps(p) for p in ses_partitions]
-            des_reps = [reps(p) for p in des_partitions]
-
-        # Phase 2 (Find-Reachability: the R^(k) boolean products).
-        with reg.span("lamb.reachability") as sp_reach:
-            reach = find_reachability(
-                index, orderings, ses_partitions, des_partitions,
-                ses_reps, des_reps,
-            )
+        reach_index = build_reach_index(faults, orderings, index)
+        reach = cast(ReachabilityData, reach_index.reach)
 
         # Phase 3 (Reduce-WVC + the max-flow / local-ratio cover).
         with reg.span("lamb.wvc", method=method) as sp_wvc:
-            ses = ses_partitions[0]
-            des = des_partitions[-1]
+            ses = reach_index.ses[0]
+            des = reach_index.des[-1]
             Rk = reach.Rk
             zeros = zero_pairs(Rk)
             lambs: Set[Node] = set()
@@ -319,9 +343,9 @@ def find_lamb_set(
         reach=reach,
         cover_weight=cover_weight,
         predetermined=predetermined,
+        reach_index=reach_index,
         timings={
-            "partition": sp_partition.seconds,
-            "reachability": sp_reach.seconds,
+            **reach_index.timings,
             "wvc": sp_wvc.seconds,
             "total": sp_total.seconds,
         },

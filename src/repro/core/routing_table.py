@@ -12,8 +12,9 @@ needed, which the paper's intermediate matrices ``R^(r)`` expose
 (Section 6.2).
 
 For large meshes an all-pairs table is O(N^2); this module therefore
-also offers on-demand route resolution backed by the same per-source
-flood machinery.
+also offers on-demand route resolution, which routes from the lamb
+pipeline's own :class:`~repro.routing.reachindex.ReachIndex` at a cost
+independent of N.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ import numpy as np
 
 from ..mesh.faults import FaultSet
 from ..mesh.geometry import Mesh, Node
-from ..routing.multiround import FaultGrids, find_k_round_route
 from ..routing.ordering import KRoundOrdering
-from .lamb import LambResult
+from ..routing.reachindex import ReachIndex, find_k_round_route
+from .lamb import LambResult, build_reach_index
 
 __all__ = ["RouteEntry", "RoutingTable", "build_routing_table"]
 
@@ -58,25 +59,24 @@ class RoutingTable:
         result: LambResult,
         policy: str = "shortest",
         seed: int = 0,
-        grids: Optional[FaultGrids] = None,
     ) -> None:
         self.result = result
         self.faults: FaultSet = result.faults
         self.mesh: Mesh = result.mesh
         self.orderings: KRoundOrdering = result.orderings
         self.policy = policy
-        # ``grids`` lets an incremental caller (the control-plane
-        # compiler) hand over pre-updated fault grids instead of
-        # rebuilding them from the cumulative fault set.
-        self._grids = FaultGrids(self.faults) if grids is None else grids
+        self._index: Optional[ReachIndex] = result.reach_index
         self._rng = np.random.default_rng(seed)
         self._entries: Dict[Tuple[Node, Node], RouteEntry] = {}
 
     @property
-    def grids(self) -> FaultGrids:
-        """The fault grids backing route resolution (clone before
-        mutating — published tables are immutable by convention)."""
-        return self._grids
+    def index(self) -> ReachIndex:
+        """The :class:`ReachIndex` routes are resolved from: the
+        result's own, or — for a lean result restored from a record —
+        one built from its faults and orderings on first use."""
+        if self._index is None:
+            self._index = build_reach_index(self.faults, self.orderings)
+        return self._index
 
     # ------------------------------------------------------------------
     def lookup(self, source: Sequence[int], dest: Sequence[int]) -> RouteEntry:
@@ -101,8 +101,7 @@ class RoutingTable:
         from ..routing.turns import count_turns_multiround
 
         paths = find_k_round_route(
-            self._grids, self.orderings, source, dest,
-            policy=self.policy, rng=self._rng,
+            self.index, source, dest, policy=self.policy, rng=self._rng
         )
         if paths is None:
             return None

@@ -200,7 +200,9 @@ def routing_table_from_dict(data: Dict[str, Any], result=None):
 def _lean_lamb_result(outcome: Dict[str, Any]):
     """A :class:`~repro.core.LambResult` rebuilt from a serialized
     outcome: routable (mesh/faults/orderings/lambs/survivor tests all
-    work) but with empty partitions and reachability matrices."""
+    work) but with empty partitions and reachability matrices and no
+    reach index; a :class:`~repro.core.RoutingTable` over it builds
+    the index from the faults and orderings on its first route miss."""
     import numpy as np
 
     from ..core.lamb import LambResult

@@ -11,7 +11,6 @@ from .dor import (
 from .linefaults import LineFaultIndex
 from .multiround import (
     FaultGrids,
-    find_k_round_route,
     k_round_reachable,
     multi_source_reach_sets,
     reach_set_k_rounds,
@@ -19,6 +18,7 @@ from .multiround import (
     reverse_reach_set_one_round,
 )
 from .ordering import KRoundOrdering, Ordering, ascending, repeated, xy, xyz
+from .reachindex import ReachIndex, find_k_round_route
 from .turns import count_turns, count_turns_multiround, max_turns_bound
 
 __all__ = [
@@ -41,6 +41,7 @@ __all__ = [
     "reach_set_k_rounds",
     "multi_source_reach_sets",
     "k_round_reachable",
+    "ReachIndex",
     "find_k_round_route",
     "count_turns",
     "count_turns_multiround",

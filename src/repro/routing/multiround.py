@@ -1,26 +1,25 @@
-"""k-round dimension-ordered reachability and route materialization.
+"""k-round dimension-ordered reachability by whole-mesh flooding.
 
 These are the exact, whole-mesh (O(N) per query) reference semantics
 for Definition 2.5.2: grid-based frontier propagation computes the set
-of nodes ``(k, F, pi)``-reachable from a source, the reverse sets, and
-concrete k-round routes with a choice of intermediate-node policy (the
-"heuristic" remark after Definition 2.3).
+of nodes ``(k, F, pi)``-reachable from a source and the reverse sets.
 
-The lamb algorithms never call these on large meshes — they use the
-SES/DES machinery whose cost is independent of N — but this module is
-the ground truth they are validated against, and it is what the
-wormhole simulator uses to materialize routes.
+Nothing on a production path calls these: the lamb algorithms and
+route materialization (:func:`repro.routing.find_k_round_route`) work
+on the SES/DES rectangles, whose cost is independent of N.  This
+module is the brute-force checker they are validated against
+(:mod:`repro.core.validate`, :mod:`repro.core.equivalence` and the
+test oracles).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence
 
 import numpy as np
 
 from ..mesh.faults import FaultSet
 from ..mesh.geometry import Node
-from .dor import dor_path
 from .ordering import KRoundOrdering, Ordering
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     "reach_set_k_rounds",
     "multi_source_reach_sets",
     "k_round_reachable",
-    "find_k_round_route",
 ]
 
 
@@ -78,40 +76,6 @@ class FaultGrids:
         else:
             idx = list(w)
             self.down_cut[j][tuple(idx)] = True
-
-    def clone(self) -> "FaultGrids":
-        """An independent copy (array-level).
-
-        The incremental-recompile path of the control plane clones the
-        current epoch's grids and applies a fault delta via
-        :meth:`add_faults` instead of rebuilding from the cumulative
-        :class:`~repro.mesh.faults.FaultSet` — the same O(delta) trick
-        the live-fault simulator uses, without mutating the published
-        epoch's state.
-        """
-        other = object.__new__(FaultGrids)
-        other.mesh = self.mesh
-        other.good = self.good.copy()
-        other.up_cut = [a.copy() for a in self.up_cut]
-        other.down_cut = [a.copy() for a in self.down_cut]
-        return other
-
-    def add_faults(
-        self,
-        node_faults: Sequence[Node] = (),
-        link_faults: Sequence[Tuple[Node, Node]] = (),
-    ) -> None:
-        """Incrementally mark additional faults in place.
-
-        Used by the live-fault simulator: a chaos epoch only touches a
-        handful of cells, so mutating the dense grids is much cheaper
-        than reconstructing them from the cumulative
-        :class:`~repro.mesh.faults.FaultSet` every event.
-        """
-        for v in node_faults:
-            self.good[tuple(v)] = False
-        for (u, w) in link_faults:
-            self._cut_link(tuple(u), tuple(w))
 
 
 def _scan(
@@ -255,94 +219,3 @@ def k_round_reachable(
 ) -> bool:
     """Exact Definition 2.5.2 test (O(k N) time)."""
     return bool(reach_set_k_rounds(grids, orderings, v)[tuple(w)])
-
-
-def find_k_round_route(
-    grids: FaultGrids,
-    orderings: KRoundOrdering,
-    v: Sequence[int],
-    w: Sequence[int],
-    policy: str = "shortest",
-    rng: Optional[np.random.Generator] = None,
-) -> Optional[List[List[Node]]]:
-    """Materialize a concrete k-round route from ``v`` to ``w``.
-
-    Returns one node path per round (round ``t``'s path starts where
-    round ``t-1``'s ended), or ``None`` if ``w`` is not
-    ``(k, F, pi_vec)``-reachable from ``v``.
-
-    ``policy`` selects the intermediate nodes (the congestion heuristic
-    discussed after Definition 2.3):
-
-    - ``"shortest"``: minimize the total route length (sum of per-round
-      L1 hops), breaking ties uniformly at random (needs ``rng``) —
-      the paper's suggested heuristic;
-    - ``"first"``: lexicographically smallest intermediates
-      (deterministic);
-    - ``"random"``: uniform choice among feasible intermediates.
-    """
-    if policy not in ("shortest", "first", "random"):
-        raise ValueError(f"unknown policy {policy!r}")
-    mesh = grids.mesh
-    v = tuple(int(x) for x in v)
-    w = tuple(int(x) for x in w)
-    k = orderings.k
-    # Forward sets F_t = nodes reachable from v in t rounds.
-    start = np.zeros(mesh.widths, dtype=bool)
-    if not grids.good[v] or not grids.good[w]:
-        return None
-    start[v] = True
-    fwd: List[np.ndarray] = [start]
-    for t in range(1, k + 1):
-        fwd.append(reach_set_one_round(grids, orderings[t - 1], fwd[t - 1]))
-    if not fwd[k][w]:
-        return None
-    # Backward sets B_t = nodes that can reach w in the remaining rounds.
-    target = np.zeros(mesh.widths, dtype=bool)
-    target[w] = True
-    bwd: List[np.ndarray] = [target]
-    for t in range(k - 1, -1, -1):
-        bwd.append(reverse_reach_set_one_round(grids, orderings[t], bwd[-1]))
-    bwd.reverse()
-
-    if rng is None:
-        rng = np.random.default_rng(0)
-
-    def choose(candidates: np.ndarray, prev: Node, goal: Node) -> Node:
-        coords = np.argwhere(candidates)
-        if policy == "first":
-            order = np.lexsort(coords.T[::-1])
-            return tuple(int(x) for x in coords[order[0]])
-        if policy == "random":
-            return tuple(int(x) for x in coords[rng.integers(len(coords))])
-        # "shortest": the goal itself, when feasible, is always a
-        # minimum-cost intermediate (triangle equality) and collapses
-        # the remaining rounds to no-ops — prefer it outright.
-        if candidates[goal]:
-            return goal
-        prev_arr = np.asarray(prev)
-        goal_arr = np.asarray(goal)
-        cost = np.abs(coords - prev_arr).sum(axis=1) + np.abs(
-            coords - goal_arr
-        ).sum(axis=1)
-        best = np.flatnonzero(cost == cost.min())
-        pick = best[rng.integers(len(best))]
-        return tuple(int(x) for x in coords[pick])
-
-    paths: List[List[Node]] = []
-    cur = v
-    for t in range(k):
-        if t == k - 1:
-            nxt = w
-        else:
-            # Feasible intermediates after round t+1: one round from cur,
-            # and able to finish within the remaining rounds.
-            here = np.zeros(mesh.widths, dtype=bool)
-            here[cur] = True
-            feasible = reach_set_one_round(grids, orderings[t], here) & bwd[t + 1]
-            if not feasible.any():  # pragma: no cover - fwd/bwd guarantee nonempty
-                return None
-            nxt = choose(feasible, cur, w)
-        paths.append(dor_path(mesh, orderings[t], cur, nxt))
-        cur = nxt
-    return paths

@@ -20,10 +20,12 @@ report_faults_degraded`: recompute, escalate ``k -> k+1``, quarantine,
 4. publish the artifact (store + live cache) and bump the
    reconfiguration epoch.
 
-Fault *deltas* (:meth:`ReconfigurationCompiler.apply_delta`) reuse the
-current epoch's state incrementally: ``FaultSet.with_faults`` for the
-fault set and a cloned ``FaultGrids`` + ``add_faults`` for the routing
-grids, instead of rebuilding either from scratch.
+Fault *deltas* (:meth:`ReconfigurationCompiler.apply_delta`) extend
+the current epoch's fault set with ``FaultSet.with_faults`` and
+recompile.  Routing needs no state carried across epochs: each
+artifact's :class:`~repro.core.routing_table.RoutingTable` routes from
+the :class:`~repro.routing.reachindex.ReachIndex` its own lamb run
+built, whose size depends on the fault count, not the mesh size.
 
 Concurrency contract: the server offloads ``compile``/``apply_delta``
 to worker threads, so **mutations are serialized** by a dedicated
@@ -52,7 +54,6 @@ from ..mesh.serialization import (
     routing_table_from_dict,
     routing_table_to_dict,
 )
-from ..routing.multiround import FaultGrids
 from ..routing.ordering import KRoundOrdering
 from .errors import CompileError, MalformedRequestError, StaleEpochError
 from .errors import ServiceError, ServiceUnavailableError
@@ -224,7 +225,7 @@ class ReconfigurationCompiler:
             if cached is not None:
                 return cached
             self.metrics.cache_misses.inc()
-            artifact = self._compile_miss(digest, faults, grids=None)
+            artifact = self._compile_miss(digest, faults)
             with self._lock:
                 return self._activate(artifact), "compiled"
 
@@ -236,10 +237,10 @@ class ReconfigurationCompiler:
         """Incremental recompile: extend the current epoch's fault set
         with newly detected faults and activate the result.
 
-        The new fault set comes from ``FaultSet.with_faults`` and the
-        routing grids from a clone of the current epoch's grids updated
-        in place via ``FaultGrids.add_faults`` — O(delta) state
-        transfer, no from-scratch rebuild of either.
+        The new fault set comes from ``FaultSet.with_faults``; the
+        recompiled artifact's routing table routes from the index its
+        own lamb run built (including any quarantine or k-escalation
+        the ladder applied).
 
         The base epoch is read *inside* the mutation lock: two
         concurrent deltas serialize, and the second bases on the first
@@ -266,11 +267,7 @@ class ReconfigurationCompiler:
             if cached is not None:
                 return cached  # "current" when the delta was redundant
             self.metrics.cache_misses.inc()
-            grids = base.table.grids.clone()
-            grids.add_faults(new_nodes, new_links)
-            artifact = self._compile_miss(
-                digest, faults, grids=grids, incremental=True
-            )
+            artifact = self._compile_miss(digest, faults, incremental=True)
             with self._lock:
                 return self._activate(artifact), "compiled"
 
@@ -362,7 +359,6 @@ class ReconfigurationCompiler:
         self,
         digest: str,
         faults: FaultSet,
-        grids: Optional[FaultGrids],
         incremental: bool = False,
     ) -> CompiledArtifact:
         t0 = time.perf_counter()
@@ -405,12 +401,7 @@ class ReconfigurationCompiler:
             self.metrics.degraded_compiles.inc()
         if self.verify:
             self._cross_check(result)
-        # Degradation may have quarantined nodes (extra faults beyond
-        # the delta), in which case the cloned grids are stale — fall
-        # back to a rebuild for correctness.
-        if grids is not None and result.faults != faults:
-            grids = None
-        table = RoutingTable(result, policy=self.policy, grids=grids)
+        table = RoutingTable(result, policy=self.policy)
         wall = time.perf_counter() - t0
         self.metrics.compiles.inc()
         self.metrics.compile_latency.observe(wall)

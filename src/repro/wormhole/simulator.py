@@ -77,11 +77,12 @@ from typing import (
 
 import numpy as np
 
+from ..core.lamb import build_reach_index
 from ..mesh.faults import FaultSet
 from ..mesh.geometry import Link, Node
 from ..obs import get_registry
-from ..routing.multiround import FaultGrids, find_k_round_route
 from ..routing.ordering import KRoundOrdering
+from ..routing.reachindex import ReachIndex, find_k_round_route
 from .deadlock import (
     DeadlockError,
     SimulationTimeout,
@@ -197,7 +198,6 @@ class WormholeSimulator:
             num_vcs=(orderings.k if num_vcs is None else num_vcs),
             buffer_flits=buffer_flits,
         )
-        self.grids = FaultGrids(faults)
         self.rng = np.random.default_rng(seed)
         self.cycle = 0
         self.messages: Dict[int, Message] = {}
@@ -218,6 +218,9 @@ class WormholeSimulator:
         self._route_cache_enabled = bool(route_cache)
         self._route_cache: Dict[Tuple[Node, Node], Optional[List[Hop]]] = {}
         self.routing_epoch = 0
+        # Lamb1's phases 1-2 for the current epoch, built on its first
+        # route miss (routes need no lamb set, so no WVC).
+        self._reach_index: Optional[ReachIndex] = None
         # --- frontier state -------------------------------------------
         # Messages waiting for a future inject_cycle, as a min-heap of
         # (inject_cycle, msg_id).
@@ -291,8 +294,10 @@ class WormholeSimulator:
             cached = self._route_cache.get((src, dst), _MISSING)
             if cached is not _MISSING:
                 return cached
+        if self._reach_index is None:
+            self._reach_index = build_reach_index(self.faults, self.orderings)
         paths = find_k_round_route(
-            self.grids, self.orderings, src, dst, policy=self.policy, rng=self.rng
+            self._reach_index, src, dst, policy=self.policy, rng=self.rng
         )
         if paths is None:
             if self._route_cache_enabled:
@@ -310,9 +315,12 @@ class WormholeSimulator:
         return hops
 
     def _invalidate_routes(self) -> None:
-        """New routing epoch: faults grew or the ordering changed."""
+        """New routing epoch: faults grew or the ordering changed.  The
+        next route miss rebuilds the index from the cumulative fault
+        set."""
         self.routing_epoch += 1
         self._route_cache.clear()
+        self._reach_index = None
 
     def send(
         self,
@@ -414,7 +422,6 @@ class WormholeSimulator:
         if not new_nodes and not new_links:
             return []  # stale event: everything already dead
         self.faults = self.faults.with_faults(new_nodes, new_links)
-        self.grids.add_faults(new_nodes, new_links)
         self.net.apply_faults(self.faults)
         self._invalidate_routes()
         self.fault_events_applied += 1

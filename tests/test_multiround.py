@@ -1,11 +1,12 @@
-"""Tests for k-round reachability and route materialization
-(repro.routing.multiround)."""
+"""Tests for k-round reachability (repro.routing.multiround) and
+route materialization (repro.routing.reachindex)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import build_reach_index
 from repro.mesh import FaultSet, Mesh
 from repro.routing import (
     FaultGrids,
@@ -179,9 +180,10 @@ class TestRouteMaterialization:
         mesh = faults.mesh
         grids = FaultGrids(faults)
         orderings = repeated(Ordering(range(mesh.d)), 2)
+        index = build_reach_index(faults, orderings)
         rng = np.random.default_rng(0)
         for v, w in good_node_pairs(faults, 4):
-            paths = find_k_round_route(grids, orderings, v, w, rng=rng)
+            paths = find_k_round_route(index, v, w, rng=rng)
             reachable = k_round_reachable(grids, orderings, v, w)
             assert (paths is not None) == reachable
             if paths is None:
@@ -199,12 +201,11 @@ class TestRouteMaterialization:
     def test_policies_give_valid_routes(self):
         m = Mesh((8, 8))
         faults = FaultSet(m, [(3, 0), (3, 1), (0, 3), (1, 3)])
-        grids = FaultGrids(faults)
-        orderings = repeated(xy(), 2)
+        index = build_reach_index(faults, repeated(xy(), 2))
         rng = np.random.default_rng(1)
         for policy in ("shortest", "first", "random"):
             paths = find_k_round_route(
-                grids, orderings, (0, 0), (7, 7), policy=policy, rng=rng
+                index, (0, 0), (7, 7), policy=policy, rng=rng
             )
             assert paths is not None
             for p in paths:
@@ -212,10 +213,8 @@ class TestRouteMaterialization:
 
     def test_shortest_policy_is_minimal(self):
         m = Mesh((8, 8))
-        faults = FaultSet(m)
-        grids = FaultGrids(faults)
-        orderings = repeated(xy(), 2)
-        paths = find_k_round_route(grids, orderings, (0, 0), (5, 5))
+        index = build_reach_index(FaultSet(m), repeated(xy(), 2))
+        paths = find_k_round_route(index, (0, 0), (5, 5))
         assert paths is not None
         hops = sum(len(p) - 1 for p in paths)
         assert hops == 10  # fault-free: exactly the L1 distance
@@ -232,15 +231,12 @@ class TestRouteMaterialization:
     )
     def test_unknown_policy(self, k, faults, dest):
         m = Mesh((4, 4))
-        grids = FaultGrids(FaultSet(m, faults))
+        index = build_reach_index(FaultSet(m, faults), repeated(xy(), k))
         with pytest.raises(ValueError, match="unknown policy 'bogus'"):
-            find_k_round_route(
-                grids, repeated(xy(), k), (0, 0), dest, policy="bogus"
-            )
+            find_k_round_route(index, (0, 0), dest, policy="bogus")
 
     def test_faulty_endpoint_returns_none(self):
         m = Mesh((4, 4))
-        faults = FaultSet(m, [(0, 0)])
-        grids = FaultGrids(faults)
-        assert find_k_round_route(grids, repeated(xy(), 2), (0, 0), (3, 3)) is None
-        assert find_k_round_route(grids, repeated(xy(), 2), (3, 3), (0, 0)) is None
+        index = build_reach_index(FaultSet(m, [(0, 0)]), repeated(xy(), 2))
+        assert find_k_round_route(index, (0, 0), (3, 3)) is None
+        assert find_k_round_route(index, (3, 3), (0, 0)) is None

@@ -15,6 +15,7 @@ import threading
 import time
 from typing import Any, Awaitable, Callable, Dict, List, Tuple
 
+import numpy as np
 import pytest
 
 from repro.mesh import FaultSet, Mesh
@@ -428,6 +429,53 @@ class TestConcurrentMutations:
         assert source == "current"
         assert again.epoch == first.epoch
         assert compiler.metrics.compiles.value == 1
+
+    @pytest.mark.parametrize(
+        "orderings, budget, extra, base, delta, rung",
+        [
+            # (1, 0) and (0, 1) dead cut off the corner (0, 0): with a
+            # zero lamb budget the ladder quarantines it.
+            (repeated(xy(), 2), 0, 0, [(4, 4)], [(1, 0), (0, 1)],
+             "quarantined"),
+            # One round of XY needs many lambs for these faults; the
+            # budget forces k -> 2.
+            (repeated(xy(), 1), 2, 1, [], [(3, 3), (4, 4)],
+             "escalated_rounds"),
+        ],
+        ids=["quarantine", "k-escalation"],
+    )
+    def test_degraded_delta_routes_like_fresh_compile(
+        self, orderings, budget, extra, base, delta, rung
+    ):
+        """A delta the ladder answers by quarantine or k-escalation
+        carries no routing state over from the base epoch: every pooled
+        pair routes exactly as in a from-scratch compile of the same
+        faults."""
+        mesh = Mesh((8, 8))
+
+        def compiler() -> ReconfigurationCompiler:
+            return ReconfigurationCompiler(
+                mesh, orderings, lamb_budget=budget, max_extra_rounds=extra
+            )
+
+        incremental = compiler()
+        incremental.compile(FaultSet(mesh, base))
+        after, source = incremental.apply_delta(node_faults=delta)
+        assert source == "compiled" and after.incremental
+        assert getattr(after, rung)
+        fresh, _ = compiler().compile(FaultSet(mesh, base + delta))
+        assert fresh.result.faults == after.result.faults
+        assert fresh.k == after.k
+        survivors = [
+            v for v in mesh.nodes() if after.result.is_survivor(v)
+        ]
+        rng = np.random.default_rng(4)
+        pool = [
+            (survivors[i], survivors[j])
+            for i, j in rng.integers(len(survivors), size=(60, 2))
+        ]
+        for v, w in pool:
+            assert after.table.lookup(v, w) == fresh.table.lookup(v, w)
 
     def test_timed_out_compile_is_drained_not_orphaned(self):
         """A compile that outlives the request deadline keeps running

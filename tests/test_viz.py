@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.core import find_lamb_set, find_ses_partition
+from repro.core import build_reach_index, find_lamb_set, find_ses_partition
 from repro.mesh import FaultSet, Mesh
-from repro.routing import FaultGrids, find_k_round_route, repeated, xy
+from repro.routing import find_k_round_route, repeated, xy
 from repro.viz import render_lambs, render_mesh, render_partition, render_route
 
 
@@ -69,7 +69,7 @@ class TestRenderRoute:
     def test_route_markers(self, paper_faults):
         orderings = repeated(xy(), 2)
         paths = find_k_round_route(
-            FaultGrids(paper_faults), orderings, (0, 1), (9, 2)
+            build_reach_index(paper_faults, orderings), (0, 1), (9, 2)
         )
         text = render_route(paper_faults, paths, axes=False)
         assert "S" in text and "D" in text and "X" in text
