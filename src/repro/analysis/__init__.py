@@ -1,21 +1,10 @@
 """Analytic models: blocking probabilities and executable proofs."""
 
-from .availability import (
-    capacity_from_events,
-    capacity_timeline,
-    effective_utilization,
-    young_interval,
-)
 from .blocking import (
     expected_one_round_reachable_fraction,
     expected_pair_survival,
     expected_route_length,
     route_survival_probability,
-)
-from .latency_models import (
-    store_and_forward_latency,
-    two_round_detour_overhead,
-    wormhole_latency,
 )
 from .theorem31 import (
     disjointness_holds,
@@ -35,11 +24,4 @@ __all__ = [
     "disjointness_holds",
     "route_hits_fault",
     "simulated_one_round_lower_bound",
-    "wormhole_latency",
-    "store_and_forward_latency",
-    "two_round_detour_overhead",
-    "young_interval",
-    "effective_utilization",
-    "capacity_timeline",
-    "capacity_from_events",
 ]

@@ -8,14 +8,18 @@
 - ``chaos``       live-fault chaos run: mid-flight fault injection with
   rollback/reconfigure epochs and graceful degradation
 - ``figure``      regenerate one of the paper's figures
+- ``experiments`` regenerate EXPERIMENTS.md (optionally in parallel)
+- ``reliability`` Monte Carlo availability campaign with a
+  Wilson-bounded SLO verdict
 - ``reconfigure`` replay fault epochs from a JSON script
-- ``collective``  run a collective among the survivors
 - ``worked-example``  print the Section 5 artifacts (Tables 1-2, Λ)
 - ``analyze``     run the domain lint suite over Python sources
 - ``prove``       statically prove a routing configuration deadlock-free
   (channel-dependency-graph acyclicity)
 - ``serve``       run the reconfiguration control plane (asyncio TCP
   route-query service with a content-addressed compile cache)
+- ``loadgen``     drive mixed query/delta traffic at a running server
+  and report latency percentiles and queries/s
 - ``query``       resolve routes / fetch stats from a running server
 - ``stats``       run the seeded telemetry smoke and print the unified
   metrics registry (Prometheus / JSON / NDJSON)
@@ -432,39 +436,6 @@ def cmd_reconfigure(args) -> int:
         with open(args.out, "w") as fh:
             fh.write(dumps(lamb_outcome_to_dict(mgr.current.result)))
         print(f"wrote {args.out}")
-    return 0
-
-
-def cmd_collective(args) -> int:
-    from .collectives import (
-        binomial_broadcast,
-        binomial_gather,
-        linear_alltoone,
-        recursive_doubling_allgather,
-        ring_allgather,
-        run_collective,
-    )
-    from .core import find_lamb_set
-
-    faults = _build_faults(args)
-    orderings = _orderings(args, faults.mesh.d)
-    result = find_lamb_set(faults, orderings)
-    survivors = result.survivors()
-    p = min(args.ranks, len(survivors)) if args.ranks else len(survivors)
-    builders = {
-        "broadcast": lambda: binomial_broadcast(p, flits=args.flits),
-        "gather": lambda: binomial_gather(p, flits=args.flits),
-        "allgather": lambda: recursive_doubling_allgather(p, flits=args.flits),
-        "ring-allgather": lambda: ring_allgather(p, flits=args.flits),
-        "all-to-one": lambda: linear_alltoone(p, flits=args.flits),
-    }
-    sched = builders[args.algorithm]()
-    stats = run_collective(result, sched, survivors[:p], seed=args.seed)
-    print(f"{args.algorithm} over {p} ranks on {faults.mesh} "
-          f"({faults.f} faults, {result.size} lambs)")
-    print(f"phases {stats.num_phases} | messages {stats.total_messages} | "
-          f"makespan {stats.makespan_cycles} cycles")
-    print(f"per-phase cycles: {stats.phase_cycles}")
     return 0
 
 
@@ -1139,20 +1110,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("script", help="JSON: {mesh, rounds?, epochs: [...]}")
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(fn=cmd_reconfigure)
-
-    p = sub.add_parser("collective", help="run a collective among survivors")
-    _add_fault_args(p)
-    p.add_argument("--rounds", type=int, default=2)
-    p.add_argument(
-        "--algorithm",
-        choices=("broadcast", "gather", "allgather", "ring-allgather",
-                 "all-to-one"),
-        default="allgather",
-    )
-    p.add_argument("--ranks", type=int, default=0,
-                   help="participant count (default: all survivors)")
-    p.add_argument("--flits", type=int, default=8)
-    p.set_defaults(fn=cmd_collective)
 
     p = sub.add_parser("worked-example", help="print the Section 5 artifacts")
     p.set_defaults(fn=cmd_worked_example)

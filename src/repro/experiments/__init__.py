@@ -14,10 +14,7 @@ from .figures import (
     fig26,
     section3_one_vs_two_rounds,
 )
-from .chaos_experiments import (
-    fault_arrival_sweep,
-    reconfiguration_latency_sweep,
-)
+from .chaos_experiments import fault_arrival_sweep
 from .harness import SweepResult, TrialSeries, default_trials, lamb_trials
 from .link_faults import link_fault_sweep, link_vs_node_conversion
 from .parallel import (
@@ -68,7 +65,6 @@ __all__ = [
     "lambs_must_route",
     "CascadeResult",
     "fault_arrival_sweep",
-    "reconfiguration_latency_sweep",
     "render_sweep",
     "render_matrix",
     "sweep_to_markdown",

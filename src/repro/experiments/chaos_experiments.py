@@ -3,22 +3,18 @@
 The paper reconfigures for a *static* fault set; the chaos engine
 replays the full deployment loop — faults arriving mid-flight,
 checkpoint/rollback epochs, retries with backoff, quarantine as the
-last rung of the degradation ladder.  These sweeps measure what that
+last rung of the degradation ladder.  This sweep measures what that
 robustness costs:
 
 - :func:`fault_arrival_sweep` — delivered / retried-then-delivered /
   aborted counts and latency (with and without retry time) as the
-  number of mid-flight fault events grows;
-- :func:`reconfiguration_latency_sweep` — wall-clock seconds per
-  rollback epoch (the lamb pipeline re-run) vs. cumulative fault
-  count, i.e. how fast the machine comes back after each event.
+  number of mid-flight fault events grows.
 
 Each trial is a fully seeded, self-contained
-:func:`repro.wormhole.seeded_chaos_run`, so both sweeps fan their
+:func:`repro.wormhole.seeded_chaos_run`, so the sweep fans its
 trials over the :class:`repro.experiments.parallel.TrialEngine`
 (``jobs=`` / ``REPRO_JOBS``) with bit-identical counts and cycle
-statistics; only the wall-clock ``epoch_seconds`` keys vary run to
-run.
+statistics.
 """
 
 from __future__ import annotations
@@ -29,7 +25,7 @@ from ..wormhole.chaos import seeded_chaos_run
 from .harness import SweepResult, TrialSeries, default_trials
 from .parallel import resolve_engine
 
-__all__ = ["fault_arrival_sweep", "reconfiguration_latency_sweep"]
+__all__ = ["fault_arrival_sweep"]
 
 
 def _fate_trial(payload: Dict[str, Any], t: int) -> Dict[str, float]:
@@ -117,68 +113,3 @@ def fault_arrival_sweep(
             engine.close()
     return out
 
-
-def _reconfig_trial(payload: Dict[str, Any], t: int) -> Dict[str, float]:
-    """One reconfiguration-latency trial."""
-    events = payload["events"]
-    report = seeded_chaos_run(
-        widths=payload["widths"],
-        initial_faults=payload["initial_faults"],
-        num_messages=payload["num_messages"],
-        num_events=events,
-        seed=(payload["seed"] * 1_000_003 + 104_729 * events + t),
-        cycle_span=payload["cycle_span"],
-    )
-    secs = [e.result.timings["total"] for e in report.epochs]
-    return {
-        "epoch_seconds": sum(secs) / len(secs),
-        "worst_epoch_seconds": max(secs),
-        "final_lambs": report.epochs[-1].num_lambs,
-        "degraded_epochs": sum(1 for e in report.epochs if e.degraded),
-    }
-
-
-def reconfiguration_latency_sweep(
-    event_counts: Sequence[int] = (1, 2, 4, 6),
-    trials: int = 0,
-    seed: int = 0,
-    widths: Tuple[int, ...] = (8, 8),
-    initial_faults: int = 2,
-    num_messages: int = 60,
-    cycle_span: Tuple[int, int] = (20, 260),
-    jobs: Optional[int] = None,
-) -> SweepResult:
-    """Rollback-epoch latency vs. fault arrival count.
-
-    Records the mean and worst wall-clock seconds of the lamb pipeline
-    per reconfiguration epoch (``epoch_seconds``), the final lamb
-    count, and how many epochs degraded (escalated rounds or
-    quarantine).
-    """
-    trials = trials or default_trials(5)
-    out = SweepResult(
-        figure="chaos-reconfig-latency",
-        description=f"rollback-epoch cost vs. fault events, "
-        f"{'x'.join(str(w) for w in widths)} mesh",
-        x_label="fault events",
-        meta={"trials": trials},
-    )
-    engine, owned = resolve_engine(jobs)
-    try:
-        for events in event_counts:
-            payload = {
-                "events": events,
-                "widths": tuple(widths),
-                "initial_faults": initial_faults,
-                "num_messages": num_messages,
-                "seed": seed,
-                "cycle_span": tuple(cycle_span),
-            }
-            series = TrialSeries(x=events)
-            for row in engine.run_trials(_reconfig_trial, trials, payload):
-                series.add(**row)
-            out.series.append(series)
-    finally:
-        if owned:
-            engine.close()
-    return out

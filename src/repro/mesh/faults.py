@@ -236,6 +236,8 @@ def random_link_faults(
     separate directed fault in ``F_L``, so ``|F_L| = 2 * count`` and
     ``f = 2 * count``.
     """
+    if count < 0:
+        raise ValueError(f"cannot draw a negative number of link faults: {count}")
     all_links: List[Link] = list(mesh.links())
     if bidirectional:
         undirected = sorted({tuple(sorted((u, v))) for u, v in all_links})

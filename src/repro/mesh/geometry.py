@@ -216,6 +216,8 @@ class Mesh:
         ``exclude`` removes candidates before sampling (used, e.g., to
         sample sources/destinations that avoid faults and lambs).
         """
+        if count < 0:
+            raise ValueError(f"cannot sample a negative number of nodes: {count}")
         excluded = {self.index_of(v) for v in exclude}
         available = self.num_nodes - len(excluded)
         if count > available:

@@ -67,8 +67,7 @@ def gray_code_ring(d: int) -> List[int]:
 
     Consecutive addresses differ in one bit, so the ring embeds in the
     hypercube with dilation 1 — the standard way to run ring
-    collectives (e.g. :func:`repro.collectives.ring_allgather`) on a
-    hypercube machine.
+    collectives on a hypercube machine.
     """
     if d < 1:
         raise ValueError("d must be >= 1")

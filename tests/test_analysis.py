@@ -132,42 +132,6 @@ class TestTheorem31Apparatus:
         assert 4000 <= sim <= 8000
 
 
-class TestLatencyModels:
-    def test_formulas(self):
-        from repro.analysis import store_and_forward_latency, wormhole_latency
-
-        assert wormhole_latency(10, 16) == 25
-        assert wormhole_latency(0, 16) == 0
-        assert store_and_forward_latency(10, 16) == 160
-        with pytest.raises(ValueError):
-            wormhole_latency(-1, 4)
-        with pytest.raises(ValueError):
-            store_and_forward_latency(2, 0)
-
-    def test_wormhole_model_matches_simulator(self):
-        """Uncontended simulator latency equals hops + flits - 1."""
-        from repro.analysis import wormhole_latency
-        from repro.mesh import FaultSet
-        from repro.routing import repeated, xy
-        from repro.wormhole import WormholeSimulator
-
-        mesh = Mesh((10, 10))
-        for (src, dst, flits) in (((0, 0), (7, 4), 6), ((9, 9), (2, 3), 1)):
-            sim = WormholeSimulator(FaultSet(mesh), repeated(xy(), 2))
-            msg = sim.send(src, dst, num_flits=flits)
-            sim.run()
-            assert msg.latency == wormhole_latency(msg.num_hops, flits)
-
-    def test_detour_overhead(self):
-        from repro.analysis import two_round_detour_overhead
-
-        mesh = Mesh((10, 10))
-        # Intermediate on the geodesic: zero overhead.
-        assert two_round_detour_overhead(mesh, (0, 0), (5, 5), (3, 2), 8) == 0
-        # Off-geodesic intermediate costs exactly the extra hops.
-        assert two_round_detour_overhead(mesh, (0, 0), (5, 5), (9, 0), 8) == 8
-
-
 class TestConditionedFraction:
     def test_conditioning_raises_probability(self):
         mesh = Mesh((10, 10))

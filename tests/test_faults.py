@@ -178,6 +178,21 @@ class TestRandomGenerators:
         with pytest.raises(ValueError):
             random_link_faults(Mesh((2, 2)), 100, np.random.default_rng(0))
 
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda m, n, rng: random_node_faults(m, n, rng),
+            lambda m, n, rng: random_link_faults(m, n, rng),
+            lambda m, n, rng: random_link_faults(m, n, rng, bidirectional=True),
+        ],
+        ids=["node", "link-directed", "link-bidirectional"],
+    )
+    def test_negative_count_rejected_zero_allowed(self, draw):
+        m = Mesh((4, 4))
+        with pytest.raises(ValueError, match="negative.*-1"):
+            draw(m, -1, np.random.default_rng(0))
+        assert draw(m, 0, np.random.default_rng(0)).f == 0
+
 
 class TestPatterns:
     def test_rectangular_block(self):

@@ -1,12 +1,10 @@
 """Tests for structured fault patterns (repro.mesh.patterns) and the
-geometry/partition/link-fault experiment modules."""
+link-fault experiment module."""
 
 import numpy as np
 import pytest
 
-from repro.experiments.fault_geometry import fault_geometry_sweep
 from repro.experiments.link_faults import link_fault_sweep, link_vs_node_conversion
-from repro.experiments.partition_ablation import partition_ablation_sweep
 from repro.mesh import FaultSet, Mesh
 from repro.mesh.patterns import (
     clustered_faults,
@@ -88,17 +86,6 @@ class TestGenerators:
 
 
 class TestExperimentModules:
-    def test_fault_geometry_sweep_smoke(self):
-        r = fault_geometry_sweep(Mesh.square(2, 10), (4, 8), trials=2)
-        assert len(r.series) == 2
-        assert {"lambs_uniform", "lambs_clustered"} <= set(r.series[0].values)
-
-    def test_partition_ablation_smoke(self):
-        r = partition_ablation_sweep(Mesh.square(2, 8), (2, 5), trials=2)
-        for s in r.series:
-            assert s.avg("rect_ses") >= s.avg("exact_sec")
-            assert s.avg("ses_overhead") >= 1.0
-
     def test_link_fault_sweep_smoke(self):
         r = link_fault_sweep(Mesh.square(2, 10), percents=(1.0, 3.0), trials=2)
         assert len(r.series) == 2

@@ -24,13 +24,19 @@ def fresh_sim(widths=(8, 8), fault_nodes=(), k=2, **kw):
 
 class TestSingleMessage:
     def test_latency_formula(self):
-        """An uncontended message takes hops + flits - 1 cycles... plus
-        one for the end-of-cycle delivery convention."""
-        sim = fresh_sim()
-        msg = sim.send((0, 0), (3, 0), num_flits=4)
-        stats = sim.run()
-        assert stats.delivered == 1
-        assert msg.latency == 3 + 4 - 1  # pipelining
+        """An uncontended message takes hops + flits - 1 cycles
+        (pipelining), on straight and multi-dimension two-round routes."""
+        for widths, src, dst, flits in (
+            ((8, 8), (0, 0), (3, 0), 4),
+            ((10, 10), (0, 0), (7, 4), 6),
+            ((10, 10), (9, 9), (2, 3), 1),
+        ):
+            sim = fresh_sim(widths=widths)
+            msg = sim.send(src, dst, num_flits=flits)
+            stats = sim.run()
+            assert stats.delivered == 1
+            assert msg.num_hops == sum(abs(a - b) for a, b in zip(src, dst))
+            assert msg.latency == msg.num_hops + flits - 1
 
     def test_single_flit_single_hop(self):
         sim = fresh_sim()
