@@ -8,30 +8,30 @@ install:
 	pip install -e . --no-build-isolation
 
 test:
-	$(PYTHON) -m pytest tests/
+	PYTHONPATH=src $(PYTHON) -m pytest tests/
 
 test-fast:
-	$(PYTHON) -m pytest tests/ -x -q -p no:warnings
+	PYTHONPATH=src $(PYTHON) -m pytest tests/ -x -q -p no:warnings
 
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # Machine-readable perf subset -> BENCH_<date>.json (commit the file
 # to arm the CI perf gate; see docs/performance.md).
 bench-json:
-	$(PYTHON) benchmarks/bench_to_json.py
+	PYTHONPATH=src $(PYTHON) benchmarks/bench_to_json.py
 
 # Compare a fresh run against the latest committed BENCH_*.json;
 # fails on a >25% wall-clock regression on the same host.
 bench-check:
-	$(PYTHON) benchmarks/bench_to_json.py --check
+	PYTHONPATH=src $(PYTHON) benchmarks/bench_to_json.py --check
 
 # Regenerate EXPERIMENTS.md (REPRO_TRIALS=1000 for paper-scale stats).
 experiments:
-	$(PYTHON) -m repro.experiments.generate EXPERIMENTS.md
+	PYTHONPATH=src $(PYTHON) -m repro.experiments.generate EXPERIMENTS.md
 
 examples:
-	@for e in examples/*.py; do echo "== $$e"; $(PYTHON) $$e || exit 1; done
+	@for e in examples/*.py; do echo "== $$e"; PYTHONPATH=src $(PYTHON) $$e || exit 1; done
 
 # Seeded end-to-end smokes: `make NAME-smoke` runs one entry of
 # repro.smoke.SMOKES twice in fresh interpreters, diffs the artifacts

@@ -28,7 +28,7 @@ routing function can produce uses ``c2`` immediately after ``c1``:
 
 Channels whose link or endpoint is faulty are excluded: no route is
 ever materialized across them
-(:meth:`repro.wormhole.VirtualNetwork.validate_hop` is the dynamic
+(:meth:`repro.wormhole.VirtualNetwork.admit_route` is the dynamic
 counterpart of this pruning).
 
 If the graph is acyclic the configuration is deadlock-free for *any*

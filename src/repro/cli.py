@@ -94,14 +94,30 @@ def _add_fault_args(p: argparse.ArgumentParser) -> None:
                    help="mesh spec, e.g. 32x32x32 or torus:8x8")
     p.add_argument("--faults", type=int, default=0,
                    help="number of random node faults")
-    p.add_argument("--percent", type=float, default=0.0,
-                   help="random node faults as %% of N")
+    p.add_argument("--percent", type=float, default=None,
+                   help="random node faults as %% of N, in (0, 100]")
     p.add_argument("--fault", type=_parse_node, action="append", default=[],
                    help="explicit faulty node (repeatable), e.g. --fault 9,1")
     p.add_argument("--seed", type=int, default=0,
                    help="RNG seed for random faults")
     p.add_argument("--load", type=str, default=None,
                    help="load a fault-set JSON instead")
+
+
+def _check_fault_counts(parser: argparse.ArgumentParser, args) -> None:
+    """Reject random-fault counts no mesh can hold as usage errors
+    (exit 2) instead of tracebacks from the fault generators."""
+    if not hasattr(args, "percent"):
+        return  # the command takes no random-fault arguments
+    if args.faults < 0:
+        parser.error(f"argument --faults: must be >= 0, got {args.faults}")
+    mesh = args.mesh
+    if mesh is not None and args.faults > mesh.num_nodes:
+        parser.error(f"argument --faults: {args.faults} exceeds the "
+                     f"{mesh.num_nodes} nodes of {mesh}")
+    if args.percent is not None and not 0 < args.percent <= 100:
+        parser.error(f"argument --percent: must be in (0, 100], "
+                     f"got {args.percent:g}")
 
 
 def _build_faults(args):
@@ -1337,6 +1353,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _check_fault_counts(parser, args)
     return args.fn(args)
 
 

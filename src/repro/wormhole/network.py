@@ -6,32 +6,32 @@ the time its head flit is routed onto it until its tail flit has
 crossed it; each resource also has a small downstream flit buffer and
 a bandwidth of one flit per cycle.
 
-Hot-path note: every per-cycle operation is O(1) on plain dict lookups
-keyed by precomputed :data:`ResourceKey` tuples.  The simulator's
-inner loop uses the ``*_key`` variants with the per-message hop-key
-arrays (:attr:`repro.wormhole.Message.hop_keys`) so no tuples are
-rebuilt per flit per cycle; the hop-taking methods are thin wrappers
-kept for validation, diagnostics and tests.  Per-cycle link bandwidth
-is tracked with a cycle *stamp* table instead of a set that is cleared
-each cycle, so ``new_cycle`` is O(1) regardless of how many channels
-moved flits.
+Hot-path note: each ``(src, dst, vc)`` resource is interned once, on
+first use, into a dense integer id, and the network's whole state is
+three flat lists indexed by that id — :attr:`VirtualNetwork.owners`,
+:attr:`VirtualNetwork.occupancy` and :attr:`VirtualNetwork.used_at`.
+Interning grows with the resources touched, never with the mesh.
+:meth:`VirtualNetwork.admit_route` validates a whole route in one pass
+and returns its id list, which the simulator keeps on the message
+(:attr:`repro.wormhole.Message.hop_ids`); the flit kernel then reads
+and writes the lists directly, with no tuple hashing and no method
+call per flit.  Per-cycle link bandwidth is a cycle *stamp*: resource
+``r`` was used this cycle iff ``used_at[r] == stamp``, so
+:meth:`VirtualNetwork.new_cycle` is O(1).  The hop-taking methods are
+thin wrappers over the same lists, kept for diagnostics and tests.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..mesh.faults import FaultSet
-from ..mesh.geometry import Node
+from ..mesh.geometry import Link, Node
 from .packets import Hop
 
 __all__ = ["ResourceKey", "VirtualNetwork"]
 
 ResourceKey = Tuple[Node, Node, int]  # (src, dst, vc)
-
-
-def _key(hop: Hop) -> ResourceKey:
-    return (hop.src, hop.dst, hop.vc)
 
 
 class VirtualNetwork:
@@ -41,12 +41,21 @@ class VirtualNetwork:
     ----------
     faults:
         Fault set; routing over a faulty node or link is rejected at
-        hop validation time (routes are supposed to be fault-free by
+        route admission (routes are supposed to be fault-free by
         construction — this is a safety net, not a routing layer).
     num_vcs:
         Number of virtual channels per physical link.
     buffer_flits:
         Downstream buffer capacity per resource, in flits.
+
+    Attributes
+    ----------
+    owners, occupancy, used_at:
+        Per resource id: the owning message id (None = free), the
+        flits in its downstream buffer, and the last cycle stamp that
+        moved a flit over it.
+    stamp:
+        The current cycle stamp.
     """
 
     def __init__(self, faults: FaultSet, num_vcs: int, buffer_flits: int = 2):
@@ -54,41 +63,86 @@ class VirtualNetwork:
             raise ValueError("need at least one virtual channel")
         if buffer_flits < 1:
             raise ValueError("need at least one flit of buffering")
-        self.faults = faults
         self.mesh = faults.mesh
         self.num_vcs = num_vcs
         self.buffer_flits = buffer_flits
-        self._owner: Dict[ResourceKey, int] = {}
-        self._occupancy: Dict[ResourceKey, int] = {}
-        # Cycle-stamp table: channel ``k`` was used this cycle iff
-        # ``_used_stamp[k] == _stamp``.  ``new_cycle`` just bumps the
-        # stamp — O(1) instead of clearing a set.
-        self._used_stamp: Dict[ResourceKey, int] = {}
-        self._stamp: int = 0
+        self._ids: Dict[ResourceKey, int] = {}
+        self._keys: List[ResourceKey] = []
+        self.owners: List[Optional[int]] = []
+        self.occupancy: List[int] = []
+        self.used_at: List[int] = []
+        self.stamp = 0
+        self._set_faults(faults)
+
+    def _set_faults(self, faults: FaultSet) -> None:
+        self.faults = faults
+        self._dead_nodes: FrozenSet[Node] = frozenset(faults.node_faults)
+        self._dead_links: FrozenSet[Link] = frozenset(faults.link_faults)
 
     # ------------------------------------------------------------------
+    def _intern(self, key: ResourceKey) -> int:
+        """The id of resource ``key``, allocated on first use.  Only
+        real resources get an id — a VC in range on a mesh link — and
+        both stay real: the mesh is fixed and VCs only grow."""
+        rid = self._ids.get(key)
+        if rid is not None:
+            return rid
+        src, dst, vc = key
+        if vc < 0 or vc >= self.num_vcs:
+            raise ValueError(f"hop uses VC {vc}, have {self.num_vcs}")
+        if not self.mesh.are_adjacent(src, dst):
+            raise ValueError(f"hop {src} -> {dst} is not a link")
+        rid = len(self._keys)
+        self._ids[key] = rid
+        self._keys.append(key)
+        self.owners.append(None)
+        self.occupancy.append(0)
+        self.used_at.append(-1)
+        return rid
+
+    def resource_key(self, rid: int) -> ResourceKey:
+        """The ``(src, dst, vc)`` resource behind id ``rid``."""
+        return self._keys[rid]
+
+    def admit_route(self, hops: Iterable[Hop]) -> List[int]:
+        """Validate a route and return its resource ids, one per hop.
+
+        Rejects, with ValueError and in this order, a hop on an unknown
+        VC, a hop that is not a mesh link, one that touches a faulty
+        node and one over a faulty directed link.
+        """
+        ids = self._ids
+        dead = self._dead_nodes
+        dead_links = self._dead_links
+        out: List[int] = []
+        for hop in hops:
+            src = hop.src
+            dst = hop.dst
+            rid = ids.get((src, dst, hop.vc))
+            if rid is None:
+                rid = self._intern((src, dst, hop.vc))
+            if src in dead or dst in dead:
+                raise ValueError(f"hop {src} -> {dst} touches a faulty node")
+            if (src, dst) in dead_links:
+                raise ValueError(f"hop {src} -> {dst} uses a faulty link")
+            out.append(rid)
+        return out
+
     def validate_hop(self, hop: Hop) -> None:
-        """Reject hops that use faulty hardware or unknown VCs."""
-        if hop.vc < 0 or hop.vc >= self.num_vcs:
-            raise ValueError(f"hop uses VC {hop.vc}, have {self.num_vcs}")
-        if not self.mesh.are_adjacent(hop.src, hop.dst):
-            raise ValueError(f"hop {hop.src} -> {hop.dst} is not a link")
-        if self.faults.node_is_faulty(hop.src) or self.faults.node_is_faulty(hop.dst):
-            raise ValueError(f"hop {hop.src} -> {hop.dst} touches a faulty node")
-        if self.faults.link_is_faulty(hop.src, hop.dst):
-            raise ValueError(f"hop {hop.src} -> {hop.dst} uses a faulty link")
+        """Reject a hop that uses faulty hardware or an unknown VC."""
+        self.admit_route((hop,))
 
     # ------------------------------------------------------------------
     def apply_faults(self, faults: FaultSet) -> None:
         """Swap in a grown fault set (live-fault epoch).
 
-        Future ``validate_hop`` calls see the new state; in-flight
-        state is untouched — the simulator is responsible for aborting
-        and draining messages whose acquired paths now cross a fault.
+        Future admissions see the new state; in-flight state is
+        untouched — the simulator is responsible for aborting and
+        draining messages whose acquired paths now cross a fault.
         """
         if faults.mesh != self.mesh:
             raise ValueError("live faults must live in the same mesh")
-        self.faults = faults
+        self._set_faults(faults)
 
     def grow_vcs(self, num_vcs: int) -> None:
         """Raise the VC count (degradation ladder: escalating k rounds
@@ -101,92 +155,73 @@ class VirtualNetwork:
     def release_message(self, msg_id: int) -> int:
         """Force-release every resource owned by ``msg_id`` (abort /
         drain path).  Returns the number of resources released."""
-        mine = [key for key, owner in self._owner.items() if owner == msg_id]
-        for key in mine:
-            del self._owner[key]
-        return len(mine)
-
-    def drop_buffer_flit(self, hop: Hop) -> None:
-        """Discard one buffered flit of an aborted message (alias of
-        :meth:`buffer_pop` kept distinct for intent)."""
-        self.buffer_pop(hop)
+        owners = self.owners
+        released = 0
+        for rid, owner in enumerate(owners):
+            if owner == msg_id:
+                owners[rid] = None
+                released += 1
+        return released
 
     def owned_resources(self, msg_id: int) -> Set[ResourceKey]:
         """All (link, VC) resources currently owned by ``msg_id``
         (watchdog diagnostics)."""
-        return {key for key, owner in self._owner.items() if owner == msg_id}
+        keys = self._keys
+        return {keys[rid] for rid, owner in enumerate(self.owners)
+                if owner == msg_id}
+
+    def is_idle(self) -> bool:
+        """No resource is owned and no buffer holds a flit."""
+        return not any(self.occupancy) and all(
+            owner is None for owner in self.owners
+        )
 
     # ------------------------------------------------------------------
-    # Key-based fast path (the simulator inner loop)
+    # Hop-based wrappers (diagnostics, tests)
     # ------------------------------------------------------------------
-    def owner_key(self, key: ResourceKey) -> Optional[int]:
-        return self._owner.get(key)
+    def _rid(self, hop: Hop) -> int:
+        return self._intern((hop.src, hop.dst, hop.vc))
 
-    def try_acquire_key(self, key: ResourceKey, msg_id: int) -> bool:
-        holder = self._owner.get(key)
-        if holder is None:
-            self._owner[key] = msg_id
-            return True
-        return holder == msg_id
-
-    def release_key(self, key: ResourceKey, msg_id: int) -> None:
-        if self._owner.get(key) != msg_id:
-            raise RuntimeError(f"message {msg_id} does not own {key}")
-        del self._owner[key]
-
-    def buffer_has_space_key(self, key: ResourceKey) -> bool:
-        return self._occupancy.get(key, 0) < self.buffer_flits
-
-    def buffer_push_key(self, key: ResourceKey) -> None:
-        n = self._occupancy.get(key, 0)
-        if n >= self.buffer_flits:
-            raise RuntimeError(f"buffer overflow on {key}")
-        self._occupancy[key] = n + 1
-
-    def buffer_pop_key(self, key: ResourceKey) -> None:
-        n = self._occupancy.get(key, 0)
-        if n <= 0:
-            raise RuntimeError(f"buffer underflow on {key}")
-        if n == 1:
-            del self._occupancy[key]
-        else:
-            self._occupancy[key] = n - 1
-
-    def channel_free_key(self, key: ResourceKey) -> bool:
-        return self._used_stamp.get(key, -1) != self._stamp
-
-    def mark_used_key(self, key: ResourceKey) -> None:
-        self._used_stamp[key] = self._stamp
-
-    # ------------------------------------------------------------------
-    # Hop-based wrappers (validation, diagnostics, tests)
-    # ------------------------------------------------------------------
     def owner(self, hop: Hop) -> Optional[int]:
-        return self.owner_key(_key(hop))
+        return self.owners[self._rid(hop)]
 
     def try_acquire(self, hop: Hop, msg_id: int) -> bool:
         """Acquire the resource for ``msg_id`` if free."""
-        return self.try_acquire_key(_key(hop), msg_id)
+        rid = self._rid(hop)
+        holder = self.owners[rid]
+        if holder is None:
+            self.owners[rid] = msg_id
+            return True
+        return holder == msg_id
 
     def release(self, hop: Hop, msg_id: int) -> None:
-        self.release_key(_key(hop), msg_id)
+        rid = self._rid(hop)
+        if self.owners[rid] != msg_id:
+            raise RuntimeError(
+                f"message {msg_id} does not own {self._keys[rid]}"
+            )
+        self.owners[rid] = None
 
-    # ------------------------------------------------------------------
     def buffer_has_space(self, hop: Hop) -> bool:
-        return self.buffer_has_space_key(_key(hop))
+        return self.occupancy[self._rid(hop)] < self.buffer_flits
 
     def buffer_push(self, hop: Hop) -> None:
-        self.buffer_push_key(_key(hop))
+        rid = self._rid(hop)
+        if self.occupancy[rid] >= self.buffer_flits:
+            raise RuntimeError(f"buffer overflow on {self._keys[rid]}")
+        self.occupancy[rid] += 1
 
     def buffer_pop(self, hop: Hop) -> None:
-        self.buffer_pop_key(_key(hop))
+        rid = self._rid(hop)
+        if self.occupancy[rid] <= 0:
+            raise RuntimeError(f"buffer underflow on {self._keys[rid]}")
+        self.occupancy[rid] -= 1
 
-    # ------------------------------------------------------------------
     def channel_free_this_cycle(self, hop: Hop) -> bool:
-        return self.channel_free_key(_key(hop))
+        return self.used_at[self._rid(hop)] != self.stamp
 
     def mark_channel_used(self, hop: Hop) -> None:
-        self.mark_used_key(_key(hop))
+        self.used_at[self._rid(hop)] = self.stamp
 
     def new_cycle(self) -> None:
-        self._stamp += 1
+        self.stamp += 1

@@ -11,7 +11,7 @@ exactly the paper's deadlock-avoidance discipline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..mesh.geometry import Node
 
@@ -52,7 +52,6 @@ class Message:
     hops: List[Hop]
     inject_cycle: int
     flit_pos: List[int] = field(default_factory=list)
-    owned_upto: int = -1  # highest hop index whose (link, vc) we hold
     delivered_flits: int = 0
     deliver_cycle: Optional[int] = None
     # --- live-fault (chaos) lifecycle --------------------------------
@@ -60,14 +59,12 @@ class Message:
     abort_cycle: Optional[int] = None
     abort_reason: Optional[str] = None
     first_inject_cycle: int = -1  # original injection (pre-retry)
-    # Cached (src, dst, vc) resource keys for the current ``hops`` list
-    # (the simulator's hot-path dict keys; see :attr:`hop_keys`).
-    _hop_keys: Optional[List[Tuple[Node, Node, int]]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _hop_keys_for: Optional[List[Hop]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    # Resource ids of ``hops`` in the simulator's network, one per hop
+    # (:meth:`repro.wormhole.VirtualNetwork.admit_route`): the indices
+    # the flit kernel reads the network's flat state lists with.  The
+    # simulator sets them with every route it assigns.
+    hop_ids: List[int] = field(default_factory=list, repr=False,
+                               compare=False)
 
     def __post_init__(self) -> None:
         if self.num_flits < 1:
@@ -80,22 +77,6 @@ class Message:
     @property
     def num_hops(self) -> int:
         return len(self.hops)
-
-    @property
-    def hop_keys(self) -> List[Tuple[Node, Node, int]]:
-        """Precomputed ``(src, dst, vc)`` resource keys, one per hop.
-
-        These are the O(1) dict keys the simulator's inner loop hands
-        to :class:`repro.wormhole.network.VirtualNetwork`'s ``*_key``
-        methods, so no tuples are rebuilt per flit per cycle.  The
-        cache is keyed on the *identity* of :attr:`hops`: routes are
-        only ever replaced wholesale (retry / pre-injection re-route),
-        never mutated in place, so an ``is`` check is sufficient.
-        """
-        if self._hop_keys_for is not self.hops:
-            self._hop_keys = [(h.src, h.dst, h.vc) for h in self.hops]
-            self._hop_keys_for = self.hops
-        return self._hop_keys
 
     @property
     def head_pos(self) -> int:
@@ -124,10 +105,14 @@ class Message:
     def was_retried(self) -> bool:
         return self.attempts > 1
 
-    def reset_for_retry(self, hops: List[Hop], inject_cycle: int) -> None:
-        """Re-arm the message on a fresh route after a live-fault abort
-        (all flits back at the source, nothing delivered)."""
+    def reset_for_retry(
+        self, hops: List[Hop], hop_ids: List[int], inject_cycle: int
+    ) -> None:
+        """Re-arm the message on a fresh route (and its resource ids)
+        after a live-fault abort (all flits back at the source, nothing
+        delivered)."""
         self.hops = hops
+        self.hop_ids = hop_ids
         self.inject_cycle = int(inject_cycle)
         self.flit_pos = [-1] * self.num_flits
         self.delivered_flits = 0

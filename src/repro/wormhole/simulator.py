@@ -28,7 +28,7 @@ Two cycle-exact step engines are provided:
     The event-driven fast path.  Messages waiting for a future
     injection cycle sit in a heap; messages whose head is blocked on
     a (link, VC) resource held by another message — or on a full
-    downstream buffer — are *parked* on those resource keys and only
+    downstream buffer — are *parked* on those resources and only
     re-enter the per-cycle agenda when the blocking resource is
     released or its buffer is popped.  Visits of blocked messages
     have no side effects (a head acquires a resource only when it
@@ -90,7 +90,7 @@ from .deadlock import (
     find_deadlock_cycle,
     snapshot_stalls,
 )
-from .network import ResourceKey, VirtualNetwork
+from .network import VirtualNetwork
 from .packets import Hop, Message
 from .stats import SimStats
 from .trace import SYSTEM_MSG_ID, TraceEvent, Tracer
@@ -110,6 +110,9 @@ ABORT_QUARANTINED = "quarantined"
 SIM_ENGINES = ("frontier", "scan")
 
 _MISSING = object()  # route-cache sentinel (None is a cached miss)
+
+#: A materialized route: its VC-annotated hops and their resource ids.
+Route = Tuple[List[Hop], List[int]]
 
 
 class WormholeSimulator:
@@ -216,7 +219,7 @@ class WormholeSimulator:
         self.fault_events_applied = 0
         # --- route cache ----------------------------------------------
         self._route_cache_enabled = bool(route_cache)
-        self._route_cache: Dict[Tuple[Node, Node], Optional[List[Hop]]] = {}
+        self._route_cache: Dict[Tuple[Node, Node], Optional[Route]] = {}
         self.routing_epoch = 0
         # Lamb1's phases 1-2 for the current epoch, built on its first
         # route miss (routes need no lamb set, so no WVC).
@@ -227,12 +230,12 @@ class WormholeSimulator:
         self._pending: List[Tuple[int, int]] = []
         # Messages visited every cycle (potentially able to move).
         self._runnable: Set[int] = set()
-        # msg_id -> resource keys it is parked on; woken when any of
+        # msg_id -> resource ids it is parked on; woken when any of
         # them is released or has a flit popped from its buffer.
-        self._parked: Dict[int, List[ResourceKey]] = {}
-        # resource key -> msg_ids parked on it (may hold stale
-        # entries; filtered against _parked on wake).
-        self._waiters: Dict[ResourceKey, List[int]] = {}
+        self._parked: Dict[int, List[int]] = {}
+        # resource id -> msg_ids parked on it (may hold stale entries;
+        # filtered against _parked on wake).
+        self._waiters: Dict[int, List[int]] = {}
         # O(1) drain check: count of delivered-or-aborted messages.
         self._finished_count = 0
         # Current cycle's arbitration agenda (sorted (inject, id)
@@ -290,6 +293,12 @@ class WormholeSimulator:
         known-dead hardware.  Hits skip validation and rng tie-break
         draws (the cached route already passed both).
         """
+        route = self._route(src, dst)
+        return None if route is None else route[0]
+
+    def _route(self, src: Node, dst: Node) -> Optional[Route]:
+        """:meth:`build_hops` plus the hops' resource ids, admitted by
+        the network in one pass."""
         if self._route_cache_enabled:
             cached = self._route_cache.get((src, dst), _MISSING)
             if cached is not _MISSING:
@@ -308,11 +317,10 @@ class WormholeSimulator:
             vc = self._vc_of_round(t)
             for u, v in zip(path, path[1:]):
                 hops.append(Hop(tuple(u), tuple(v), vc))
-        for hop in hops:
-            self.net.validate_hop(hop)
+        route = (hops, self.net.admit_route(hops))
         if self._route_cache_enabled:
-            self._route_cache[(src, dst)] = hops
-        return hops
+            self._route_cache[(src, dst)] = route
+        return route
 
     def _invalidate_routes(self) -> None:
         """New routing epoch: faults grew or the ordering changed.  The
@@ -335,12 +343,12 @@ class WormholeSimulator:
         src = tuple(int(x) for x in src)
         dst = tuple(int(x) for x in dst)
         if hops is None:
-            hops = self.build_hops(src, dst)
-            if hops is None:
+            route = self._route(src, dst)
+            if route is None:
                 raise ValueError(f"{dst} is not k-round reachable from {src}")
+            hops, hop_ids = route
         else:
-            for hop in hops:
-                self.net.validate_hop(hop)
+            hop_ids = self.net.admit_route(hops)
         when = self.cycle if inject_cycle is None else int(inject_cycle)
         if when < self.cycle:
             raise ValueError("cannot inject in the past")
@@ -351,6 +359,7 @@ class WormholeSimulator:
             num_flits=int(num_flits),
             hops=hops,
             inject_cycle=when,
+            hop_ids=hop_ids,
         )
         self._next_id += 1
         if not hops:  # src == dst: delivered without entering the network
@@ -448,7 +457,7 @@ class WormholeSimulator:
         for m in victims:
             self._redispatch(m)
         # Teardown force-released resources and dropped buffered flits
-        # without per-key wake notifications, victims changed their
+        # without per-resource wake notifications, victims changed their
         # inject cycles, and the reconfiguration hook may have sent
         # fresh messages: rebuild the frontier conservatively.
         self._rebuild_frontier()
@@ -473,7 +482,7 @@ class WormholeSimulator:
         hardware would sink them via the fault-adjacent routers)."""
         for pos in m.flit_pos:
             if 0 <= pos < m.num_hops - 1:
-                self.net.drop_buffer_flit(m.hops[pos])
+                self.net.buffer_pop(m.hops[pos])
         self.net.release_message(m.msg_id)
 
     def _redispatch(self, m: Message) -> None:
@@ -488,9 +497,10 @@ class WormholeSimulator:
         entered = m.head_pos >= 0
         if entered and (m.attempts - 1) >= self.max_retries:
             return self._abort(m, ABORT_RETRY_BUDGET)
-        hops = self.build_hops(m.source, m.dest)
-        if hops is None:
+        route = self._route(m.source, m.dest)
+        if route is None:
             return self._abort(m, ABORT_UNREACHABLE)
+        hops, hop_ids = route
         if entered:
             # The message was mid-flight: charge a retry and back off
             # exponentially before re-entering the network.
@@ -500,7 +510,7 @@ class WormholeSimulator:
                     TraceEvent(self.cycle, "abort", m.msg_id,
                                src=m.source, dst=m.dest, reason="retry")
                 )
-            m.reset_for_retry(hops, self.cycle + delay)
+            m.reset_for_retry(hops, hop_ids, self.cycle + delay)
             self.retry_events += 1
             if self.tracer is not None:
                 self.tracer.record(
@@ -511,6 +521,7 @@ class WormholeSimulator:
             # Still queued at the source: re-route silently (the NIC
             # just swaps the route before first injection).
             m.hops = hops
+            m.hop_ids = hop_ids
             m.inject_cycle = max(m.inject_cycle, self.cycle)
             if self.tracer is not None:
                 self.tracer.record(
@@ -558,25 +569,20 @@ class WormholeSimulator:
         heapq.heapify(pending)
         self._pending = pending
 
-    def _wake_key(self, key: ResourceKey) -> None:
-        """A resource was released or had a buffered flit popped:
-        unpark every message waiting on it.  If the current cycle's
-        arbitration has not yet passed the woken message's slot, it is
-        inserted into the live agenda (matching the scan engine's
-        snapshot visit order); otherwise it runs from the next cycle.
-        Spurious wake-ups are harmless — a visit that cannot move any
-        flit has no side effects."""
-        waiters = self._waiters
-        if not waiters:
-            return
-        lst = waiters.pop(key, None)
-        if lst is None:
-            return
+    def _wake_key(self, rid: int) -> None:
+        """Resource ``rid`` was released or had a buffered flit popped
+        and has waiters: unpark every message waiting on it.  If the
+        current cycle's arbitration has not yet passed the woken
+        message's slot, it is inserted into the live agenda (matching
+        the scan engine's snapshot visit order); otherwise it runs from
+        the next cycle.  Spurious wake-ups are harmless — a visit that
+        cannot move any flit has no side effects."""
+        lst = self._waiters.pop(rid)
         parked = self._parked
         agenda = self._agenda
         for mid in lst:
             if parked.pop(mid, None) is None:
-                continue  # stale entry: already woken via another key
+                continue  # stale entry: already woken via another resource
             m = self.messages[mid]
             if m.is_finished:
                 continue
@@ -587,36 +593,35 @@ class WormholeSimulator:
                 if sk > self._agenda_cur_key:
                     insort(agenda, sk)
 
-    def _park_keys(self, m: Message) -> Optional[List[ResourceKey]]:
-        """Resource keys a zero-move message should wait on, or None
-        if it must stay runnable (its blocker is transient, i.e. only
-        this cycle's bandwidth).
+    def _park_keys(self, m: Message) -> Optional[List[int]]:
+        """Resource ids a zero-move message should wait on, or None if
+        it must stay runnable (its blocker is transient, i.e. only this
+        cycle's bandwidth).
 
         The head is parked on its next hop's resource when that is
         held by another message (woken by release) or its downstream
         buffer is full (woken by a buffer pop — the buffer may hold
         straggling tail flits of a previous owner).  Body flits with a
         gap ahead can additionally be stuck behind such straggler-full
-        buffers mid-route, so those keys are collected too.  All other
-        blockers resolve by themselves next cycle, so the message
+        buffers mid-route, so those resources are collected too.  All
+        other blockers resolve by themselves next cycle, so the message
         stays runnable; uncertain cases also stay runnable (safe,
         merely a wasted visit)."""
         fp = m.flit_pos
-        last = m.num_hops - 1
+        ids = m.hop_ids
+        last = len(ids) - 1
         nxt = fp[0] + 1
         if nxt > last:
             return None  # head ejected: trailing drain, stay runnable
-        keys = m.hop_keys
-        net = self.net
-        head_key = keys[nxt]
-        holder = net.owner_key(head_key)
+        occupancy = self.net.occupancy
+        cap = self.net.buffer_flits
+        head = ids[nxt]
+        holder = self.net.owners[head]
         if holder == m.msg_id:
             return None  # defensive: should have moved
-        if holder is None and (
-            nxt == last or net.buffer_has_space_key(head_key)
-        ):
+        if holder is None and (nxt == last or occupancy[head] < cap):
             return None  # only blocked by this cycle's bandwidth
-        wait = [head_key]
+        wait = [head]
         for f in range(1, m.num_flits):
             pos = fp[f]
             b = pos + 1
@@ -628,10 +633,9 @@ class WormholeSimulator:
                 continue  # no gap: waits on its predecessor (internal)
             if b == last:
                 return None  # defensive: ejection always possible
-            bkey = keys[b]
-            if net.buffer_has_space_key(bkey):
+            if occupancy[ids[b]] < cap:
                 return None  # defensive: should have moved
-            wait.append(bkey)
+            wait.append(ids[b])
         return wait
 
     # ------------------------------------------------------------------
@@ -652,76 +656,93 @@ class WormholeSimulator:
         """Move every flit of ``m`` that can move this cycle (head
         first, then body flits in order — each over a distinct hop, so
         per-message ordering is conflict-free).  Returns the number of
-        flits that moved.  Shared by both engines."""
+        flits that moved.  Shared by both engines.
+
+        The network's flat state lists are bound as locals and indexed
+        by the message's resource ids; the only calls per flit are the
+        wake-ups of resources that have waiters, and tracing."""
         net = self.net
+        owners = net.owners
+        occupancy = net.occupancy
+        used_at = net.used_at
+        stamp = net.stamp
+        cap = net.buffer_flits
+        waiters = self._waiters
         fp = m.flit_pos
-        keys = m.hop_keys
-        hops = m.hops
-        last = m.num_hops - 1
+        ids = m.hop_ids
+        last = len(ids) - 1
         mid = m.msg_id
-        num_flits = m.num_flits
+        tail = m.num_flits - 1
         tracer = self.tracer
-        channel_free = net.channel_free_key
-        owner_of = net.owner_key
-        has_space = net.buffer_has_space_key
         moved = 0
-        for f in range(num_flits):
+        # Flits eject in order, so the first ``delivered_flits`` are
+        # gone and every later one has a hop left to cross.
+        first = m.delivered_flits
+        for f in range(first, tail + 1):
             pos = fp[f]
             nxt = pos + 1
-            if nxt > last:
-                continue  # flit already ejected at the destination
-            if f > 0 and fp[f - 1] < nxt:
+            if f > first and fp[f - 1] < nxt:
                 if pos < 0:
                     break  # this and all later flits still queued
                 continue  # cannot pass the preceding flit
-            key = keys[nxt]
-            if not channel_free(key):
+            rid = ids[nxt]
+            if used_at[rid] == stamp:
                 continue  # resource bandwidth spent this cycle
+            # The head can always eject at the final hop; anywhere else
+            # a full downstream buffer blocks the move, so the push
+            # below never overflows.
+            if nxt != last and occupancy[rid] >= cap:
+                continue
             if f == 0:
-                if nxt != last and not has_space(key):
-                    # Head can always eject at the final hop.
-                    continue
-                holder = owner_of(key)
+                holder = owners[rid]
                 if holder is None:
-                    net.try_acquire_key(key, mid)
+                    owners[rid] = mid
                     if tracer is not None:
-                        hop = hops[nxt]
+                        hop = m.hops[nxt]
                         tracer.record(
                             TraceEvent(self.cycle, "acquire", mid,
                                        src=hop.src, dst=hop.dst, vc=hop.vc)
                         )
                 elif holder != mid:
                     continue  # held by another message
-            else:
-                if owner_of(key) != mid:
-                    continue  # released under us? cannot happen
-                if nxt != last and not has_space(key):
-                    continue
+            elif owners[rid] != mid:
+                continue  # released under us? cannot happen
             # Move: leave the old buffer (if we were in one), enter
             # the new.
-            net.mark_used_key(key)
-            if 0 <= pos < last:
-                pkey = keys[pos]
-                net.buffer_pop_key(pkey)
-                self._wake_key(pkey)
+            used_at[rid] = stamp
+            if pos >= 0:
+                pid = ids[pos]
+                n = occupancy[pid]
+                if n <= 0:
+                    raise RuntimeError(
+                        f"buffer underflow on {net.resource_key(pid)}"
+                    )
+                occupancy[pid] = n - 1
+                if pid in waiters:
+                    self._wake_key(pid)
             if nxt != last:
-                net.buffer_push_key(key)
+                occupancy[rid] += 1
             else:
                 m.delivered_flits += 1
             fp[f] = nxt
             moved += 1
             if tracer is not None:
-                hop = hops[nxt]
+                hop = m.hops[nxt]
                 tracer.record(
                     TraceEvent(self.cycle, "flit", mid, flit=f,
                                src=hop.src, dst=hop.dst, vc=hop.vc)
                 )
             # Tail crossed hop `nxt`: release it.
-            if f == num_flits - 1:
-                net.release_key(key, mid)
-                self._wake_key(key)
+            if f == tail:
+                if owners[rid] != mid:
+                    raise RuntimeError(
+                        f"message {mid} does not own {net.resource_key(rid)}"
+                    )
+                owners[rid] = None
+                if rid in waiters:
+                    self._wake_key(rid)
                 if tracer is not None:
-                    hop = hops[nxt]
+                    hop = m.hops[nxt]
                     tracer.record(
                         TraceEvent(self.cycle, "release", mid,
                                    src=hop.src, dst=hop.dst, vc=hop.vc)

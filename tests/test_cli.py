@@ -33,6 +33,25 @@ class TestLambCommand:
         assert code == 0
         assert "faults 5" in out  # 2% of 256 = 5.12 -> 5
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--faults", "-3"], "argument --faults: must be >= 0, got -3"),
+        (["--faults", "65"], "argument --faults: 65 exceeds the 64 nodes"),
+        (["--percent", "-5"], "argument --percent: must be in (0, 100]"),
+        (["--percent", "0"], "argument --percent: must be in (0, 100]"),
+        (["--percent", "150"], "argument --percent: must be in (0, 100]"),
+    ])
+    def test_rejects_impossible_fault_counts(self, capsys, flags, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["lamb", "--mesh", "8x8", *flags])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_accepts_boundary_fault_counts(self, capsys):
+        code, out = run(["lamb", "--mesh", "4x4", "--faults", "0"], capsys)
+        assert code == 0 and "faults 0" in out
+        code, out = run(["lamb", "--mesh", "4x4", "--percent", "100"], capsys)
+        assert code == 0 and "faults 16" in out
+
     def test_render(self, capsys):
         code, out = run(
             ["lamb", "--mesh", "8x8", "--fault", "3,3", "--render"], capsys

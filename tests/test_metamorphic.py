@@ -170,8 +170,7 @@ class TestWormholeConservation:
         for inj in uniform_random_traffic(endpoints, 50, rng, num_flits=5):
             sim.send(inj.source, inj.dest, inj.num_flits, inj.inject_cycle)
         sim.run()
-        assert not sim.net._owner
-        assert not sim.net._occupancy
+        assert sim.net.is_idle()
         delivered_flits = sum(
             m.num_flits for m in sim.messages.values() if m.is_delivered
         )

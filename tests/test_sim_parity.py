@@ -9,13 +9,16 @@ counts and deadlock diagnostics on seeded scenarios — including the
 chaos abort/drain/retry paths.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.core.lamb import find_lamb_set
 from repro.mesh import Mesh, random_node_faults
 from repro.mesh.faults import FaultSet
 from repro.routing import repeated, xy
-from repro.wormhole.chaos import seeded_chaos_run
+from repro.wormhole.chaos import FaultEvent, FaultSchedule, seeded_chaos_run
 from repro.wormhole.deadlock import DeadlockError
 import repro.wormhole.simulator as simulator_module
 from repro.wormhole.packets import Hop
@@ -94,6 +97,95 @@ class TestGoldenStats:
         a, _ = self._run("scan")
         b, _ = self._run("frontier")
         assert a == b
+
+
+def _workload_scale_run(engine, *, live=False, buffer_flits=2, seed=23):
+    """The ``sim_uniform`` shape: M2(32), 31 seeded node faults, 48
+    64-flit messages between Lamb1 survivors with Poisson(1) arrivals
+    per cycle.  ``live`` adds a fault schedule that kills busy central
+    nodes and two directed links while worms are in flight.  Returns
+    the SHA-256 of the full trace stream plus the ``SimStats``, and the
+    simulator."""
+    mesh = Mesh.square(2, 32)
+    orderings = repeated(xy(), 2)
+    rng = np.random.default_rng(seed)
+    faults = random_node_faults(mesh, 31, rng)
+    survivors = find_lamb_set(faults, orderings).survivors()
+    traffic = []
+    cycle = 0
+    while len(traffic) < 48:
+        for _ in range(int(rng.poisson(1.0))):
+            if len(traffic) == 48:
+                break
+            a = int(rng.integers(len(survivors)))
+            b = int(rng.integers(len(survivors) - 1))
+            b += b >= a
+            traffic.append((survivors[a], survivors[b], cycle))
+        cycle += 1
+    schedule = None
+    if live:
+        alive = set(survivors)
+        central = [(x, y) for x in range(12, 20) for y in range(12, 20)
+                   if (x, y) in alive]
+        schedule = FaultSchedule([
+            FaultEvent(40, node_faults=central[0:3]),
+            FaultEvent(90, node_faults=central[30:32],
+                       link_faults=[((16, 4), (16, 5)), ((8, 20), (9, 20))]),
+            FaultEvent(140, node_faults=central[50:52]),
+        ])
+    tracer = Tracer()
+    sim = WormholeSimulator(faults, orderings, buffer_flits=buffer_flits,
+                            seed=seed, engine=engine, tracer=tracer,
+                            schedule=schedule)
+    for src, dst, when in traffic:
+        sim.send(src, dst, 64, when)
+    stats = sim.run()
+    h = hashlib.sha256()
+    for e in tracer.events:
+        h.update(repr((e.cycle, e.kind, e.msg_id, e.flit, e.src, e.dst,
+                       e.vc, e.reason)).encode())
+    h.update(repr(stats).encode())
+    return h.hexdigest(), sim
+
+
+class TestWorkloadScaleGolden:
+    """Digests recorded from the tuple-keyed kernel before the flat
+    resource-id rewrite, at ``sim_uniform``'s scale.  Both engines share
+    ``_advance_message``, so engine parity alone cannot catch a kernel
+    bug; these pins can."""
+
+    # scenario -> (trace+stats digest, frontier park_events, wake_events)
+    GOLDEN = {
+        "uniform": (
+            "148eb3bac377cde99c768b6967017d15d5f1bc71b5202cb78496dd9df0f878d4",
+            1053, 1053),
+        "live-faults": (
+            "817f312267f27d204c136115475803421ea2e64bcb4b62b6c76f61d6c87bd64d",
+            1105, 1081),
+        "buffer-1": (
+            "d76964e6edfcf8e17735b92dae65f256f5687c526475c0b01d0e2f1a24e5d9dc",
+            1238, 1238),
+    }
+    SCENARIOS = {
+        "uniform": {},
+        "live-faults": {"live": True},
+        "buffer-1": {"buffer_flits": 1},
+    }
+
+    @pytest.mark.parametrize("engine", SIM_ENGINES)
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_digest(self, engine, scenario):
+        digest, sim = _workload_scale_run(engine, **self.SCENARIOS[scenario])
+        want, parks, wakes = self.GOLDEN[scenario]
+        assert digest == want
+        if engine == "frontier":
+            assert (sim.park_events, sim.wake_events) == (parks, wakes)
+
+    def test_live_faults_tear_worms_mid_flight(self):
+        _, sim = _workload_scale_run("frontier", live=True)
+        stats = sim.stats()
+        assert stats.total_retries == 8
+        assert stats.abort_reasons == (("endpoint-failed", 1),)
 
 
 class TestCycleExactParity:
@@ -320,12 +412,20 @@ class TestDeterminism:
         assert len(best) == len(rest) == 24  # equal-size tie, pinned
 
 
-class TestHopKeys:
-    def test_cached_and_invalidated_on_route_swap(self):
+class TestHopIds:
+    def test_rebuilt_when_retry_swaps_route(self):
+        """A live fault tears the worm out and ``reset_for_retry``
+        re-arms it on a detour: its resource ids must follow the new
+        route, not keep indexing the dead one."""
         sim = TestRouteCache()._sim()
-        m = sim.send((0, 0), (4, 2), num_flits=2)
-        keys = m.hop_keys
-        assert keys is m.hop_keys  # cached per hops identity
-        assert keys == [(h.src, h.dst, h.vc) for h in m.hops]
-        m.reset_for_retry(sim.build_hops((0, 0), (4, 2)), inject_cycle=5)
-        assert m.hop_keys == [(h.src, h.dst, h.vc) for h in m.hops]
+        m = sim.send((0, 0), (5, 0), num_flits=16)
+        assert m.hop_ids == sim.net.admit_route(m.hops)
+        old_hops, old_ids = m.hops, m.hop_ids
+        for _ in range(3):
+            sim.step()
+        sim.inject_faults(node_faults=[(3, 0)])
+        assert m.was_retried and m.hops != old_hops
+        assert m.hop_ids != old_ids
+        assert m.hop_ids == sim.net.admit_route(m.hops)
+        assert sim.run().delivered == 1
+        assert sim.net.is_idle()

@@ -45,6 +45,61 @@ class TestValidation:
             net.validate_hop(Hop((0, 0), (0, 1), 0))
         net.validate_hop(Hop((0, 1), (0, 0), 0))  # reverse direction fine
 
+    @pytest.mark.parametrize("src, dst", [
+        ((0, 7), (0, 8)),        # destination outside M2(8)
+        ((-1, 0), (0, 0)),       # source outside M2(8)
+        ((0, 0, 0), (0, 0, 1)),  # 3-D nodes on a 2-D mesh
+        ((0, 0), (0, 0, 1)),     # mixed arity
+    ])
+    def test_rejects_out_of_mesh_and_wrong_arity(self, src, dst):
+        net = VirtualNetwork(FaultSet(Mesh((8, 8))), num_vcs=1)
+        with pytest.raises(ValueError, match="is not a link"):
+            net.validate_hop(Hop(src, dst, 0))
+        with pytest.raises(ValueError, match="is not a link"):
+            net.admit_route([Hop((0, 0), (0, 1), 0), Hop(src, dst, 0)])
+
+    def test_rejects_after_apply_faults(self):
+        """A hop admitted (and interned) before a live fault must be
+        rejected once the fault set grows: node and directed link."""
+        m = Mesh((4, 4))
+        net = VirtualNetwork(FaultSet(m), num_vcs=1)
+        node_hop = Hop((1, 0), (1, 1), 0)
+        link_hop = Hop((0, 0), (0, 1), 0)
+        reverse = Hop((0, 1), (0, 0), 0)
+        ids = net.admit_route([node_hop, link_hop, reverse])
+        net.apply_faults(FaultSet(m, [(1, 1)], [((0, 0), (0, 1))]))
+        with pytest.raises(ValueError, match="touches a faulty node"):
+            net.validate_hop(node_hop)
+        with pytest.raises(ValueError, match="uses a faulty link"):
+            net.validate_hop(link_hop)
+        assert net.admit_route([reverse]) == ids[2:]
+
+    def test_admit_route_returns_stable_ids(self):
+        net = make_net()
+        route = [Hop((0, 0), (0, 1), 0), Hop((0, 1), (1, 1), 1)]
+        ids = net.admit_route(route)
+        assert len(set(ids)) == 2
+        assert net.admit_route(route) == ids
+        assert [net.resource_key(i) for i in ids] == [
+            (h.src, h.dst, h.vc) for h in route
+        ]
+
+    def test_send_rejects_bad_explicit_hops(self):
+        from repro.routing import repeated, xy
+        from repro.wormhole import WormholeSimulator
+
+        faults = FaultSet(Mesh((4, 4)), [(2, 2)])
+        sim = WormholeSimulator(faults, repeated(xy(), 2))
+        bad = {
+            "uses VC 2, have 2": Hop((0, 0), (0, 1), 2),
+            "is not a link": Hop((0, 0), (1, 1), 0),
+            "touches a faulty node": Hop((2, 1), (2, 2), 0),
+        }
+        for message, hop in bad.items():
+            with pytest.raises(ValueError, match=message):
+                sim.send((0, 0), (0, 1), hops=[hop])
+        assert not sim.messages
+
     def test_constructor_validation(self):
         m = Mesh((4, 4))
         with pytest.raises(ValueError):
