@@ -81,6 +81,11 @@ class RoutingTable:
     # ------------------------------------------------------------------
     def lookup(self, source: Sequence[int], dest: Sequence[int]) -> RouteEntry:
         """The route entry for a survivor pair (computed on demand)."""
+        try:
+            # A caller passing int tuples hits with no conversion.
+            return self._entries[(source, dest)]
+        except (KeyError, TypeError):  # a miss, or unhashable sequences
+            pass
         source = tuple(int(x) for x in source)
         dest = tuple(int(x) for x in dest)
         key = (source, dest)

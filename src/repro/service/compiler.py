@@ -54,6 +54,7 @@ from ..mesh.serialization import (
     routing_table_from_dict,
     routing_table_to_dict,
 )
+from ..obs.metrics import Histogram
 from ..routing.ordering import KRoundOrdering
 from .errors import CompileError, MalformedRequestError, StaleEpochError
 from .errors import ServiceError, ServiceUnavailableError
@@ -175,6 +176,10 @@ class ReconfigurationCompiler:
         #: these land in the registry's structured slow-op log.
         self.slow_compile_seconds = float(slow_compile_seconds)
         self.slow_query_seconds = float(slow_query_seconds)
+        #: ``op_seconds{op="service.query"}``, resolved on the first
+        #: query (not here, so the series appears exactly when
+        #: ``slow_op`` would have created it).
+        self._query_op_seconds: Optional[Histogram] = None
         self._live: Dict[str, CompiledArtifact] = {}
         self._current: Optional[CompiledArtifact] = None
         self._next_epoch = 0
@@ -324,10 +329,21 @@ class ReconfigurationCompiler:
             raise ServiceError(str(exc))
         elapsed = time.perf_counter() - t0
         self.metrics.query_latency.observe(elapsed)
-        self.metrics.registry.slow_op(
-            "service.query", elapsed,
-            threshold=self.slow_query_seconds, epoch=current.epoch,
-        )
+        if elapsed < self.slow_query_seconds:
+            # slow_op's own fast branch, minus its per-call series lookup.
+            op_seconds = self._query_op_seconds
+            if op_seconds is None:
+                op_seconds = self._query_op_seconds = (
+                    self.metrics.registry.histogram(
+                        "op_seconds", op="service.query"
+                    )
+                )
+            op_seconds.observe(elapsed)
+        else:
+            self.metrics.registry.slow_op(
+                "service.query", elapsed,
+                threshold=self.slow_query_seconds, epoch=current.epoch,
+            )
         return entry
 
     # ------------------------------------------------------------------

@@ -88,8 +88,10 @@ class RouteQueryServer:
         Bind address; ``port=0`` picks an ephemeral port (read
         :attr:`port` after :meth:`start`).
     request_timeout:
-        Per-request deadline in seconds; an expired request gets a
-        typed ``request-timeout`` reply instead of a hung connection.
+        Deadline in seconds for ``compile`` and ``delta``, the ops that
+        wait on a worker thread; an expired one gets a typed
+        ``request-timeout`` reply instead of a hung connection.  Read
+        ops are answered inline and need no deadline.
     drain_timeout:
         How long :meth:`stop` waits for in-flight work before cutting
         connections loose.
@@ -263,16 +265,14 @@ class RouteQueryServer:
                 writer.write(_encode(self._error_obj(None, decode_error)))
                 await writer.drain()
                 continue
-            shutdown = False
-            for req in requests:
-                reply, is_shutdown = await self._reply_for(req)
-                writer.write(_encode(reply))
-                shutdown = shutdown or is_shutdown
+            replies, shutdown = await self._replies_for(requests)
+            writer.write(b"".join(_encode(reply) for reply in replies))
             await writer.drain()  # one flush per batch
             if shutdown:
                 assert self._shutdown_event is not None
                 self._shutdown_event.set()
                 return
+            await asyncio.sleep(0)  # one yield per message (fairness)
 
     async def _read_line(
         self, reader: asyncio.StreamReader, pending: bytes
@@ -352,18 +352,14 @@ class RouteQueryServer:
                 self._write_frame(writer, self._error_obj(None, decode_error))
                 await writer.drain()
                 continue
-            shutdown = False
-            replies: List[Dict[str, Any]] = []
-            for req in requests:
-                reply, is_shutdown = await self._reply_for(req)
-                replies.append(reply)
-                shutdown = shutdown or is_shutdown
+            replies, shutdown = await self._replies_for(requests)
             self._write_frame(writer, replies if is_batch else replies[0])
             await writer.drain()
             if shutdown:
                 assert self._shutdown_event is not None
                 self._shutdown_event.set()
                 return
+            await asyncio.sleep(0)  # one yield per message (fairness)
 
     @staticmethod
     def _write_frame(writer: asyncio.StreamWriter, obj: Any) -> None:
@@ -395,66 +391,58 @@ class RouteQueryServer:
         return batch, is_batch, None
 
     # ------------------------------------------------------------------
-    async def _reply_for(
-        self, req: Dict[str, Any]
-    ) -> Tuple[Dict[str, Any], bool]:
-        """One reply object for one request (never raises)."""
-        req_id = req.get("id")
-        self.metrics.requests.inc()
-        op = req.get("op")
-        if not isinstance(op, str):
-            self.metrics.malformed_requests.inc()
-            return (
-                self._error_obj(
-                    req_id, MalformedRequestError("request is missing 'op'")
-                ),
-                False,
-            )
-        try:
-            body = await asyncio.wait_for(
-                self._handle(op, req), timeout=self.request_timeout
-            )
-        except asyncio.TimeoutError:
-            self.metrics.timeouts.inc()
-            return (
-                self._error_obj(
-                    req_id,
-                    RequestTimeoutError(
-                        f"'{op}' exceeded the server deadline of "
-                        f"{self.request_timeout}s"
-                    ),
-                ),
-                False,
-            )
-        except ServiceError as exc:
-            if isinstance(exc, MalformedRequestError):
-                self.metrics.malformed_requests.inc()
-            return self._error_obj(req_id, exc), False
-        except Exception as exc:  # defensive: typed even when surprised
-            return self._error_obj(req_id, ServiceError(str(exc))), False
-        self.metrics.replies_ok.inc()
-        reply = {"id": req_id, "ok": True}
-        reply.update(body)
-        return reply, op == "shutdown"
+    async def _replies_for(
+        self, requests: List[Dict[str, Any]]
+    ) -> Tuple[List[Dict[str, Any]], bool]:
+        """The replies to one message's requests, in order, and whether
+        one of them was ``shutdown`` (never raises).
+
+        Requests run in order against live state, so a ``delta`` bumps
+        the epoch for the requests behind it.  Only ``compile`` and
+        ``delta`` await (a worker thread), under ``request_timeout``;
+        every other op is a plain call that a deadline could never cut
+        short, so it is answered inline with no task or timer.
+        """
+        replies: List[Dict[str, Any]] = []
+        shutdown = False
+        for req in requests:
+            req_id = req.get("id")
+            self.metrics.requests.inc()
+            op = req.get("op")
+            try:
+                if op == "compile" or op == "delta":
+                    body = await self._handle_write(op, req)
+                else:
+                    body = self._handle_read(op, req)
+            except ServiceError as exc:
+                if isinstance(exc, MalformedRequestError):
+                    self.metrics.malformed_requests.inc()
+                replies.append(self._error_obj(req_id, exc))
+                continue
+            except Exception as exc:  # defensive: typed even when surprised
+                replies.append(self._error_obj(req_id, ServiceError(str(exc))))
+                continue
+            self.metrics.replies_ok.inc()
+            reply = {"id": req_id, "ok": True}
+            reply.update(body)
+            replies.append(reply)
+            shutdown = shutdown or op == "shutdown"
+        return replies, shutdown
 
     def _error_obj(self, req_id: Any, err: Exception) -> Dict[str, Any]:
         self.metrics.replies_error.inc()
         return {"id": req_id, "ok": False, "error": to_wire(err)}
 
     # ------------------------------------------------------------------
-    async def _handle(self, op: str, req: Dict[str, Any]) -> Dict[str, Any]:
+    def _handle_read(self, op: Any, req: Dict[str, Any]) -> Dict[str, Any]:
+        if op == "query":
+            return self._handle_query(req)
         if op == "ping":
             return {
                 "pong": True,
                 "epoch": self.compiler.current_epoch,
                 "wire_version": WIRE_VERSION,
             }
-        if op == "compile":
-            return await self._handle_compile(req)
-        if op == "delta":
-            return await self._handle_delta(req)
-        if op == "query":
-            return self._handle_query(req)
         if op == "stats":
             return {
                 "stats": self.metrics.snapshot(),
@@ -463,7 +451,26 @@ class RouteQueryServer:
             }
         if op == "shutdown":
             return {"draining": True}
+        if not isinstance(op, str):
+            raise MalformedRequestError("request is missing 'op'")
         raise UnknownOperationError(f"unknown operation {op!r}")
+
+    async def _handle_write(
+        self, op: str, req: Dict[str, Any]
+    ) -> Dict[str, Any]:
+        handler = (
+            self._handle_compile if op == "compile" else self._handle_delta
+        )
+        try:
+            return await asyncio.wait_for(
+                handler(req), timeout=self.request_timeout
+            )
+        except asyncio.TimeoutError:
+            self.metrics.timeouts.inc()
+            raise RequestTimeoutError(
+                f"'{op}' exceeded the server deadline of "
+                f"{self.request_timeout}s"
+            ) from None
 
     async def _handle_compile(self, req: Dict[str, Any]) -> Dict[str, Any]:
         if self._draining:
@@ -547,10 +554,11 @@ class RouteQueryServer:
         if epoch is not None and not isinstance(epoch, int):
             raise MalformedRequestError("'epoch' must be an integer")
         try:
-            src = tuple(int(x) for x in source)
-            dst = tuple(int(x) for x in dest)
+            src = tuple(map(int, source))
+            dst = tuple(map(int, dest))
         except (TypeError, ValueError) as exc:
             raise MalformedRequestError(f"bad coordinates: {exc}")
+        # Int tuples: the table lookup below converts nothing again.
         entry = self.compiler.route(src, dst, epoch=epoch)
         current = self.compiler.current
         assert current is not None  # route() guarantees

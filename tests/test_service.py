@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.mesh import FaultSet, Mesh
+from repro.mesh.serialization import faults_to_dict
 from repro.routing import ascending, repeated, xy
 from repro.service import (
     MalformedRequestError,
@@ -28,6 +29,8 @@ from repro.service import (
     ServiceUnavailableError,
     StaleEpochError,
 )
+from repro.service import server as server_module
+from repro.service import wire
 from repro.service.client import RouteQueryClient, raise_typed
 from repro.service.errors import from_wire
 from repro.service.server import RouteQueryServer
@@ -43,19 +46,26 @@ def _compiler(**kwargs: Any) -> ReconfigurationCompiler:
     return ReconfigurationCompiler(mesh, repeated(ascending(2), 2), **kwargs)
 
 
-def _survivor_pair(
+def _survivors(
     faults: FaultSet, compiled: Dict[str, Any]
-) -> Tuple[Tuple[int, int], Tuple[int, int]]:
-    """Two distinct survivor nodes usable as query endpoints."""
+) -> List[Tuple[int, int]]:
+    """The survivor nodes of a compile reply: usable query endpoints."""
     excluded = {
         tuple(v)
         for v in list(compiled["lamb_nodes"]) + list(compiled["quarantined"])
     }
-    survivors = [
+    return [
         v
         for v in faults.mesh.nodes()
         if not faults.node_is_faulty(v) and v not in excluded
     ]
+
+
+def _survivor_pair(
+    faults: FaultSet, compiled: Dict[str, Any]
+) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+    """Two distinct survivor nodes usable as query endpoints."""
+    survivors = _survivors(faults, compiled)
     return survivors[0], survivors[-1]
 
 
@@ -283,6 +293,213 @@ class TestMidBatchEpochBump:
             assert ids == sorted(ids)
 
         _with_service(scenario)
+
+
+# ----------------------------------------------------------------------
+# Inline reads: no task, timer or deadline per read request
+# ----------------------------------------------------------------------
+async def _exchange(
+    reader: asyncio.StreamReader,
+    writer: asyncio.StreamWriter,
+    codec: str,
+    message: Any,
+) -> Any:
+    """One message over raw streams (no client-side deadline); the
+    decoded reply, a list for a batch."""
+    body = wire.encode_payload(message)
+    if codec == "binary":
+        writer.write(wire.frame_header(len(body)) + body)
+        await writer.drain()
+        return wire.decode_payload(await wire.read_frame(reader))
+    writer.write(body + b"\n")
+    await writer.drain()
+    if isinstance(message, list):
+        return [json.loads(await reader.readline()) for _ in message]
+    return json.loads(await reader.readline())
+
+
+def _survivor_pairs(
+    faults: FaultSet, compiled: Dict[str, Any], count: int
+) -> List[Tuple[List[int], List[int]]]:
+    """``count`` distinct-endpoint survivor pairs, cycling the survivors."""
+    survivors = [list(v) for v in _survivors(faults, compiled)]
+    n = len(survivors)
+    return [(survivors[i % n], survivors[(i + 1) % n]) for i in range(count)]
+
+
+def _query_batch(
+    pairs: List[Tuple[List[int], List[int]]], epoch: int, first_id: int = 1
+) -> List[Dict[str, Any]]:
+    return [
+        {"id": first_id + i, "op": "query", "source": v, "dest": w,
+         "epoch": epoch}
+        for i, (v, w) in enumerate(pairs)
+    ]
+
+
+@pytest.mark.parametrize("codec", ["ndjson", "binary"])
+class TestInlineReads:
+    def test_reads_await_no_deadline_and_writes_exactly_one(
+        self, codec, monkeypatch
+    ):
+        """A 100-query batch runs no ``wait_for`` (no task, no timer);
+        a ``compile`` runs exactly one, its ``request_timeout``."""
+        faults = _base_faults()
+        calls: List[Any] = []
+        real_wait_for = server_module.asyncio.wait_for
+
+        def counting_wait_for(aw, *args, **kwargs):
+            calls.append(aw)
+            return real_wait_for(aw, *args, **kwargs)
+
+        async def scenario(client, server, compiler):
+            reader, writer = await asyncio.open_connection(
+                server.host, server.port
+            )
+            try:
+                monkeypatch.setattr(
+                    server_module.asyncio, "wait_for", counting_wait_for
+                )
+                compiled = await _exchange(reader, writer, codec, {
+                    "id": 0, "op": "compile",
+                    "faults": faults_to_dict(faults),
+                })
+                assert compiled["ok"] is True
+                assert len(calls) == 1
+                batch = _query_batch(
+                    _survivor_pairs(faults, compiled, 100), compiled["epoch"]
+                )
+                replies = await _exchange(reader, writer, codec, batch)
+                assert [r["ok"] for r in replies] == [True] * 100
+                assert [r["id"] for r in replies] == list(range(1, 101))
+                assert len(calls) == 1
+            finally:
+                monkeypatch.undo()
+                writer.close()
+                await writer.wait_closed()
+
+        _with_service(scenario)
+
+    def test_unknown_op_and_handler_crash_get_typed_replies_in_a_batch(
+        self, codec
+    ):
+        """Inside one batch, an unknown op gets ``unknown-operation``
+        and a handler raising an unexpected exception gets
+        ``service-error``; the requests around them are still served."""
+        faults = _base_faults()
+
+        async def scenario(client, server, compiler):
+            compiled = await client.compile(faults)
+            (v, w), (x, y) = _survivor_pairs(faults, compiled, 2)
+            real_route = compiler.route
+
+            def route(source, dest, epoch=None):
+                if list(source) == x:
+                    raise ZeroDivisionError("handler blew up")
+                return real_route(source, dest, epoch=epoch)
+
+            compiler.route = route  # type: ignore[method-assign]
+            reader, writer = await asyncio.open_connection(
+                server.host, server.port
+            )
+            try:
+                replies = await _exchange(reader, writer, codec, [
+                    {"id": 1, "op": "query", "source": v, "dest": w},
+                    {"id": 2, "op": "warp"},
+                    {"id": 3, "op": "query", "source": x, "dest": y},
+                    {"id": 4, "op": "ping"},
+                ])
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            assert [r["id"] for r in replies] == [1, 2, 3, 4]
+            assert [r["ok"] for r in replies] == [True, False, False, True]
+            assert replies[1]["error"]["code"] == "unknown-operation"
+            assert replies[2]["error"]["code"] == "service-error"
+            assert replies[2]["error"]["message"] == "handler blew up"
+            counters = server.metrics.snapshot()["counters"]
+            assert counters["replies_error"] == 2
+            assert counters["malformed_requests"] == 0
+
+        _with_service(scenario)
+
+
+class TestInlineReadTelemetry:
+    def test_slow_queries_log_through_the_cached_handle(self):
+        """``op_seconds{op="service.query"}`` is resolved once, on the
+        first query; with ``slow_query_seconds=0.0`` every query still
+        goes through ``slow_op``: a ``slow_ops_total`` bump and a
+        ``slow_op`` event carrying the epoch."""
+        faults = _base_faults()
+
+        async def scenario(client, server, compiler):
+            reg = compiler.metrics.registry
+            compiled = await client.compile(faults)
+            key = 'op_seconds{op="service.query"}'
+            assert key not in reg.snapshot()["histograms"]
+            pairs = _survivor_pairs(faults, compiled, 40)
+            # Fast branch first (the handle gets cached), then slow.
+            compiler.slow_query_seconds = 3600.0
+            await client.query_batch(pairs[:10], epoch=compiled["epoch"])
+            compiler.slow_query_seconds = 0.0
+            await client.query_batch(pairs[10:], epoch=compiled["epoch"])
+            return reg, compiled["epoch"]
+
+        reg, epoch = _with_service(scenario)
+        assert reg.histogram("op_seconds", op="service.query").total == 40
+        assert reg.counter("slow_ops_total", op="service.query").value == 30
+        slow = [
+            e for e in reg.events()
+            if e["kind"] == "slow_op" and e["op"] == "service.query"
+        ]
+        assert len(slow) == 30
+        assert {e["epoch"] for e in slow} == {epoch}
+        assert {e["threshold_s"] for e in slow} == {0.0}
+
+
+class TestFairness:
+    def test_ping_is_served_while_a_pipelined_stream_is_pending(self):
+        """A connection yields once per message: with 2,000 queries
+        pipelined on one connection as 20 batch frames, a second
+        connection's ``ping`` is answered before the stream is
+        through."""
+        faults = _base_faults()
+
+        async def scenario(client, server, compiler):
+            compiled = await client.compile(faults)
+            pairs = _survivor_pairs(faults, compiled, 100)
+            queries_before = compiler.metrics.queries.value
+            reader, writer = await asyncio.open_connection(
+                server.host, server.port, limit=wire.MAX_FRAME_BYTES
+            )
+            other = await RouteQueryClient.connect(
+                server.host, server.port, codec="binary"
+            )
+            try:
+                writer.write(b"".join(
+                    wire.encode_frame(_query_batch(
+                        pairs, compiled["epoch"], first_id=100 * k
+                    ))
+                    for k in range(20)
+                ))
+                pong = await other.ping(timeout=30.0)
+                served_at_pong = (
+                    compiler.metrics.queries.value - queries_before
+                )
+                replies = [
+                    wire.decode_payload(await wire.read_frame(reader))
+                    for _ in range(20)
+                ]
+            finally:
+                await other.close()
+                writer.close()
+                await writer.wait_closed()
+            assert pong["ok"] is True and pong["pong"] is True
+            assert all(r["ok"] for frame in replies for r in frame)
+            assert sum(len(frame) for frame in replies) == 2000
+            return served_at_pong
+
+        assert _with_service(scenario) < 2000
 
 
 class TestMalformedRequests:
