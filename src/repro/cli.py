@@ -18,13 +18,11 @@
   (channel-dependency-graph acyclicity)
 - ``serve``       run the reconfiguration control plane (asyncio TCP
   route-query service with a content-addressed compile cache)
-- ``loadgen``     drive mixed query/delta traffic at a running server
-  and report latency percentiles and queries/s
 - ``query``       resolve routes / fetch stats from a running server
 - ``stats``       run the seeded telemetry smoke and print the unified
   metrics registry (Prometheus / JSON / NDJSON)
 - ``smoke``       run seeded end-to-end smokes (``repro smoke
-  serve|shard|...``) twice each and check they agree and pass
+  serve|obs|...``) twice each and check they agree and pass
 - ``workflow``    list/run/resume declarative campaign presets with
   content-addressed checkpoint-resume (``workflow run chaos-campaign
   --store DIR`` survives a SIGKILL; ``workflow resume`` picks up from
@@ -51,7 +49,7 @@ Examples
     python -m repro analyze src/ tests/
     python -m repro prove --mesh 16x16 --faults 8 --rounds 2
     python -m repro serve --mesh 16x16 --faults 5 --seed 4 --port 7420
-    python -m repro smoke serve shard
+    python -m repro smoke serve obs
     python -m repro query --port 7420 --source 0,0 --dest 9,9
     python -m repro workflow run chaos-campaign --store /tmp/ckpt --json
     python -m repro workflow resume chaos-campaign --store /tmp/ckpt
@@ -578,9 +576,6 @@ def cmd_serve(args) -> int:
     from .service.metrics import ServiceMetrics
     from .service.server import RouteQueryServer
 
-    if args.shards:
-        return _serve_sharded(args)
-
     faults = _build_faults(args)
     mesh = faults.mesh
     orderings = repeated(ascending(mesh.d), args.rounds)
@@ -635,91 +630,6 @@ def cmd_serve(args) -> int:
         print(f"wrote {args.metrics_json}")
     _export_telemetry(args)
     return rc
-
-
-def _serve_sharded(args) -> int:
-    """``repro serve --shards N``: the replicated worker-pool plane."""
-    import asyncio
-
-    from .service.shard import ShardRouter
-
-    faults = _build_faults(args)
-    mesh = faults.mesh
-
-    async def _run() -> int:
-        router = ShardRouter(
-            dims=mesh.widths,
-            rounds=args.rounds,
-            num_shards=args.shards,
-            host=args.host,
-            port=args.port,
-            store_root=args.store,
-            request_timeout=args.request_timeout,
-            verify=args.verify,
-        )
-        host, port = await router.start()
-        client = await router.client()
-        compiled = await client.compile(faults, timeout=300.0)
-        await client.close()
-        print(
-            f"serving {mesh} on {host}:{port} | {args.shards} shard "
-            f"workers | epoch {compiled['epoch']} digest "
-            f"{compiled['digest'][:12]}"
-        )
-        print(
-            f"faults {faults.f} | lambs {compiled['lambs']} | "
-            f"survivors {compiled['survivors']} | codecs ndjson+binary"
-        )
-        try:
-            await router.serve_until_shutdown()
-        except KeyboardInterrupt:  # pragma: no cover - interactive
-            await router.stop()
-        stats = router.router_stats()
-        print(
-            f"drained: reads {stats['reads_forwarded']} mutations "
-            f"{stats['mutations']} respawns {stats['respawns']}"
-        )
-        return 0
-
-    return asyncio.run(_run())
-
-
-def cmd_loadgen(args) -> int:
-    """Drive sustained mixed query/delta traffic at a running plane."""
-    import json as _json
-
-    from .service.loadgen import LoadgenConfig, loadgen
-
-    cfg = LoadgenConfig(
-        host=args.host,
-        port=args.port,
-        codec=args.codec,
-        connections=args.connections,
-        batches=args.batches,
-        batch_size=args.batch_size,
-        pool_pairs=args.pool_pairs,
-        warmup_batches=args.warmup_batches,
-        delta_every=args.delta_every,
-        delta_offset=args.delta_offset,
-        seed=args.seed,
-        dims=args.mesh.widths if args.mesh is not None else (16, 16),
-        fault_count=args.faults,
-        fault_seed=args.fault_seed,
-        rounds=args.rounds,
-        timeout=args.timeout,
-    )
-    report = loadgen(cfg)
-    if args.deterministic:
-        print(_json.dumps(report["snapshot"], sort_keys=True))
-    else:
-        print(_json.dumps(report, indent=2, sort_keys=True))
-    if args.json:
-        with open(args.json, "w") as fh:
-            _json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.json}")
-    ok = report["snapshot"]["ok"] == report["snapshot"]["queries"]
-    return 0 if ok else 1
 
 
 def cmd_stats(args) -> int:
@@ -1192,10 +1102,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--telemetry", type=str, default=None, metavar="PREFIX",
                    help="write the telemetry registry to "
                    "PREFIX.{prom,ndjson,json} on shutdown")
-    p.add_argument("--shards", type=int, default=0,
-                   help="serve through a shard router over N replica "
-                   "worker processes instead of a single in-process "
-                   "server")
     p.set_defaults(fn=cmd_serve)
 
     p = sub.add_parser(
@@ -1226,47 +1132,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("names", nargs="*", metavar="NAME",
                    help="smokes to run (default: all)")
     p.set_defaults(fn=cmd_smoke)
-
-    p = sub.add_parser(
-        "loadgen",
-        help="drive sustained mixed query/delta traffic at a running "
-        "control plane and report p50/p99 latency + queries/s",
-    )
-    p.add_argument("--host", type=str, default="127.0.0.1")
-    p.add_argument("--port", type=int, required=True)
-    p.add_argument("--codec", choices=("ndjson", "binary"),
-                   default="binary")
-    p.add_argument("--connections", type=int, default=2)
-    p.add_argument("--batches", type=int, default=50,
-                   help="measured query batches (after warmup)")
-    p.add_argument("--batch-size", type=int, default=100)
-    p.add_argument("--pool-pairs", type=int, default=0,
-                   help="distinct (src,dst) flows measured traffic "
-                   "draws from (0: 4x batch size)")
-    p.add_argument("--warmup-batches", type=int, default=2,
-                   help="untimed batches that warm every replica's "
-                   "route cache first")
-    p.add_argument("--delta-every", type=int, default=0,
-                   help="send a fault delta every N batches on "
-                   "connection 0 (0: queries only)")
-    p.add_argument("--delta-offset", type=int, default=0,
-                   help="skip the first N reserved delta victims "
-                   "(for back-to-back campaigns)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mesh", type=_parse_mesh, default=None,
-                   help="target machine (must match the server's; "
-                   "default 16x16)")
-    p.add_argument("--faults", type=int, default=5,
-                   help="seeded base faults compiled before traffic")
-    p.add_argument("--fault-seed", type=int, default=4)
-    p.add_argument("--rounds", type=int, default=2)
-    p.add_argument("--timeout", type=float, default=120.0)
-    p.add_argument("--deterministic", action="store_true",
-                   help="print only the seed-determined snapshot "
-                   "(diffable across runs)")
-    p.add_argument("--json", type=str, default=None,
-                   help="also write the full report here")
-    p.set_defaults(fn=cmd_loadgen)
 
     p = sub.add_parser(
         "query",

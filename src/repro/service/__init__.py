@@ -16,19 +16,13 @@ plane with a slow control path and a fast data path:
 - :mod:`repro.service.server` / :mod:`repro.service.client` — an
   asyncio TCP service (NDJSON or binary frames, batching, per-request
   timeouts, graceful drain) serving route queries at high QPS;
-- :mod:`repro.service.shard` — the sharded plane: a router process in
-  front of N replicated worker processes over a shared artifact
-  store, with crash respawn and mutation-log replay;
-- :mod:`repro.service.loadgen` — seeded mixed query/delta traffic
-  campaigns (``repro loadgen``) with latency quantiles;
 - :mod:`repro.service.metrics` — cache/compile/query observability
   behind the ``stats`` RPC;
 - :mod:`repro.service.errors` — typed wire errors under the
   :class:`repro.wormhole.SimulationError` taxonomy.
 
 See ``docs/service.md`` for the protocols and artifact schema, and
-``repro serve`` / ``repro query`` / ``repro loadgen`` for the CLI
-front ends.
+``repro serve`` / ``repro query`` for the CLI front ends.
 """
 
 from .compiler import CompiledArtifact, ReconfigurationCompiler
@@ -62,10 +56,6 @@ __all__ = [
     "WireProtocolError",
     "RouteQueryClient",
     "RouteQueryServer",
-    "ShardRouter",
-    "LoadgenConfig",
-    "run_loadgen",
-    "loadgen",
 ]
 
 
@@ -80,20 +70,4 @@ def __getattr__(name: str):
         from .client import RouteQueryClient
 
         return RouteQueryClient
-    if name == "ShardRouter":
-        from .shard import ShardRouter
-
-        return ShardRouter
-    if name == "LoadgenConfig":
-        from .loadgen import LoadgenConfig
-
-        return LoadgenConfig
-    if name == "run_loadgen":
-        from .loadgen import run_loadgen
-
-        return run_loadgen
-    if name == "loadgen":
-        from .loadgen import loadgen
-
-        return loadgen
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Awaitable, Dict, List, Optional, Sequence, Tuple
 
 from ..mesh.faults import FaultSet
 from ..mesh.serialization import faults_to_dict
@@ -154,47 +154,49 @@ class RouteQueryClient:
                 (json.dumps(message) + "\n").encode("utf-8")
             )
 
-    async def _read_message(self, timeout: Optional[float]) -> Any:
-        """One decoded reply message: a dict, or (binary batch reply)
-        a list of dicts."""
+    async def _within(
+        self, aw: Awaitable[Any], timeout: Optional[float]
+    ) -> Any:
+        """Await ``aw`` under one client-side deadline; on expiry the
+        connection is poisoned and a typed timeout raised."""
         deadline = self.default_timeout if timeout is None else float(timeout)
-        if self.codec == "binary":
-            try:
-                body = await asyncio.wait_for(
-                    wire.read_frame(self._reader), timeout=deadline
-                )
-            except asyncio.TimeoutError:
-                self._poison()
-                raise RequestTimeoutError(
-                    f"no reply within {deadline}s (client-side deadline); "
-                    f"connection closed — reconnect to continue"
-                )
-            except asyncio.IncompleteReadError:
-                raise ServiceError(
-                    "connection closed before a full reply frame arrived"
-                )
-            except WireProtocolError as exc:
-                if not exc.data.get("recoverable"):
-                    self._poison()
-                raise
-            if body is None:
-                raise ServiceError(
-                    "connection closed before a reply arrived"
-                )
-            reply = wire.decode_payload(body)
-            if not isinstance(reply, (dict, list)):
-                raise ServiceError(f"reply is not an object: {reply!r}")
-            return reply
         try:
-            line = await asyncio.wait_for(
-                self._reader.readline(), timeout=deadline
-            )
+            return await asyncio.wait_for(aw, timeout=deadline)
         except asyncio.TimeoutError:
             self._poison()
             raise RequestTimeoutError(
                 f"no reply within {deadline}s (client-side deadline); "
                 f"connection closed — reconnect to continue"
             )
+
+    async def _read_message(self, timeout: Optional[float]) -> Any:
+        """One decoded reply message: a dict, or (binary batch reply)
+        a list of dicts."""
+        if self.codec != "binary":
+            return await self._within(self._read_line(), timeout)
+        try:
+            body = await self._within(wire.read_frame(self._reader), timeout)
+        except asyncio.IncompleteReadError:
+            raise ServiceError(
+                "connection closed before a full reply frame arrived"
+            )
+        except WireProtocolError as exc:
+            if not exc.data.get("recoverable"):
+                self._poison()
+            raise
+        if body is None:
+            raise ServiceError(
+                "connection closed before a reply arrived"
+            )
+        reply = wire.decode_payload(body)
+        if not isinstance(reply, (dict, list)):
+            raise ServiceError(f"reply is not an object: {reply!r}")
+        return reply
+
+    async def _read_line(self) -> Dict[str, Any]:
+        """One NDJSON reply line, decoded (no deadline of its own)."""
+        try:
+            line = await self._reader.readline()
         except ValueError:
             # The reply line overran the stream limit; the stream
             # position inside that line is now unknowable.
@@ -213,6 +215,24 @@ class RouteQueryClient:
         if not isinstance(reply, dict):
             raise ServiceError(f"reply is not an object: {reply!r}")
         return reply
+
+    async def _read_lines(
+        self, reqs: List[Dict[str, Any]]
+    ) -> List[Dict[str, Any]]:
+        """The NDJSON batch reply: one line per request, in order."""
+        replies: List[Dict[str, Any]] = []
+        for at, req in enumerate(reqs):
+            reply = await self._read_line()
+            if at == 0 and self._stream_level_error(reply):
+                raise_typed(reply)
+            if reply.get("id") != req["id"]:
+                self._poison()
+                raise ServiceError(
+                    f"reply id {reply.get('id')!r} does not match "
+                    f"request id {req['id']}"
+                )
+            replies.append(reply)
+        return replies
 
     async def _read_reply(self, timeout: Optional[float]) -> Dict[str, Any]:
         reply = await self._read_message(timeout)
@@ -265,7 +285,8 @@ class RouteQueryClient:
         *not* raised — inspect ``reply["ok"]`` or pass through
         :func:`raise_typed` per element).  A *stream-level* failure
         (the whole batch was rejected before parsing) raises its typed
-        error without poisoning the connection."""
+        error without poisoning the connection.  ``timeout`` bounds the
+        whole batch: one client-side deadline covers every reply."""
         if not requests:
             raise MalformedRequestError("empty batch")
         self._ensure_usable()
@@ -276,19 +297,7 @@ class RouteQueryClient:
             return self._match_batch(
                 reqs, await self._read_message(timeout)
             )
-        replies: List[Dict[str, Any]] = []
-        for at, req in enumerate(reqs):
-            reply = await self._read_reply(timeout)
-            if at == 0 and self._stream_level_error(reply):
-                raise_typed(reply)
-            if reply.get("id") != req["id"]:
-                self._poison()
-                raise ServiceError(
-                    f"reply id {reply.get('id')!r} does not match "
-                    f"request id {req['id']}"
-                )
-            replies.append(reply)
-        return replies
+        return await self._within(self._read_lines(reqs), timeout)
 
     def _match_batch(
         self, reqs: List[Dict[str, Any]], message: Any

@@ -14,14 +14,13 @@ One process, real TCP on an ephemeral localhost port:
 6. drain gracefully — no orphaned compile tasks.
 
 Every printed line is deterministic for a fixed seed (no wall-clock
-values), so ``make serve-smoke`` runs the scenario twice and diffs the
-transcripts to prove determinism.
+values), so ``repro smoke serve`` runs the scenario twice and diffs
+the transcripts to prove determinism.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
@@ -32,12 +31,10 @@ from ..routing.ordering import ascending, repeated
 from .client import RouteQueryClient, raise_typed
 from .compiler import ReconfigurationCompiler
 from .errors import StaleEpochError, from_wire
-from .loadgen import LoadgenConfig, run_loadgen
 from .server import RouteQueryServer
-from .shard import ShardRouter
 from .store import ArtifactStore
 
-__all__ = ["serve_smoke", "shard_smoke"]
+__all__ = ["serve_smoke"]
 
 
 def _pick_pairs(
@@ -194,108 +191,6 @@ def serve_smoke(
     return asyncio.run(
         _smoke(faults, rounds, queries, seed, verify, emit)
     )
-
-
-async def _shard_smoke(
-    num_shards: int, emit: Callable[[str], None]
-) -> int:
-    """Shard-plane acceptance scenario (run twice and diffed by
-    ``make shard-smoke``):
-
-    1. start 1 router + ``num_shards`` workers over a shared store;
-    2. run a mixed query/delta loadgen campaign (binary codec, two
-       connections) and print its deterministic snapshot;
-    3. run a second campaign and SIGKILL one worker as soon as its
-       traffic is flowing — every reply must still arrive (reads
-       retry on surviving replicas, so nothing is lost);
-    4. wait for the respawn to replay the mutation log and rejoin;
-    5. prove epoch equality across replicas by cycling an
-       epoch-pinned query through the read rotation.
-    """
-    failures = 0
-    router = ShardRouter(dims=(16, 16), rounds=2, num_shards=num_shards)
-    host, port = await router.start()
-    emit(f"shard plane: {num_shards} workers behind 1 router")
-
-    def campaign(seed: int, delta_offset: int) -> LoadgenConfig:
-        return LoadgenConfig(
-            host=host, port=port, codec="binary", connections=2,
-            batches=6, batch_size=50, warmup_batches=1, delta_every=3,
-            delta_offset=delta_offset, seed=seed,
-        )
-
-    report1 = await run_loadgen(campaign(seed=0, delta_offset=0))
-    emit("loadgen[1]: " + json.dumps(report1["snapshot"], sort_keys=True))
-    if report1["snapshot"]["ok"] != report1["snapshot"]["queries"]:
-        emit("FAIL: campaign 1 lost replies")
-        failures += 1
-
-    killed = [False]
-
-    def chaos(batch_index: int) -> None:
-        # Kill against *traffic progress*, not the wall clock: the
-        # first completed measured batch proves the plane is serving,
-        # then one worker dies mid-campaign.
-        if not killed[0]:
-            killed[0] = True
-            router.kill_worker(1)
-
-    report2 = await run_loadgen(
-        campaign(seed=1, delta_offset=1), progress=chaos
-    )
-    emit("loadgen[2]: " + json.dumps(report2["snapshot"], sort_keys=True))
-    if report2["snapshot"]["ok"] != report2["snapshot"]["queries"]:
-        emit("FAIL: replies were lost across the worker kill")
-        failures += 1
-
-    client = await router.client(codec="binary")
-    stats = (await client.request("router_stats"))["router"]
-    deadline = asyncio.get_running_loop().time() + 60.0
-    while (
-        stats["in_sync"] < num_shards
-        and asyncio.get_running_loop().time() < deadline
-    ):
-        await asyncio.sleep(0.25)
-        stats = (await client.request("router_stats"))["router"]
-    emit(
-        f"recovery: respawns {stats['respawns']} in_sync "
-        f"{stats['in_sync']}/{stats['shards']} epoch_divergences "
-        f"{stats['epoch_divergences']}"
-    )
-    if stats["in_sync"] != num_shards or stats["respawns"] != 1:
-        emit("FAIL: the killed worker did not rejoin the rotation")
-        failures += 1
-
-    # Epoch-pinned queries must hold on *every* replica: cycle the
-    # read rotation at least twice around.  The probe pair comes from
-    # the loadgen's query pool, so it survives every delta either
-    # campaign issued.
-    src, dst = report2["probe"]
-    epoch = int((await client.ping())["epoch"])
-    pinned_ok = 0
-    for _ in range(2 * num_shards):
-        reply = await client.query(tuple(src), tuple(dst), epoch=epoch)
-        pinned_ok += 1 if reply.get("ok") else 0
-    emit(
-        f"epochs: pinned epoch {epoch} resolved on "
-        f"{pinned_ok}/{2 * num_shards} rotations"
-    )
-    if pinned_ok != 2 * num_shards:
-        emit("FAIL: replicas diverged on the reconfiguration epoch")
-        failures += 1
-
-    await client.close()
-    await router.stop()
-    emit("smoke FAILED" if failures else "smoke OK")
-    return 1 if failures else 0
-
-
-def shard_smoke(
-    num_shards: int = 3, emit: Callable[[str], None] = print
-) -> int:
-    """Run the sharded-plane acceptance scenario; returns an exit
-    code."""
-    return asyncio.run(_shard_smoke(num_shards, emit))
 
 
 def default_smoke_faults(seed: int = 4) -> FaultSet:

@@ -52,8 +52,8 @@ def _child(run: Callable[[Path], Artifacts], workdir: str, conn) -> None:
 
 
 def _spawn(target: Callable[..., None], *args) -> multiprocessing.Process:
-    # Non-daemonic: runs start their own workers (process executors,
-    # shard replicas), which a daemonic process may not.
+    # Non-daemonic: the reliability smoke starts its own process
+    # executor workers, which a daemonic process may not.
     proc = multiprocessing.get_context("spawn").Process(
         target=target, args=args, daemon=False
     )
@@ -170,16 +170,12 @@ def _expect_chaos(artifacts: Artifacts) -> None:
     _need(epochs >= 3, f"{epochs} epochs, want >= 3")
 
 
-def _scenario(name: str, workdir: Path) -> Artifacts:
+def _run_serve(workdir: Path) -> Artifacts:
     """The ``repro.service.smoke`` scenario's lines, then ``exit N``."""
     from .service import smoke
 
     lines: List[str] = []
-    if name == "serve":
-        faults = smoke.default_smoke_faults()
-        rc = smoke.serve_smoke(faults, emit=lines.append)
-    else:
-        rc = smoke.shard_smoke(emit=lines.append)
+    rc = smoke.serve_smoke(smoke.default_smoke_faults(), emit=lines.append)
     return {"transcript": "".join(f"{s}\n" for s in lines) + f"exit {rc}\n"}
 
 
@@ -194,17 +190,6 @@ def _expect_serve(artifacts: Artifacts) -> None:
     _expect(text, "recompile:", cache_hit="True")
     _expect(text, "stale query:", typed="stale-epoch")
     _expect(text, "drain:", compiles="0")
-    _expect_ok(text)
-
-
-def _expect_shard(artifacts: Artifacts) -> None:
-    text = artifacts["transcript"]
-    for i in (1, 2):
-        snapshot = " ".join(_expect(text, f"loadgen[{i}]:")[1:])
-        ok = json.loads(snapshot)["ok"]
-        _need(ok == 300, f"loadgen[{i}] ok {ok}, want 300")
-    _expect(text, "recovery:", respawns="1", in_sync="3/3",
-            epoch_divergences="0")
     _expect_ok(text)
 
 
@@ -323,10 +308,7 @@ SMOKES: Dict[str, Smoke] = {
         _expect_chaos),
     "serve": Smoke(
         "control plane deterministic, cached, epoch-safe, drained",
-        partial(_scenario, "serve"), _expect_serve),
-    "shard": Smoke(
-        "no lost replies, killed worker respawned in sync",
-        partial(_scenario, "shard"), _expect_shard),
+        _run_serve, _expect_serve),
     "obs": Smoke(
         "redacted telemetry exports stable, every layer present",
         partial(_repro, {"stats": "stats --redact-timings --telemetry obs"},

@@ -29,6 +29,7 @@ from repro.service import (
     ServiceUnavailableError,
     StaleEpochError,
 )
+from repro.service import client as client_module
 from repro.service import server as server_module
 from repro.service import wire
 from repro.service.client import RouteQueryClient, raise_typed
@@ -422,6 +423,70 @@ class TestInlineReads:
             assert counters["malformed_requests"] == 0
 
         _with_service(scenario)
+
+
+class TestClientBatchDeadline:
+    def test_ndjson_batch_awaits_one_deadline(self, monkeypatch):
+        """A 100-query NDJSON ``query_batch`` reads its 100 reply lines
+        under one client-side ``wait_for``.  (The server answers reads
+        inline and makes none, so every counted call is the client's.)"""
+        faults = _base_faults()
+        calls: List[Any] = []
+        real_wait_for = asyncio.wait_for
+
+        def counting_wait_for(aw, *args, **kwargs):
+            calls.append(aw)
+            return real_wait_for(aw, *args, **kwargs)
+
+        async def scenario(client, server, compiler):
+            compiled = await client.compile(faults)
+            pairs = _survivor_pairs(faults, compiled, 100)
+            monkeypatch.setattr(
+                client_module.asyncio, "wait_for", counting_wait_for
+            )
+            try:
+                replies = await client.query_batch(pairs, compiled["epoch"])
+            finally:
+                monkeypatch.undo()
+            assert [r["ok"] for r in replies] == [True] * 100
+            assert len(calls) == 1
+
+        _with_service(scenario)
+
+    def test_expired_batch_deadline_poisons_the_client(self):
+        """The deadline bounds the whole batch: replies dribbled 50 ms
+        apart each beat a 250 ms deadline, but ten of them do not, so
+        the batch raises RequestTimeoutError and the client is
+        broken."""
+
+        async def main() -> None:
+            async def dribble(reader, writer):
+                batch = json.loads(await reader.readline())
+                try:
+                    for req in batch:
+                        await asyncio.sleep(0.05)
+                        writer.write(json.dumps(
+                            {"id": req["id"], "ok": True}
+                        ).encode() + b"\n")
+                        await writer.drain()
+                except (ConnectionError, asyncio.CancelledError):
+                    pass
+
+            srv = await asyncio.start_server(dribble, "127.0.0.1", 0)
+            host, port = srv.sockets[0].getsockname()[:2]
+            client = await RouteQueryClient.connect(host, port)
+            try:
+                with pytest.raises(RequestTimeoutError):
+                    await client.request_batch(
+                        [("ping", {})] * 10, timeout=0.25
+                    )
+                assert client.broken is True
+            finally:
+                await client.close()
+                srv.close()
+                await srv.wait_closed()
+
+        asyncio.run(main())
 
 
 class TestInlineReadTelemetry:

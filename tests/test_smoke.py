@@ -23,7 +23,7 @@ from repro.smoke import (
     SmokeFailure,
     _expect_chaos,
     _expect_obs,
-    _expect_shard,
+    _expect_serve,
     _first_difference,
     run_smokes,
 )
@@ -122,10 +122,10 @@ def test_ci_and_makefile_invoke_every_smoke():
 
 
 CHAOS = "epochs {n} | fault events 3 | final rounds 2\nexit 0\n"
-SHARD = (
-    "loadgen[1]: {{\"ok\": 300, \"queries\": 300}}\n"
-    "loadgen[2]: {{\"ok\": {ok}, \"queries\": 300}}\n"
-    "recovery: respawns 1 in_sync {sync}/3 epoch_divergences 0\n"
+SERVE = (
+    "recompile: cache_hit {hit} (source memory) epoch 1\n"
+    "stale query: typed stale-epoch (requested 1, current 2)\n"
+    "drain: orphaned compiles 0 epoch 2\n"
     "smoke OK\n"
     "exit 0\n"
 )
@@ -142,13 +142,11 @@ def test_typed_expectations_accept_and_reject():
     _expect_chaos({"chaos": CHAOS.format(n=3)})
     with pytest.raises(SmokeFailure, match="2 epochs, want >= 3"):
         _expect_chaos({"chaos": CHAOS.format(n=2)})
-    _expect_shard({"transcript": SHARD.format(ok=300, sync=3)})
-    with pytest.raises(SmokeFailure, match=r"loadgen\[2\] ok 299"):
-        _expect_shard({"transcript": SHARD.format(ok=299, sync=3)})
-    with pytest.raises(SmokeFailure, match="in_sync is '2/3'"):
-        _expect_shard({"transcript": SHARD.format(ok=300, sync=2)})
+    _expect_serve({"transcript": SERVE.format(hit=True)})
+    with pytest.raises(SmokeFailure, match="cache_hit is 'False'"):
+        _expect_serve({"transcript": SERVE.format(hit=False)})
     with pytest.raises(SmokeFailure, match=r"ends \['smoke OK', 'exit 1'\]"):
-        _expect_shard({"transcript": SHARD.format(ok=300, sync=3)
+        _expect_serve({"transcript": SERVE.format(hit=True)
                        .replace("exit 0", "exit 1")})
     _expect_obs({"obs.prom": PROM.format(compiles=2)})
     with pytest.raises(SmokeFailure, match="service_compiles_total is 1"):
