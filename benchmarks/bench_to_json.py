@@ -97,8 +97,9 @@ def _bench_reachability_product() -> Dict[str, object]:
 
 
 def _bench_sim_saturation() -> Dict[str, object]:
-    """Wormhole simulator (frontier engine) under staggered uniform
-    traffic on a fault-free M2(16): 400 messages x 8 flits."""
+    """Wormhole simulator (event-driven step loop, run-level flit
+    kernel) under staggered uniform traffic on a fault-free M2(16):
+    400 messages x 8 flits."""
     mesh = Mesh.square(2, 16)
     sim = WormholeSimulator(FaultSet(mesh), repeated(xy(), 2), seed=0)
     nodes = [tuple(int(x) for x in v) for v in mesh.nodes()]

@@ -7,8 +7,7 @@ about itself.  Library layers grab the ambient registry at *call* time
 - the lamb pipeline wraps its three phases (Find-SES-Partition,
   Find-Reachability, WVC) in :meth:`TelemetryRegistry.span`;
 - the wormhole simulator publishes per-run counters (cycles, stall
-  cycles, park/wake events on the frontier engine, aborts by reason,
-  retries);
+  cycles, park/wake events, aborts by reason, retries);
 - the control plane's :class:`repro.service.metrics.ServiceMetrics`
   allocates its counters/histograms *through* a registry;
 - the trial engine observes per-chunk wall times.

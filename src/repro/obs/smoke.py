@@ -6,8 +6,8 @@ into one registry, fully seeded:
 1. the lamb pipeline on the paper's 12x12 worked example (three
    phase spans + run counters),
 2. a wormhole simulation with a mid-run endpoint fault (cycle /
-   stall / park / wake / abort / retry counters — the frontier
-   engine by default, so the park/wake machinery is exercised),
+   stall / park / wake / abort / retry counters, so the park/wake
+   machinery is exercised),
 3. the control-plane compiler: a cache miss, a ``current`` cache
    hit, and an incremental delta, with its :class:`ServiceMetrics`
    fronting the same registry,

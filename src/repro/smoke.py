@@ -200,7 +200,7 @@ def _expect_obs(artifacts: Artifacts) -> None:
     _need(any('span="lamb.wvc"' in key for key in series),
           'no span="lamb.wvc" series')
     for key, want in (
-        ('sim_aborts_total{engine="frontier",reason="endpoint-failed"}', 1),
+        ('sim_aborts_total{reason="endpoint-failed"}', 1),
         ("service_compiles_total", 2),
         ("trial_chunks_total", 1),
         ("telemetry_events_dropped", 0),

@@ -90,7 +90,16 @@ class VirtualNetwork:
         src, dst, vc = key
         if vc < 0 or vc >= self.num_vcs:
             raise ValueError(f"hop uses VC {vc}, have {self.num_vcs}")
-        if not self.mesh.are_adjacent(src, dst):
+        # A link: both ends in the mesh, one unit step apart.
+        widths = self.mesh.widths
+        step = 0
+        if len(src) == len(widths) == len(dst):
+            for a, b, n in zip(src, dst, widths):
+                if not (0 <= a < n and 0 <= b < n):
+                    step = 0
+                    break
+                step += abs(a - b)
+        if step != 1:
             raise ValueError(f"hop {src} -> {dst} is not a link")
         rid = len(self._keys)
         self._ids[key] = rid
@@ -109,7 +118,10 @@ class VirtualNetwork:
 
         Rejects, with ValueError and in this order, a hop on an unknown
         VC, a hop that is not a mesh link, one that touches a faulty
-        node and one over a faulty directed link.
+        node and one over a faulty directed link; then a route that
+        names one resource twice (its head would wait for a resource
+        its own body holds, and the simulator's run-level kernel
+        relies on every hop of a message being a distinct resource).
         """
         ids = self._ids
         dead = self._dead_nodes
@@ -126,6 +138,11 @@ class VirtualNetwork:
             if (src, dst) in dead_links:
                 raise ValueError(f"hop {src} -> {dst} uses a faulty link")
             out.append(rid)
+        if len(set(out)) < len(out):
+            rid = next(r for i, r in enumerate(out) if r in out[:i])
+            raise ValueError(
+                f"route uses resource {self._keys[rid]} twice"
+            )
         return out
 
     def validate_hop(self, hop: Hop) -> None:

@@ -65,6 +65,16 @@ class Message:
     # simulator sets them with every route it assigns.
     hop_ids: List[int] = field(default_factory=list, repr=False,
                                compare=False)
+    # Run-length view of the in-network part of ``flit_pos`` kept by
+    # the simulator's kernel: ``[c, L]`` entries from the head's
+    # buffer backwards, each L consecutive hops whose buffers hold c
+    # of this message's flits (c = 0: a gap).  ``runs_of`` is the
+    # ``flit_pos`` list they describe; replacing ``flit_pos`` makes the
+    # kernel rebuild them.
+    runs: List[List[int]] = field(default_factory=list, init=False,
+                                  repr=False, compare=False)
+    runs_of: Optional[List[int]] = field(default=None, init=False,
+                                         repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.num_flits < 1:

@@ -20,44 +20,53 @@ Model (standard wormhole switching, Dally & Seitz [8]):
 Arbitration is oldest-first (by injection cycle, then message id),
 which is deterministic and starvation-free.
 
-Engines
--------
-Two cycle-exact step engines are provided:
+Step loop
+---------
+Only messages that could move are visited.  Messages waiting for a
+future injection cycle sit in a heap; messages whose head is blocked
+on a (link, VC) resource held by another message — or on a full
+downstream buffer — are *parked* on those resources and only re-enter
+the per-cycle agenda when the blocking resource is released or its
+buffer is popped.  Visits of blocked messages have no side effects (a
+head acquires a resource only when it also moves), so parking a
+message that could not have moved is observationally identical to
+visiting it; same-cycle wake-ups are inserted into the agenda *after*
+the current arbitration position only, which reproduces the visit
+order of a loop over every active message exactly.  Live-fault events
+conservatively rebuild the whole frontier.
 
-``"frontier"`` (default)
-    The event-driven fast path.  Messages waiting for a future
-    injection cycle sit in a heap; messages whose head is blocked on
-    a (link, VC) resource held by another message — or on a full
-    downstream buffer — are *parked* on those resources and only
-    re-enter the per-cycle agenda when the blocking resource is
-    released or its buffer is popped.  Visits of blocked messages
-    have no side effects (a head acquires a resource only when it
-    also moves), so parking a message that could not have moved is
-    observationally identical to scanning it; same-cycle wake-ups are
-    inserted into the agenda *after* the current arbitration position
-    only, which reproduces the scan's snapshot visit order exactly.
-    Live-fault events conservatively rebuild the whole frontier.
-
-``"scan"``
-    The reference oracle: every cycle visits every active message
-    (O(messages) per cycle even when almost everything is blocked or
-    still queued).
-
-Both engines share the flit-advance kernel (:meth:`_advance_message`)
-and produce bit-identical :class:`SimStats`, trace streams and
-deadlock diagnostics; golden tests pin the frontier engine against
-the scan oracle on seeded scenarios.
-
-Route cache
+Flit kernel
 -----------
-:meth:`build_hops` memoizes materialized routes per ``(src, dst)``
-pair within a *routing epoch*; the cache is invalidated whenever the
-fault state or the k-round ordering changes (live-fault events,
-:meth:`set_orderings`).  Note the rng is only consulted on cache
-misses, so enabling the cache changes *which* tie-break draws are
-consumed relative to the historical behaviour (set
-``route_cache=False`` to restore the draw-per-call stream); for any
-fixed configuration the simulation itself remains deterministic.
+A visit moves a message's flits by *buffer runs*, not one flit at a
+time.  The message keeps the in-network part of ``flit_pos`` as a
+run-length list (:attr:`Message.runs`): ``[c, L]`` is L consecutive
+hops whose buffers each hold c of its flits, and ``c = 0`` is a gap, a
+buffer other worms' straggling tail flits have filled.  (Simulated
+traffic never leaves one: a head enters a buffer only when it has
+room, and the stragglers there only drain, so the buffer keeps room
+for the worm's next flit.  A ``flit_pos`` placed by hand can hold
+gaps, and the kernel moves them exactly as the per-flit rule does.)
+In one cycle
+only the front flit of a buffer can move, and it moves iff the buffer
+ahead has room (or it ejects at the last hop; the head also needs the
+link's bandwidth and ownership).  A buffer whose front flit moved has
+room for the one behind, so once one buffer of a run moves every
+buffer behind it in that run moves too: a run costs two counter
+updates, two bandwidth stamps and one strided ``flit_pos`` slice,
+whatever its length.  Wake-ups, releases and trace events are exactly
+those of the per-flit rule (``tests/sim_oracle.py`` keeps that kernel
+and the full-scan loop as the reference; ``tests/test_sim_parity.py``
+and ``tests/test_sim_oracle_parity.py`` pin the two against each
+other).
+
+Routes
+------
+:meth:`WormholeSimulator.build_hops` memoizes materialized routes per
+``(src, dst)`` pair within a *routing epoch*; the memo is invalidated
+whenever the fault state or the k-round ordering changes (live-fault
+events, :meth:`WormholeSimulator.set_orderings`).  The rng is only
+consulted on misses; for any fixed configuration the simulation is
+deterministic.
 """
 
 from __future__ import annotations
@@ -98,7 +107,7 @@ from .trace import SYSTEM_MSG_ID, TraceEvent, Tracer
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .chaos import FaultEvent, FaultSchedule
 
-__all__ = ["WormholeSimulator", "SIM_ENGINES"]
+__all__ = ["WormholeSimulator"]
 
 #: Abort reasons attached to messages torn out by live faults.
 ABORT_ENDPOINT_FAILED = "endpoint-failed"
@@ -106,13 +115,39 @@ ABORT_UNREACHABLE = "unreachable-after-fault"
 ABORT_RETRY_BUDGET = "retry-budget-exhausted"
 ABORT_QUARANTINED = "quarantined"
 
-#: Valid ``engine=`` values.
-SIM_ENGINES = ("frontier", "scan")
-
-_MISSING = object()  # route-cache sentinel (None is a cached miss)
+_MISSING = object()  # route-memo sentinel (None is a memoized miss)
 
 #: A materialized route: its VC-annotated hops and their resource ids.
 Route = Tuple[List[Hop], List[int]]
+
+
+def _push(runs: List[List[int]], c: int, span: int) -> None:
+    """Append ``span`` buffers holding ``c`` flits each to a run list,
+    merging with its last run when the counts agree."""
+    if span:
+        if runs and runs[-1][0] == c:
+            runs[-1][1] += span
+        else:
+            runs.append([c, span])
+
+
+def _flit_runs(fp: List[int], first: int) -> List[List[int]]:
+    """The run list of a message whose flits from ``first`` on sit at
+    hops ``fp`` (-1: still queued): see :attr:`Message.runs`."""
+    runs: List[List[int]] = []
+    n = len(fp)
+    f = first
+    prev = -1
+    while f < n and fp[f] >= 0:
+        pos = fp[f]
+        start = f
+        while f < n and fp[f] == pos:
+            f += 1
+        if prev >= 0:
+            _push(runs, 0, prev - pos - 1)
+        _push(runs, f - start, 1)
+        prev = pos
+    return runs
 
 
 class WormholeSimulator:
@@ -158,13 +193,6 @@ class WormholeSimulator:
     retry_backoff:
         Base re-injection delay in cycles; retry ``r`` waits
         ``retry_backoff * 2**(r-1)`` cycles (exponential backoff).
-    engine:
-        Step engine: ``"frontier"`` (event-driven fast path, the
-        default) or ``"scan"`` (per-cycle full scan, the parity
-        oracle); both are cycle-exact.
-    route_cache:
-        Memoize :meth:`build_hops` per (src, dst) within a routing
-        epoch (invalidated on live faults / :meth:`set_orderings`).
     """
 
     def __init__(
@@ -184,18 +212,12 @@ class WormholeSimulator:
         ] = None,
         max_retries: int = 3,
         retry_backoff: int = 8,
-        engine: str = "frontier",
-        route_cache: bool = True,
     ):
         self.faults = faults
         self.mesh = faults.mesh
         self.orderings = orderings
         self.policy = policy
         self._vc_of_round = vc_of_round or (lambda t: t)
-        if engine not in SIM_ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; expected one of "
-                             f"{SIM_ENGINES}")
-        self.engine = engine
         self.net = VirtualNetwork(
             faults,
             num_vcs=(orderings.k if num_vcs is None else num_vcs),
@@ -217,9 +239,8 @@ class WormholeSimulator:
         self.retry_backoff = retry_backoff
         self.quarantined: Set[Node] = set()
         self.fault_events_applied = 0
-        # --- route cache ----------------------------------------------
-        self._route_cache_enabled = bool(route_cache)
-        self._route_cache: Dict[Tuple[Node, Node], Optional[Route]] = {}
+        # --- route memo -----------------------------------------------
+        self._routes: Dict[Tuple[Node, Node], Optional[Route]] = {}
         self.routing_epoch = 0
         # Lamb1's phases 1-2 for the current epoch, built on its first
         # route miss (routes need no lamb set, so no WVC).
@@ -228,8 +249,10 @@ class WormholeSimulator:
         # Messages waiting for a future inject_cycle, as a min-heap of
         # (inject_cycle, msg_id).
         self._pending: List[Tuple[int, int]] = []
-        # Messages visited every cycle (potentially able to move).
-        self._runnable: Set[int] = set()
+        # Messages visited next cycle (potentially able to move), as
+        # (inject_cycle, msg_id) keys kept sorted across cycles: the
+        # next arbitration agenda.
+        self._runnable: List[Tuple[int, int]] = []
         # msg_id -> resource ids it is parked on; woken when any of
         # them is released or has a flit popped from its buffer.
         self._parked: Dict[int, List[int]] = {}
@@ -239,10 +262,9 @@ class WormholeSimulator:
         # O(1) drain check: count of delivered-or-aborted messages.
         self._finished_count = 0
         # Current cycle's arbitration agenda (sorted (inject, id)
-        # keys); None outside a frontier step.
+        # keys); None outside :meth:`step`.
         self._agenda: Optional[List[Tuple[int, int]]] = None
         self._agenda_cur_key: Tuple[int, int] = (-1, -1)
-        self._visited: Set[int] = set()
         # --- telemetry (plain ints on the hot path; deltas are
         # published to the ambient registry once per run()) -----------
         self.stall_cycles = 0
@@ -299,18 +321,16 @@ class WormholeSimulator:
     def _route(self, src: Node, dst: Node) -> Optional[Route]:
         """:meth:`build_hops` plus the hops' resource ids, admitted by
         the network in one pass."""
-        if self._route_cache_enabled:
-            cached = self._route_cache.get((src, dst), _MISSING)
-            if cached is not _MISSING:
-                return cached
+        cached = self._routes.get((src, dst), _MISSING)
+        if cached is not _MISSING:
+            return cached
         if self._reach_index is None:
             self._reach_index = build_reach_index(self.faults, self.orderings)
         paths = find_k_round_route(
             self._reach_index, src, dst, policy=self.policy, rng=self.rng
         )
         if paths is None:
-            if self._route_cache_enabled:
-                self._route_cache[(src, dst)] = None
+            self._routes[(src, dst)] = None
             return None
         hops: List[Hop] = []
         for t, path in enumerate(paths):
@@ -318,8 +338,7 @@ class WormholeSimulator:
             for u, v in zip(path, path[1:]):
                 hops.append(Hop(tuple(u), tuple(v), vc))
         route = (hops, self.net.admit_route(hops))
-        if self._route_cache_enabled:
-            self._route_cache[(src, dst)] = route
+        self._routes[(src, dst)] = route
         return route
 
     def _invalidate_routes(self) -> None:
@@ -327,7 +346,7 @@ class WormholeSimulator:
         next route miss rebuilds the index from the cumulative fault
         set."""
         self.routing_epoch += 1
-        self._route_cache.clear()
+        self._routes.clear()
         self._reach_index = None
 
     def send(
@@ -366,7 +385,7 @@ class WormholeSimulator:
             msg.delivered_flits = msg.num_flits
             msg.deliver_cycle = when
             self._finished_count += 1
-        elif self.engine != "scan":
+        else:
             heapq.heappush(self._pending, (when, msg.msg_id))
         self.messages[msg.msg_id] = msg
         if self.tracer is not None:
@@ -552,21 +571,21 @@ class WormholeSimulator:
         self._finished_count = sum(
             1 for m in self.messages.values() if m.is_finished
         )
-        if self.engine == "scan":
-            return
         self._parked.clear()
         self._waiters.clear()
-        self._runnable.clear()
+        runnable: List[Tuple[int, int]] = []
         pending: List[Tuple[int, int]] = []
         cycle = self.cycle
         for m in self.messages.values():
             if m.is_finished:
                 continue
             if m.inject_cycle <= cycle:
-                self._runnable.add(m.msg_id)
+                runnable.append((m.inject_cycle, m.msg_id))
             else:
                 pending.append((m.inject_cycle, m.msg_id))
+        runnable.sort()
         heapq.heapify(pending)
+        self._runnable = runnable
         self._pending = pending
 
     def _wake_key(self, rid: int) -> None:
@@ -574,8 +593,8 @@ class WormholeSimulator:
         and has waiters: unpark every message waiting on it.  If the
         current cycle's arbitration has not yet passed the woken
         message's slot, it is inserted into the live agenda (matching
-        the scan engine's snapshot visit order); otherwise it runs from
-        the next cycle.  Spurious wake-ups are harmless — a visit that
+        a full scan's snapshot visit order); otherwise it runs from the
+        next cycle.  Spurious wake-ups are harmless — a visit that
         cannot move any flit has no side effects."""
         lst = self._waiters.pop(rid)
         parked = self._parked
@@ -584,14 +603,14 @@ class WormholeSimulator:
             if parked.pop(mid, None) is None:
                 continue  # stale entry: already woken via another resource
             m = self.messages[mid]
-            if m.is_finished:
-                continue
-            self._runnable.add(mid)
+            if m.deliver_cycle is not None or m.abort_reason is not None:
+                continue  # finished
             self.wake_events += 1
-            if agenda is not None and mid not in self._visited:
-                sk = (m.inject_cycle, mid)
-                if sk > self._agenda_cur_key:
-                    insort(agenda, sk)
+            sk = (m.inject_cycle, mid)
+            if agenda is not None and sk > self._agenda_cur_key:
+                insort(agenda, sk)
+            else:
+                insort(self._runnable, sk)
 
     def _park_keys(self, m: Message) -> Optional[List[int]]:
         """Resource ids a zero-move message should wait on, or None if
@@ -641,151 +660,227 @@ class WormholeSimulator:
     # ------------------------------------------------------------------
     # Simulation loop
     # ------------------------------------------------------------------
-    def _active_messages(self) -> List[Message]:
-        """Messages eligible to move this cycle, oldest first (scan
-        engine)."""
-        out = [
-            m
-            for m in self.messages.values()
-            if not m.is_finished and m.inject_cycle <= self.cycle
-        ]
-        out.sort(key=lambda m: (m.inject_cycle, m.msg_id))
-        return out
-
     def _advance_message(self, m: Message) -> int:
-        """Move every flit of ``m`` that can move this cycle (head
-        first, then body flits in order — each over a distinct hop, so
-        per-message ordering is conflict-free).  Returns the number of
-        flits that moved.  Shared by both engines.
+        """Move every flit of ``m`` that can move this cycle, buffer run
+        by buffer run from the head backwards, and return how many
+        moved.
 
-        The network's flat state lists are bound as locals and indexed
-        by the message's resource ids; the only calls per flit are the
-        wake-ups of resources that have waiters, and tracing."""
+        For each run ``[c, L]`` (see the module docstring) the kernel
+        finds the first buffer whose front flit can move — buffer 0 if
+        the buffer ahead of the run moved or has room, else the first
+        buffer behind one with room (none if ``c`` fills the buffers)
+        — and moves the front flit of it and of every buffer behind it
+        in the run.  The run list is rebuilt from ``flit_pos`` whenever
+        that list was replaced, so it is derived state only."""
+        fp = m.flit_pos
+        if m.runs_of is not fp:
+            m.runs = _flit_runs(fp, m.delivered_flits)
+            m.runs_of = fp
+        g = m.delivered_flits  # the front flit of the current buffer
+        tail = m.num_flits - 1
         net = self.net
-        owners = net.owners
         occupancy = net.occupancy
         used_at = net.used_at
         stamp = net.stamp
         cap = net.buffer_flits
-        waiters = self._waiters
-        fp = m.flit_pos
         ids = m.hop_ids
         last = len(ids) - 1
-        mid = m.msg_id
-        tail = m.num_flits - 1
-        tracer = self.tracer
+        # The front flit (in the head's buffer, or first in the source
+        # queue) crosses hop ``p + 1``.  A body flit there crosses a
+        # hop its message owns; the head also needs the hop's bandwidth
+        # and its ownership, acquired only if it moves.
+        p = fp[g]
+        rid = ids[p + 1]
+        room = p + 1 == last or occupancy[rid] < cap
+        if room and not g:
+            holder = net.owners[rid]
+            if used_at[rid] == stamp or (holder is not None
+                                         and holder != m.msg_id):
+                room = False
+            elif holder is None:
+                net.owners[rid] = m.msg_id
+                if self.tracer is not None:
+                    hop = m.hops[p + 1]
+                    self.tracer.record(TraceEvent(
+                        self.cycle, "acquire", m.msg_id,
+                        src=hop.src, dst=hop.dst, vc=hop.vc))
+        waiters = self._waiters
+        traced = self.tracer is not None
+        runs = m.runs
+        if room and len(runs) == 1 and runs[0][0] == 1:
+            # A streaming worm, one flit per buffer: every flit moves,
+            # and the queue (if any) refills hop 0 behind the tail.
+            run = runs[0]
+            span = run[1]
+            back = p - span + 1
+            end = g + span
+            if not back or end > tail:
+                dst = p + 1
+                fp[g:end] = range(dst, back, -1)
+                used_at[ids[dst]] = stamp
+                used_at[ids[back + 1]] = stamp
+                grow = dst != last
+                if grow:
+                    occupancy[ids[dst]] += 1
+                else:
+                    m.delivered_flits += 1
+                lo = ids[back]
+                if occupancy[lo] <= 0:
+                    raise RuntimeError(
+                        f"buffer underflow on {net.resource_key(lo)}"
+                    )
+                occupancy[lo] -= 1
+                if (traced or end > tail
+                        or (waiters
+                            and not waiters.keys().isdisjoint(ids[back:dst]))):
+                    self._crossed(m, g, dst, back, 1)
+                if end <= tail:  # the queue's front flit refills hop 0
+                    fp[end] = 0
+                    used_at[lo] = stamp
+                    occupancy[lo] += 1
+                    if traced or end == tail:
+                        self._crossed(m, end, 0, -1, 1)
+                    run[1] += grow
+                    return span + 1
+                if span - 1 + grow:  # the tail left the back buffer
+                    run[1] = span - 1 + grow
+                else:
+                    runs.clear()
+                return span
         moved = 0
-        # Flits eject in order, so the first ``delivered_flits`` are
-        # gone and every later one has a hop left to cross.
-        first = m.delivered_flits
-        for f in range(first, tail + 1):
-            pos = fp[f]
-            nxt = pos + 1
-            if f > first and fp[f - 1] < nxt:
-                if pos < 0:
-                    break  # this and all later flits still queued
-                continue  # cannot pass the preceding flit
-            rid = ids[nxt]
-            if used_at[rid] == stamp:
-                continue  # resource bandwidth spent this cycle
-            # The head can always eject at the final hop; anywhere else
-            # a full downstream buffer blocks the move, so the push
-            # below never overflows.
-            if nxt != last and occupancy[rid] >= cap:
-                continue
-            if f == 0:
-                holder = owners[rid]
-                if holder is None:
-                    owners[rid] = mid
-                    if tracer is not None:
-                        hop = m.hops[nxt]
-                        tracer.record(
-                            TraceEvent(self.cycle, "acquire", mid,
-                                       src=hop.src, dst=hop.dst, vc=hop.vc)
-                        )
-                elif holder != mid:
-                    continue  # held by another message
-            elif owners[rid] != mid:
-                continue  # released under us? cannot happen
-            # Move: leave the old buffer (if we were in one), enter
-            # the new.
-            used_at[rid] = stamp
-            if pos >= 0:
-                pid = ids[pos]
-                n = occupancy[pid]
-                if n <= 0:
-                    raise RuntimeError(
-                        f"buffer underflow on {net.resource_key(pid)}"
-                    )
-                occupancy[pid] = n - 1
-                if pid in waiters:
-                    self._wake_key(pid)
-            if nxt != last:
-                occupancy[rid] += 1
+        new: List[List[int]] = []
+        pend = -1  # count of the previous run's back buffer, unpushed
+        for c, span in runs:
+            back = p - span + 1
+            if not c:
+                k = span  # a gap holds none of our flits
+            elif room:
+                k = 0
+            elif c < cap:
+                # Buffer k moves iff buffer k - 1 (unmoved) has room.
+                k = 1
+                while k < span and occupancy[ids[p - k + 1]] >= cap:
+                    k += 1
             else:
-                m.delivered_flits += 1
-            fp[f] = nxt
-            moved += 1
-            if tracer is not None:
-                hop = m.hops[nxt]
-                tracer.record(
-                    TraceEvent(self.cycle, "flit", mid, flit=f,
-                               src=hop.src, dst=hop.dst, vc=hop.vc)
-                )
-            # Tail crossed hop `nxt`: release it.
-            if f == tail:
-                if owners[rid] != mid:
+                k = span
+            if k < span:
+                # The front flits of buffers k .. span - 1 cross one hop.
+                dst = p - k + 1
+                f = g + k * c
+                fp[f : g + span * c : c] = range(dst, back, -1)
+                moved += span - k
+                used_at[ids[dst]] = stamp
+                if dst == last:
+                    m.delivered_flits += 1
+                else:
+                    occupancy[ids[dst]] += 1
+                used_at[ids[back + 1]] = stamp
+                lo = ids[back]
+                if occupancy[lo] <= 0:
                     raise RuntimeError(
-                        f"message {mid} does not own {net.resource_key(rid)}"
+                        f"buffer underflow on {net.resource_key(lo)}"
                     )
-                owners[rid] = None
-                if rid in waiters:
-                    self._wake_key(rid)
-                if tracer is not None:
-                    hop = m.hops[nxt]
-                    tracer.record(
-                        TraceEvent(self.cycle, "release", mid,
-                                   src=hop.src, dst=hop.dst, vc=hop.vc)
-                    )
+                occupancy[lo] -= 1
+                if (traced or f + (span - 1 - k) * c == tail
+                        or (waiters
+                            and not waiters.keys().isdisjoint(ids[back:dst]))):
+                    self._crossed(m, f, dst, back, c)
+                if pend >= 0:
+                    _push(new, pend + (not k), 1)
+                elif not k and dst != last:
+                    new.append([1, 1])  # the head's new buffer
+                if k:
+                    _push(new, c, k - 1)
+                    _push(new, c + 1, 1)
+                    _push(new, c, span - 1 - k)
+                else:
+                    _push(new, c, span - 1)
+                pend = c - 1
+                room = True
+            else:
+                if pend >= 0:
+                    _push(new, pend, 1)
+                _push(new, c, span - 1)
+                pend = c
+                room = occupancy[ids[back]] < cap
+            g += c * span
+            p = back - 1
+        # The source queue's front flit enters hop 0: behind the last
+        # run, or past a gap of straggler-filled buffers.
+        if g <= tail:
+            if runs and p != -1:
+                room = occupancy[ids[0]] < cap
+            if room:
+                fp[g] = 0
+                moved += 1
+                used_at[ids[0]] = stamp
+                if last:
+                    occupancy[ids[0]] += 1
+                else:
+                    m.delivered_flits += 1
+                if traced or g == tail:
+                    self._crossed(m, g, 0, -1, 1)
+                if p == -1 and runs:
+                    pend += 1
+                elif last:
+                    if pend >= 0:
+                        _push(new, pend, 1)
+                        _push(new, 0, p)
+                    pend = 1
+        if pend >= 0:
+            _push(new, pend, 1)
+        while new and not new[-1][0]:
+            new.pop()
+        if new and not new[0][0]:
+            del new[0]
+        m.runs = new
         return moved
+
+    def _crossed(self, m: Message, f: int, dst: int, back: int,
+                 c: int) -> None:
+        """The rest of the front flits ``f, f + c, ...`` of the buffers
+        at hops ``dst - 1`` down to ``back`` crossing one hop forward
+        (counters and stamps are done): the wake-ups of every popped
+        buffer with waiters, the trace events in flit order and the
+        tail's release."""
+        ids = m.hop_ids
+        waiters = self._waiters
+        if back >= 0 and waiters:
+            for q in range(dst - 1, back - 1, -1):
+                if ids[q] in waiters:
+                    self._wake_key(ids[q])
+        tracer = self.tracer
+        mid = m.msg_id
+        if tracer is not None:
+            for h in range(dst, back, -1):
+                hop = m.hops[h]
+                tracer.record(TraceEvent(self.cycle, "flit", mid,
+                                         flit=f + (dst - h) * c, src=hop.src,
+                                         dst=hop.dst, vc=hop.vc))
+        if f + (dst - back - 1) * c == m.num_flits - 1:
+            # The tail crossed hop ``back + 1``: release it.
+            net = self.net
+            rid = ids[back + 1]
+            if net.owners[rid] != mid:
+                raise RuntimeError(
+                    f"message {mid} does not own {net.resource_key(rid)}"
+                )
+            net.owners[rid] = None
+            if rid in waiters:
+                self._wake_key(rid)
+            if tracer is not None:
+                hop = m.hops[back + 1]
+                tracer.record(TraceEvent(self.cycle, "release", mid,
+                                         src=hop.src, dst=hop.dst,
+                                         vc=hop.vc))
 
     def step(self) -> int:
         """Advance one cycle; returns the number of flits that moved.
 
         Due live-fault events are applied first, so a fault at cycle
-        ``c`` affects cycle ``c``'s movement.
+        ``c`` affects cycle ``c``'s movement.  Only runnable messages
+        are visited.
         """
-        if self.engine == "frontier":
-            return self._step_frontier()
-        return self._step_scan()
-
-    def _step_scan(self) -> int:
-        """Reference oracle: visit every active message each cycle."""
-        self._process_due_events()
-        self.net.new_cycle()
-        moved = 0
-        for m in self._active_messages():
-            moved += self._advance_message(m)
-            if m.delivered_flits == m.num_flits and m.deliver_cycle is None:
-                m.deliver_cycle = self.cycle + 1
-                self._finished_count += 1
-                if self.tracer is not None:
-                    self.tracer.record(
-                        TraceEvent(self.cycle, "deliver", m.msg_id,
-                                   src=m.source, dst=m.dest)
-                    )
-        self.cycle += 1
-        if moved == 0 and any(
-            not m.is_finished and m.inject_cycle < self.cycle
-            for m in self.messages.values()
-        ):
-            self._check_deadlock()
-        else:
-            self._idle_cycles = 0
-        return moved
-
-    def _step_frontier(self) -> int:
-        """Event-driven engine: visit only runnable messages."""
         self._process_due_events()
         self.net.new_cycle()
         cycle = self.cycle
@@ -793,21 +888,23 @@ class WormholeSimulator:
         pending = self._pending
         runnable = self._runnable
         # Admit newly injectable messages (and retries whose backoff
-        # expired) into the runnable set.
+        # expired) into the runnable list.
         while pending and pending[0][0] <= cycle:
             _, mid = heapq.heappop(pending)
             m = messages[mid]
-            if m.is_finished:
-                continue
+            if m.deliver_cycle is not None or m.abort_reason is not None:
+                continue  # finished
             if m.inject_cycle <= cycle:
-                runnable.add(mid)
+                insort(runnable, (m.inject_cycle, mid))
             else:  # defensive: injection was re-delayed
                 heapq.heappush(pending, (m.inject_cycle, mid))
-        # Oldest-first arbitration agenda over the runnable set; wakes
-        # from releases/pops may insert behind the current position.
-        agenda = sorted((messages[mid].inject_cycle, mid) for mid in runnable)
+        # The oldest-first arbitration agenda is the runnable list,
+        # sorted by (inject cycle, id); wakes from releases/pops may
+        # insert behind the current position.  Messages that stay
+        # runnable are appended, in order, to the next cycle's list.
+        agenda = runnable
         self._agenda = agenda
-        self._visited = visited = set()
+        self._runnable = runnable = []
         parked = self._parked
         waiters = self._waiters
         moved = 0
@@ -816,29 +913,24 @@ class WormholeSimulator:
             sk = agenda[i]
             i += 1
             mid = sk[1]
-            if mid in visited:
-                continue
-            visited.add(mid)
             self._agenda_cur_key = sk
             m = messages[mid]
-            if m.is_finished:  # finished out-of-band
-                runnable.discard(mid)
-                continue
+            if m.deliver_cycle is not None or m.abort_reason is not None:
+                continue  # finished out-of-band
             n = self._advance_message(m)
             moved += n
             if m.delivered_flits == m.num_flits and m.deliver_cycle is None:
                 m.deliver_cycle = cycle + 1
                 self._finished_count += 1
-                runnable.discard(mid)
                 if self.tracer is not None:
                     self.tracer.record(
                         TraceEvent(cycle, "deliver", mid,
                                    src=m.source, dst=m.dest)
                     )
-            elif n == 0:
+                continue
+            if n == 0:
                 keys = self._park_keys(m)
                 if keys is not None:
-                    runnable.discard(mid)
                     parked[mid] = keys
                     self.park_events += 1
                     for k in keys:
@@ -847,11 +939,13 @@ class WormholeSimulator:
                             waiters[k] = [mid]
                         else:
                             lst.append(mid)
+                    continue
+            runnable.append(sk)
         self._agenda = None
         self.cycle += 1
-        # Parity with the scan engine's idle check: runnable | parked
-        # is exactly the set of unfinished messages with
-        # inject_cycle < self.cycle (pending ones are strictly later).
+        # A full scan's idle check: runnable | parked is exactly the
+        # set of unfinished messages with inject_cycle < self.cycle
+        # (pending ones are strictly later).
         if moved == 0 and (runnable or parked):
             self._check_deadlock()
         else:
@@ -920,7 +1014,6 @@ class WormholeSimulator:
         exported schema is stable across workloads.
         """
         reg = get_registry()
-        eng = self.engine
         totals = {
             "sim_cycles_total": self.cycle,
             "sim_stall_cycles_total": self.stall_cycles,
@@ -931,7 +1024,7 @@ class WormholeSimulator:
         }
         pub = self._published
         for name, total in sorted(totals.items()):
-            reg.inc(name, max(0, total - pub.get(name, 0)), engine=eng)
+            reg.inc(name, max(0, total - pub.get(name, 0)))
             pub[name] = total
         for reason in sorted(
             set(self.abort_counts)
@@ -943,7 +1036,6 @@ class WormholeSimulator:
             reg.inc(
                 "sim_aborts_total",
                 max(0, total - pub.get(key, 0)),
-                engine=eng,
                 reason=reason,
             )
             pub[key] = total

@@ -1,12 +1,13 @@
-"""Golden parity: the event-driven ``frontier`` engine must be
-cycle-exact against the historical ``scan`` engine.
+"""Golden parity: the production simulator (event-driven step loop,
+run-level flit kernel) must be cycle-exact against the reference
+full-scan, per-flit simulator kept in ``tests/sim_oracle.py``.
 
-Both engines share the flit-advance kernel; what differs is *which*
-messages are visited each cycle.  These tests pin that the frontier's
-park/wake bookkeeping is observationally invisible: identical
+These tests pin that the frontier's park/wake bookkeeping and the
+kernel's buffer runs are observationally invisible: identical
 :class:`SimStats`, per-message fates, full trace streams, final cycle
 counts and deadlock diagnostics on seeded scenarios — including the
-chaos abort/drain/retry paths.
+chaos abort/drain/retry paths.  Parameter ids keep the historical
+names: ``frontier`` is the production simulator, ``scan`` the oracle.
 """
 
 import hashlib
@@ -22,15 +23,20 @@ from repro.wormhole.chaos import FaultEvent, FaultSchedule, seeded_chaos_run
 from repro.wormhole.deadlock import DeadlockError
 import repro.wormhole.simulator as simulator_module
 from repro.wormhole.packets import Hop
-from repro.wormhole.simulator import SIM_ENGINES, WormholeSimulator
+from repro.wormhole.simulator import WormholeSimulator
 from repro.wormhole.trace import Tracer
+
+from sim_oracle import ScanSimulator
+
+#: The simulators under comparison, by their historical engine names.
+SIMULATORS = {"frontier": WormholeSimulator, "scan": ScanSimulator}
 
 
 def _seeded_sim(engine, seed, *, faults_n=3, tracer=None, **kw):
     mesh = Mesh((8, 8))
     faults = random_node_faults(mesh, faults_n, np.random.default_rng(seed))
-    sim = WormholeSimulator(
-        faults, repeated(xy(), 2), seed=seed, engine=engine, tracer=tracer, **kw
+    sim = SIMULATORS[engine](
+        faults, repeated(xy(), 2), seed=seed, tracer=tracer, **kw
     )
     good = [
         tuple(int(x) for x in v)
@@ -56,35 +62,16 @@ def _fates(sim):
     ]
 
 
-class TestEngineSelection:
-    def test_unknown_engine_rejected(self):
-        mesh = Mesh((4, 4))
-        for engine in ("warp", "vector"):
-            with pytest.raises(ValueError, match="unknown engine"):
-                WormholeSimulator(
-                    FaultSet(mesh), repeated(xy(), 2), engine=engine
-                )
-
-    def test_env_default(self, monkeypatch):
-        """The engine is chosen by ``engine=`` alone: no environment
-        variable can swap the production fast path for the oracle."""
-        mesh = Mesh((4, 4))
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "scan")
-        sim = WormholeSimulator(FaultSet(mesh), repeated(xy(), 2))
-        assert sim.engine == "frontier"
-        assert SIM_ENGINES == ("frontier", "scan")
-
-
 class TestGoldenStats:
-    """The frontier engine against values recorded from the scan
-    engine (seeded 8x8 scenario, 3 faults, 60 messages)."""
+    """Both simulators against values recorded from the full scan
+    (seeded 8x8 scenario, 3 faults, 60 messages)."""
 
     def _run(self, engine):
         sim, good = _seeded_sim(engine, 5)
         _load_traffic(sim, good, 5)
         return sim.run(), sim
 
-    @pytest.mark.parametrize("engine", SIM_ENGINES)
+    @pytest.mark.parametrize("engine", sorted(SIMULATORS))
     def test_pinned_stats(self, engine):
         stats, _ = self._run(engine)
         assert stats.cycles == 52
@@ -134,9 +121,8 @@ def _workload_scale_run(engine, *, live=False, buffer_flits=2, seed=23):
             FaultEvent(140, node_faults=central[50:52]),
         ])
     tracer = Tracer()
-    sim = WormholeSimulator(faults, orderings, buffer_flits=buffer_flits,
-                            seed=seed, engine=engine, tracer=tracer,
-                            schedule=schedule)
+    sim = SIMULATORS[engine](faults, orderings, buffer_flits=buffer_flits,
+                             seed=seed, tracer=tracer, schedule=schedule)
     for src, dst, when in traffic:
         sim.send(src, dst, 64, when)
     stats = sim.run()
@@ -149,10 +135,11 @@ def _workload_scale_run(engine, *, live=False, buffer_flits=2, seed=23):
 
 
 class TestWorkloadScaleGolden:
-    """Digests recorded from the tuple-keyed kernel before the flat
-    resource-id rewrite, at ``sim_uniform``'s scale.  Both engines share
-    ``_advance_message``, so engine parity alone cannot catch a kernel
-    bug; these pins can."""
+    """Digests recorded from the tuple-keyed per-flit kernel before the
+    flat resource-id rewrite, at ``sim_uniform``'s scale, checked
+    against both the production simulator and the oracle, so a bug
+    shared by both kernels still shows; the park/wake pins hold the
+    production frontier."""
 
     # scenario -> (trace+stats digest, frontier park_events, wake_events)
     GOLDEN = {
@@ -172,7 +159,7 @@ class TestWorkloadScaleGolden:
         "buffer-1": {"buffer_flits": 1},
     }
 
-    @pytest.mark.parametrize("engine", SIM_ENGINES)
+    @pytest.mark.parametrize("engine", sorted(SIMULATORS))
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
     def test_digest(self, engine, scenario):
         digest, sim = _workload_scale_run(engine, **self.SCENARIOS[scenario])
@@ -194,7 +181,7 @@ class TestCycleExactParity:
         """Full event streams — injections, acquisitions, per-flit
         hops, releases, deliveries — must be identical."""
         runs = {}
-        for engine in SIM_ENGINES:
+        for engine in SIMULATORS:
             tracer = Tracer()
             sim, good = _seeded_sim(engine, seed, tracer=tracer)
             _load_traffic(sim, good, seed, n=80)
@@ -210,7 +197,7 @@ class TestCycleExactParity:
         """buffer_flits=1 maximizes back-pressure (straggler tails in
         released resources' buffers — the subtle wake case)."""
         runs = {}
-        for engine in SIM_ENGINES:
+        for engine in SIMULATORS:
             tracer = Tracer()
             sim, good = _seeded_sim(
                 engine, seed, tracer=tracer, buffer_flits=1
@@ -225,7 +212,7 @@ class TestCycleExactParity:
         """Mid-flight fault injection: abort/drain/retry, rerouting
         and the conservative frontier rebuild."""
         runs = {}
-        for engine in SIM_ENGINES:
+        for engine in SIMULATORS:
             tracer = Tracer()
             sim, good = _seeded_sim(engine, seed, tracer=tracer)
             _load_traffic(sim, good, seed, n=80)
@@ -240,20 +227,21 @@ class TestCycleExactParity:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_chaos_run_parity(self, monkeypatch, seed):
         """The full chaos machinery (schedules, rollback epochs,
-        escalation, quarantine) through both engines.  ``ChaosEngine``
-        builds its simulator with the default engine; the scan run
-        swaps in a subclass that pins the oracle."""
+        escalation, quarantine) through both simulators.
+        ``ChaosEngine`` builds the production simulator; the oracle run
+        swaps in a subclass of the oracle that records that it was
+        built."""
         built = []
 
-        class ScanSimulator(WormholeSimulator):
+        class BuiltScan(ScanSimulator):
             def __init__(self, *args, **kw):
-                super().__init__(*args, engine="scan", **kw)
-                built.append(self.engine)
+                super().__init__(*args, **kw)
+                built.append("scan")
 
         reports = {"frontier": seeded_chaos_run(
             seed=seed, num_events=4, num_messages=150
         )}
-        monkeypatch.setattr(simulator_module, "WormholeSimulator", ScanSimulator)
+        monkeypatch.setattr(simulator_module, "WormholeSimulator", BuiltScan)
         reports["scan"] = seeded_chaos_run(
             seed=seed, num_events=4, num_messages=150
         )
@@ -263,12 +251,12 @@ class TestCycleExactParity:
 
     def test_deadlock_parity(self):
         """A deliberately broken VC discipline must deadlock at the
-        same cycle with the same wait-for cycle in both engines."""
+        same cycle with the same wait-for cycle in both simulators."""
         outcomes = {}
-        for engine in SIM_ENGINES:
+        for engine in SIMULATORS:
             mesh = Mesh((4, 4))
-            sim = WormholeSimulator(
-                FaultSet(mesh), repeated(xy(), 2), engine=engine,
+            sim = SIMULATORS[engine](
+                FaultSet(mesh), repeated(xy(), 2),
                 vc_of_round=lambda t: 0, num_vcs=1, buffer_flits=1,
             )
             ring = [(0, 0), (2, 0), (2, 2), (0, 2)]
@@ -294,7 +282,8 @@ class TestCycleExactParity:
                 sim.send(a, c, num_flits=12, hops=hops)
             with pytest.raises(DeadlockError) as exc:
                 sim.run(5000)
-            outcomes[engine] = (sorted(exc.value.cycle), sim.cycle)
+            outcomes[engine] = (sorted(exc.value.cycle), sim.cycle,
+                                str(exc.value))
         assert outcomes["scan"] == outcomes["frontier"]
 
 
@@ -308,7 +297,7 @@ class TestRouteCache:
         a = sim.build_hops((0, 0), (5, 3))
         b = sim.build_hops((0, 0), (5, 3))
         assert a == b and b is not None
-        assert ((0, 0), (5, 3)) in sim._route_cache
+        assert ((0, 0), (5, 3)) in sim._routes
 
     def test_invalidated_on_live_fault(self):
         sim = self._sim()
@@ -317,7 +306,7 @@ class TestRouteCache:
         epoch = sim.routing_epoch
         sim.inject_faults(node_faults=[(2, 0)])
         assert sim.routing_epoch == epoch + 1
-        assert not sim._route_cache
+        assert not sim._routes
         rerouted = sim.build_hops((0, 0), (5, 0))
         assert rerouted is not None
         assert all((2, 0) not in (h.src, h.dst) for h in rerouted)
@@ -328,7 +317,7 @@ class TestRouteCache:
         epoch = sim.routing_epoch
         sim.set_orderings(repeated(xy(), 3))
         assert sim.routing_epoch == epoch + 1
-        assert not sim._route_cache
+        assert not sim._routes
 
     def test_unreachable_is_cached(self):
         mesh = Mesh((5, 5))
@@ -337,13 +326,8 @@ class TestRouteCache:
         faults = FaultSet(mesh).with_faults(wall, [])
         sim = WormholeSimulator(faults, repeated(xy(), 2))
         assert sim.build_hops((0, 0), (4, 4)) is None
-        assert sim._route_cache[((0, 0), (4, 4))] is None
+        assert sim._routes[((0, 0), (4, 4))] is None
         assert sim.build_hops((0, 0), (4, 4)) is None
-
-    def test_opt_out(self):
-        sim = self._sim(route_cache=False)
-        assert sim.build_hops((0, 0), (5, 3)) is not None
-        assert not sim._route_cache
 
 
 class TestDeterminism:
@@ -352,15 +336,22 @@ class TestDeterminism:
     Hash-order hazards (set iteration, ``set.pop()`` worklists) were
     scrubbed from the pipeline by the REP102 lint rule (see
     ``repro analyze``); these tests pin the behaviors that would drift
-    first if one crept back in — the frontier engine's park/wake
-    worklist and the route cache's iteration-order independence.
+    first if one crept back in — the frontier's park/wake worklist
+    and the route memo's iteration-order independence.
     """
 
     def _full_run(self, *, seed=5, route_cache=True, n=80):
         tracer = Tracer()
-        sim, good = _seeded_sim(
-            "frontier", seed, tracer=tracer, route_cache=route_cache
-        )
+        sim, good = _seeded_sim("frontier", seed, tracer=tracer)
+        if not route_cache:
+            # Forget every memoized route before each lookup.
+            route = sim._route
+
+            def fresh(src, dst):
+                sim._routes.clear()
+                return route(src, dst)
+
+            sim._route = fresh
         _load_traffic(sim, good, seed, n=n)
         stats = sim.run()
         return stats, _fates(sim), tracer.events
@@ -372,8 +363,9 @@ class TestDeterminism:
         assert self._full_run() == self._full_run()
 
     def test_route_cache_is_behavior_neutral(self):
-        """Cache on vs off must not change a single event: a cache-hit
-        route must be exactly the route the policy would regenerate."""
+        """Memo on vs cleared before every lookup must not change a
+        single event: a memoized route must be exactly the route the
+        policy would regenerate."""
         a = self._full_run(route_cache=True)
         b = self._full_run(route_cache=False)
         assert a == b

@@ -131,7 +131,7 @@ SERVE = (
 )
 PROM = (
     'spans_total{{span="lamb.wvc"}} 3\n'
-    'sim_aborts_total{{engine="frontier",reason="endpoint-failed"}} 1\n'
+    'sim_aborts_total{{reason="endpoint-failed"}} 1\n'
     "service_compiles_total {compiles}\n"
     "trial_chunks_total 1\n"
     "telemetry_events_dropped 0\n"
