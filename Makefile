@@ -61,10 +61,10 @@ lint:
 analyze:
 	PYTHONPATH=src $(PYTHON) -m repro analyze src
 
-# The interprocedural concurrency pass (REP201-REP205) over the tree,
-# gated by the committed suppression baseline: new findings AND stale
-# baseline entries both fail, so the baseline can neither silently
-# grow nor rot.
+# The interprocedural concurrency pass (REP201, REP202, REP204,
+# REP205) over the tree, gated by the committed suppression baseline:
+# new findings AND stale baseline entries both fail, so the baseline
+# can neither silently grow nor rot.
 concurrency:
 	PYTHONPATH=src $(PYTHON) -m repro analyze --concurrency src \
 	    --baseline concurrency_baseline.json

@@ -1,10 +1,9 @@
 """Machine-readable perf-regression harness.
 
 Runs a small curated benchmark subset — the lamb pipeline, the
-one-round reachability kernel, the wormhole
-simulator under saturation, the seeded chaos scenario, the parallel
-trial engine, the route-query service data path, and the workflow
-engine's checkpoint-replay overhead — and writes ``BENCH_<date>.json``
+one-round reachability kernel, the wormhole simulator under
+saturation, the seeded chaos scenario, a serial reliability campaign
+and the route-query service data path — and writes ``BENCH_<date>.json``
 rows of ``{bench, mesh, wall_s, cycles_per_s / trials_per_s /
 queries_per_s}``.  A comparator mode diffs a fresh run against the
 latest committed baseline and fails on a >25% wall-clock regression.
@@ -41,8 +40,6 @@ import numpy as np
 
 from repro.core import find_lamb_set
 from repro.core.reachability import one_round_reachability_matrix
-from repro.experiments.harness import lamb_trials
-from repro.experiments.parallel import available_cpu_count, engine_jobs
 from repro.mesh import Mesh, random_node_faults
 from repro.mesh.faults import FaultSet
 from repro.routing import LineFaultIndex, repeated, xy, xyz
@@ -127,62 +124,19 @@ def _bench_chaos_smoke() -> Dict[str, object]:
             "wall_s": wall, "cycles_per_s": report.stats.cycles / wall}
 
 
-def _bench_trial_engine() -> Dict[str, object]:
-    """Seeded lamb trials through the ambient trial engine (serial
-    here; the point is tracking per-trial throughput)."""
-    mesh = Mesh.square(2, 32)
-    trials = 6
-    t0 = time.perf_counter()
-    series = lamb_trials(mesh, 31, trials=trials, seed=0, tag=17)
-    wall = time.perf_counter() - t0
-    assert len(series.values["lambs"]) == trials
-    return {"bench": "trial_engine", "mesh": "M2(32) f=31 x6",
-            "wall_s": wall, "trials_per_s": trials / wall}
-
-
-def _bench_trial_engine_executor(executor: str) -> Dict[str, object]:
-    """The same seeded lamb sweep fanned over a worker pool.  On a
-    multi-core host the process rows should show ~jobs-times the
-    thread rows' throughput (the sweep is pure-Python and GIL-bound);
-    on a 1-core host both collapse to the serial timing."""
-    # jobs=None: inherit the ambient engine installed by the wrapper
-    # (that is what carries the executor choice).
-    jobs = min(4, available_cpu_count())
-    mesh = Mesh.square(2, 32)
-    trials = 12
-    t0 = time.perf_counter()
-    series = lamb_trials(mesh, 31, trials=trials, seed=0, tag=17)
-    wall = time.perf_counter() - t0
-    assert len(series.values["lambs"]) == trials
-    return {"bench": f"trial_engine_{executor}s",
-            "mesh": f"M2(32) f=31 x{trials} j{jobs}",
-            "wall_s": wall, "trials_per_s": trials / wall}
-
-
-def _bench_trial_engine_threads() -> Dict[str, object]:
-    with engine_jobs(min(4, available_cpu_count()), executor="thread"):
-        return _bench_trial_engine_executor("thread")
-
-
-def _bench_trial_engine_procs() -> Dict[str, object]:
-    with engine_jobs(min(4, available_cpu_count()), executor="process"):
-        return _bench_trial_engine_executor("proc")
-
-
 def _bench_reliability_campaign() -> Dict[str, object]:
     """Seeded Poisson reliability campaign on M2(8): timeline sampling
     + per-interval compile through the content-addressed cache +
-    connectivity scoring (serial, so the row tracks the per-trial
-    cost, not pool startup)."""
+    connectivity scoring."""
     from repro.reliability import CampaignConfig, run_campaign
 
     cfg = CampaignConfig(
         widths=(8, 8), rate=1.5, mttr=0.3, horizon=2.0, trials=4, seed=0,
     )
     t0 = time.perf_counter()
-    report = run_campaign(cfg, jobs=1)
+    report = run_campaign(cfg)
     wall = time.perf_counter() - t0
-    assert report.accounting.all_accounted
+    assert len(report.trials) == cfg.trials
     return {"bench": "reliability_campaign", "mesh": "M2(8) x4 trials",
             "wall_s": wall, "trials_per_s": cfg.trials / wall}
 
@@ -245,54 +199,13 @@ def _bench_service_throughput() -> Dict[str, object]:
             "wall_s": wall, "queries_per_s": queries / wall}
 
 
-def _bench_workflow_resume() -> Dict[str, object]:
-    """Checkpoint-replay overhead: a fully-populated reliability-slo
-    checkpoint store resumed by fresh runner processes.  Every step is
-    a cache hit, so the wall time is pure workflow-engine overhead —
-    digest computation + ArtifactStore reads — which is what a killed
-    campaign pays before doing new work."""
-    import shutil
-    import tempfile
-
-    from repro.service.store import ArtifactStore
-    from repro.workflow import WorkflowRunner
-
-    overrides = {
-        "sample-timeline": {"horizon": 1.0},
-        "run-campaign": {"horizon": 1.0, "trials": 2},
-    }
-    root = tempfile.mkdtemp(prefix="wf-bench-")
-    try:
-        first = WorkflowRunner(store=ArtifactStore(root=root)).run(
-            "reliability-slo", overrides=overrides
-        )
-        assert first.executed_steps == 3
-        resumes = 20
-        t0 = time.perf_counter()
-        for _ in range(resumes):
-            outcome = WorkflowRunner(store=ArtifactStore(root=root)).run(
-                "reliability-slo", overrides=overrides
-            )
-            assert outcome.executed_steps == 0
-        wall = time.perf_counter() - t0
-    finally:
-        shutil.rmtree(root, ignore_errors=True)
-    return {"bench": "workflow_resume_overhead",
-            "mesh": f"reliability-slo x{resumes}",
-            "wall_s": wall, "trials_per_s": resumes / wall}
-
-
 BENCHES: Tuple[Callable[[], Dict[str, object]], ...] = (
     _bench_lamb_pipeline,
     _bench_reachability_product,
     _bench_sim_saturation,
     _bench_chaos_smoke,
-    _bench_trial_engine,
-    _bench_trial_engine_threads,
-    _bench_trial_engine_procs,
     _bench_reliability_campaign,
     _bench_service_throughput,
-    _bench_workflow_resume,
 )
 
 
@@ -307,11 +220,18 @@ def host_fingerprint() -> Dict[str, object]:
     use, which is what makes wall times comparable; the raw host core
     count is kept alongside for context.
     """
+    probe = getattr(os, "process_cpu_count", None)  # Python 3.13+
+    if probe is not None:
+        cpus = probe()
+    elif hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count()
     return {
         "machine": platform.machine(),
         "system": platform.system(),
         "python": platform.python_version(),
-        "cpu_count": available_cpu_count(),
+        "cpu_count": cpus or 1,
         "cpu_count_raw": os.cpu_count(),
     }
 

@@ -10,14 +10,12 @@ Three prongs, all run *before* any simulation cycle:
 - :mod:`repro.analysis.static.lint` — the AST-based domain lint
   engine behind ``repro analyze`` / ``make lint``, with rules for
   unseeded randomness, hash-order-dependent iteration, mutable default
-  arguments, bare ``except`` and parallel-safety of trial-engine
-  workers (see :mod:`repro.analysis.static.rules`).
+  arguments and bare ``except`` (see :mod:`repro.analysis.static.rules`).
 - :mod:`repro.analysis.static.concurrency` — the interprocedural
   concurrency-soundness pass behind ``repro analyze --concurrency``:
   lock-order deadlock certificates (REP201), asyncio blocking-call
-  detection (REP202), process-worker escape analysis (REP203),
-  lock-held-across-await (REP204) and unguarded shared writes
-  (REP205), sharing the CDG prover's minimal-cycle search
+  detection (REP202), lock-held-across-await (REP204) and unguarded
+  shared writes (REP205), sharing the CDG prover's minimal-cycle search
   (:mod:`repro.analysis.static.cycles`).
 """
 

@@ -1,11 +1,11 @@
-"""Interprocedural concurrency-soundness analyzer (REP201-REP205).
+"""Interprocedural concurrency-soundness analyzer (REP201, REP202,
+REP204, REP205).
 
 The paper proves deadlock freedom *statically* over channel
 dependencies; :mod:`repro.analysis.static.cdg` applies that argument
 to the routed network.  This module applies the same philosophy to the
 host program's own concurrency: the lock-guarded compiler/store, the
-asyncio control plane, the thread-safe telemetry registry, and the
-process-pool trial engine.
+asyncio control plane and the thread-safe telemetry registry.
 
 It is a whole-program AST pass.  A first pass indexes every class
 (threading lock attributes, attribute/parameter type hints), function
@@ -30,12 +30,6 @@ fixpoints over the resulting call graph derives the findings:
     with a witness chain; handing the callable to
     ``loop.run_in_executor``/``asyncio.to_thread`` escapes naturally
     because the callable is an argument, not a call.
-
-``REP203`` *process-escape*
-    Work submitted to a process executor (``ProcessPoolExecutor`` /
-    ``TrialEngine.run_trials``/``map_ordered``) captures unpicklable
-    or shared-mutable state: locks, sockets, ``TelemetryRegistry``,
-    or a bound method dragging a lock-holding instance.
 
 ``REP204`` *lock-held-across-await*
     An ``await`` while a threading lock is held: every thread (and
@@ -122,26 +116,6 @@ _BLOCKING_CALLS: Dict[str, str] = {
 
 #: Dotted-prefix families that always block.
 _BLOCKING_PREFIXES: Tuple[str, ...] = ("subprocess.", "requests.")
-
-#: Names that construct a process-backed executor.
-_PROCESS_POOL_NAMES = {
-    "ProcessPoolExecutor",
-    "concurrent.futures.ProcessPoolExecutor",
-    "futures.ProcessPoolExecutor",
-    "multiprocessing.Pool",
-}
-
-#: Sentinel type id for process-pool instances (stdlib class, so it
-#: never collides with a repo class qualname).
-_PROCESS_POOL = "<ProcessPoolExecutor>"
-
-#: Executor methods that ship the callable to another process.
-_POOL_SUBMIT_METHODS = {"submit", "map", "apply", "apply_async", "map_async"}
-
-#: TrialEngine entry points: the executor backend is configuration
-#: driven (thread *or* process), so arguments must stay picklable
-#: regardless of the receiver's statically-known type.
-_ENGINE_SUBMIT_METHODS = {"run_trials", "map_ordered"}
 
 #: Methods whose ``self.attr = ...`` writes are construction, not
 #: shared-state mutation (exempt from REP205 on both sides).
@@ -323,7 +297,7 @@ class _FuncInfo:
     __slots__ = (
         "qualname", "module", "name", "cls", "path", "node", "is_async",
         "nested", "local_types", "local_names", "acquires", "edges", "calls",
-        "blocking", "lock_waits", "awaits", "escapes", "writes",
+        "blocking", "lock_waits", "awaits", "writes",
     )
 
     def __init__(
@@ -360,8 +334,6 @@ class _FuncInfo:
         self.lock_waits: List[Tuple[int, int, str]] = []
         # (line, col, innermost held lock) awaits under a lock
         self.awaits: List[Tuple[int, int, str]] = []
-        # (line, col, message) process-escape hazards
-        self.escapes: List[Tuple[int, int, str]] = []
         # (attr, line, col, lexical lock or None) self.attr writes
         self.writes: List[Tuple[str, int, int, Optional[str]]] = []
 
@@ -460,14 +432,12 @@ def _collect_body(
 # Pass 1b — type annotation / lock attribute resolution
 # ----------------------------------------------------------------------
 def _ann_type(model: _Model, ann: Optional[ast.AST]) -> Optional[str]:
-    """Resolve a type annotation to a class qualname or the process
-    pool sentinel.  ``Optional[X]`` unwraps; containers do not."""
+    """Resolve a type annotation to a class qualname.
+    ``Optional[X]`` unwraps; containers do not."""
     if ann is None:
         return None
     if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
         name = ann.value.split("[")[0].strip()
-        if name in _PROCESS_POOL_NAMES:
-            return _PROCESS_POOL
         return model.class_for_name(name.split(".")[-1])
     if isinstance(ann, ast.Subscript):
         head = _dotted(ann.value)
@@ -477,10 +447,6 @@ def _ann_type(model: _Model, ann: Optional[ast.AST]) -> Optional[str]:
     dotted = _dotted(ann)
     if dotted is None:
         return None
-    if dotted in _PROCESS_POOL_NAMES or (
-        dotted.split(".")[-1] == "ProcessPoolExecutor"
-    ):
-        return _PROCESS_POOL
     return model.class_for_name(dotted.split(".")[-1])
 
 
@@ -520,8 +486,6 @@ def _value_class(
     if isinstance(value, ast.Call):
         dotted = _dotted(value.func)
         if dotted is not None:
-            if dotted in _PROCESS_POOL_NAMES:
-                return _PROCESS_POOL
             cq = model.class_for_name(dotted.split(".")[-1])
             if cq is not None:
                 return cq
@@ -694,8 +658,6 @@ class _BodyWalker:
             return f"<{kind}>"  # local lock sentinel type
         dotted = _dotted(call.func)
         if dotted is not None:
-            if dotted in _PROCESS_POOL_NAMES:
-                return _PROCESS_POOL
             cq = self.m.class_for_name(dotted.split(".")[-1])
             if cq is not None:
                 return cq
@@ -822,87 +784,9 @@ class _BodyWalker:
             and dotted.split(".")[0] not in self.fn.local_names
         ):
             self.fn.blocking.append((line, col, desc))
-        if isinstance(func, ast.Attribute):
-            self._check_submit(node, func)
         callee = self._resolve_call(func)
         if callee is not None and callee in self.m.functions:
             self.fn.calls.append((callee, line, col, held))
-
-    def _check_submit(self, node: ast.Call, func: ast.Attribute) -> None:
-        meth = func.attr
-        is_pool = (
-            meth in _POOL_SUBMIT_METHODS
-            and self._type_of(func.value) == _PROCESS_POOL
-        )
-        is_engine = meth in _ENGINE_SUBMIT_METHODS
-        if not (is_pool or is_engine):
-            return
-        line, col = node.lineno, node.col_offset
-        messages: List[str] = []
-        args = list(node.args)
-        if args:
-            worker = args[0]
-            if isinstance(worker, ast.Attribute):
-                base_t = self._type_of(worker.value)
-                if base_t is not None and base_t in self.m.classes:
-                    owner = self.m.classes[base_t]
-                    if owner.lock_attrs:
-                        locks = ", ".join(sorted(owner.lock_attrs))
-                        messages.append(
-                            f"bound method .{worker.attr} pickles its whole "
-                            f"{owner.name} instance, including lock "
-                            f"attribute(s) {locks}"
-                        )
-        payloads = args[1:] + [kw.value for kw in node.keywords]
-        for payload in payloads:
-            messages.extend(self._escape_hazards(payload))
-        for message in _dedupe(messages):
-            self.fn.escapes.append(
-                (line, col, f"process worker captures shared state: {message}")
-            )
-
-    def _escape_hazards(self, expr: ast.AST) -> List[str]:
-        out: List[str] = []
-        for sub in ast.walk(expr):
-            if isinstance(sub, (ast.Name, ast.Attribute)):
-                lock = self._resolve_lock(sub)
-                if lock is not None:
-                    out.append(
-                        f"threading lock {lock} cannot cross a process "
-                        "boundary"
-                    )
-                    continue
-                t = self._type_of(sub)
-                if t is not None and t in self.m.classes:
-                    owner = self.m.classes[t]
-                    if owner.name == "TelemetryRegistry":
-                        out.append(
-                            "TelemetryRegistry is process-local; "
-                            "worker-side mutations are silently lost"
-                        )
-                    elif owner.lock_attrs:
-                        locks = ", ".join(sorted(owner.lock_attrs))
-                        out.append(
-                            f"{owner.name} instance holds lock attribute(s) "
-                            f"{locks} and is not safely picklable"
-                        )
-            elif isinstance(sub, ast.Call):
-                dotted = _dotted(sub.func)
-                if dotted is None:
-                    continue
-                if dotted in _LOCK_CTORS:
-                    out.append(
-                        "freshly constructed threading lock cannot cross a "
-                        "process boundary"
-                    )
-                elif dotted.split(".")[-1] == "get_registry":
-                    out.append(
-                        "TelemetryRegistry is process-local; worker-side "
-                        "mutations are silently lost"
-                    )
-                elif dotted in ("socket.socket", "socket.create_connection"):
-                    out.append("open socket cannot be pickled into a worker")
-        return out
 
     def _handle_write(self, node: ast.stmt, held: Tuple[str, ...]) -> None:
         if self.ci is None:
@@ -970,16 +854,6 @@ class _BodyWalker:
                 cur.append(lock)
         for stmt in node.body:
             self._visit(stmt, tuple(cur))
-
-
-def _dedupe(items: Sequence[str]) -> List[str]:
-    seen: Set[str] = set()
-    out: List[str] = []
-    for item in items:
-        if item not in seen:
-            seen.add(item)
-            out.append(item)
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -1188,17 +1062,6 @@ def _async_findings(
     return out
 
 
-def _escape_findings(model: _Model) -> List[ConcurrencyFinding]:
-    out: List[ConcurrencyFinding] = []
-    for q in sorted(model.functions):
-        f = model.functions[q]
-        for (line, col, message) in f.escapes:
-            out.append(
-                ConcurrencyFinding(f.path, line, col, "REP203", q, message)
-            )
-    return out
-
-
 def _write_findings(
     model: _Model, guarded: Dict[str, bool]
 ) -> List[ConcurrencyFinding]:
@@ -1271,7 +1134,6 @@ def analyze_sources(sources: Mapping[str, str]) -> ConcurrencyReport:
 
     findings.extend(_rep201_findings(cycles, edge_map))
     findings.extend(_async_findings(model, witness))
-    findings.extend(_escape_findings(model))
     findings.extend(_write_findings(model, guarded))
 
     kept: List[ConcurrencyFinding] = []
@@ -1381,19 +1243,6 @@ CONCURRENCY_FIXTURES: Dict[str, str] = {
         "import time\n"
         "async def poll():\n"
         "    time.sleep(1)\n"
-    ),
-    "REP203": (
-        "import threading\n"
-        "from concurrent.futures import ProcessPoolExecutor\n"
-        "class Pipeline:\n"
-        "    def __init__(self):\n"
-        "        self._lock = threading.Lock()\n"
-        "    def work(self):\n"
-        "        return 1\n"
-        "def run():\n"
-        "    pool = ProcessPoolExecutor()\n"
-        "    pipe = Pipeline()\n"
-        "    return pool.submit(pipe.work)\n"
     ),
     "REP204": (
         "import threading\n"

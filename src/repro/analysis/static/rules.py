@@ -1,7 +1,7 @@
 """Domain lint rules (AST-based).
 
 Each rule targets a hazard class that has actually bitten (or could
-bite) this codebase's determinism and parallel-safety guarantees:
+bite) this codebase's determinism guarantees:
 
 ======  ==============================================================
 REP101  Unseeded randomness: stdlib ``random`` or ``np.random``
@@ -16,20 +16,6 @@ REP103  Mutable default argument (``def f(x=[])``): shared across
         calls, a classic aliasing bug.
 REP104  Bare ``except:``: swallows ``KeyboardInterrupt`` and
         ``SystemExit`` and hides typed simulator failures.
-REP105  Parallel-safety: a lambda or nested function passed as a
-        worker to the trial engine (``run_trials`` / ``map_ordered``
-        / ``submit``).  Workers must be picklable module-level
-        functions; closures capture shared mutable state of the
-        enclosing frame and either fail to pickle or silently fork
-        divergent copies.
-REP106  Wall-clock read inside a registered workflow step (a function
-        decorated with ``register_step`` / ``<registry>.register``).
-        The workflow runner content-addresses each step's output by
-        its inputs and replays checkpoints on digest hits, so a step
-        whose output embeds ``time.time()`` / ``datetime.now()``
-        differs between an executed and a replayed run — breaking the
-        straight-run-vs-resume byte-identity guarantee.  Timing
-        belongs to the runner's telemetry span, not the step body.
 ======  ==============================================================
 
 Suppression: append ``# noqa`` (all rules) or ``# noqa: REP102`` /
@@ -401,208 +387,11 @@ class BareExceptRule(LintRule):
                 )
 
 
-# ----------------------------------------------------------------------
-# REP105 — parallel-safety of trial-engine workers
-# ----------------------------------------------------------------------
-#: Methods that ship their first argument to pool workers: the trial
-#: engine's entry points plus the raw ``concurrent.futures`` executor
-#: surface (``submit``/``map``) — a process-pool worker must pickle no
-#: matter which layer hands it over.
-_ENGINE_METHODS = {"run_trials", "map_ordered", "submit", "map"}
-
-
-class ParallelClosureRule(LintRule):
-    id = "REP105"
-    name = "parallel-closure"
-    description = (
-        "worker passed to the trial engine or a pool executor must be "
-        "a picklable module-level function, not a closure or lambda"
-    )
-
-    def check(self, tree: ast.AST, path: str) -> Iterator[Violation]:
-        yield from self._walk_scope(tree, path, nested_funcs=frozenset(),
-                                    lambda_names=frozenset(),
-                                    inside_function=False)
-
-    @staticmethod
-    def _lambda_bindings(body: Sequence[ast.AST]) -> frozenset:
-        """Names bound to a lambda in this scope's direct statements.
-        Unlike nested ``def``s, a lambda is unpicklable even at module
-        level (pickle serializes functions by qualified name, and a
-        lambda's ``<lambda>`` name never resolves), so these are
-        collected in *every* scope."""
-        names = set()
-        for n in body:
-            if isinstance(n, ast.Assign) and isinstance(n.value, ast.Lambda):
-                for tgt in n.targets:
-                    if isinstance(tgt, ast.Name):
-                        names.add(tgt.id)
-            elif (
-                isinstance(n, ast.AnnAssign)
-                and n.value is not None
-                and isinstance(n.value, ast.Lambda)
-                and isinstance(n.target, ast.Name)
-            ):
-                names.add(n.target.id)
-        return frozenset(names)
-
-    def _walk_scope(
-        self,
-        scope: ast.AST,
-        path: str,
-        nested_funcs: frozenset,
-        lambda_names: frozenset,
-        inside_function: bool,
-    ) -> Iterator[Violation]:
-        """Walk one lexical scope; recurse into function bodies with
-        the accumulated set of function names that are *not*
-        module-level (and therefore not picklable by reference), plus
-        names bound to lambdas at any level."""
-        body = getattr(scope, "body", [])
-        local_defs = {
-            n.name
-            for n in body
-            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-        if inside_function:
-            nested_funcs = nested_funcs | frozenset(local_defs)
-        lambda_names = lambda_names | self._lambda_bindings(body)
-        for node in body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from self._walk_scope(
-                    node, path, nested_funcs, lambda_names,
-                    inside_function=True,
-                )
-            elif isinstance(node, ast.ClassDef):
-                yield from self._walk_scope(
-                    node, path, nested_funcs, lambda_names, inside_function
-                )
-            else:
-                yield from self._check_stmt(
-                    node, path, nested_funcs, lambda_names
-                )
-
-    def _check_stmt(
-        self,
-        stmt: ast.AST,
-        path: str,
-        nested_funcs: frozenset,
-        lambda_names: frozenset,
-    ) -> Iterator[Violation]:
-        for node in ast.walk(stmt):
-            if not (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in _ENGINE_METHODS
-                    and node.args):
-                continue
-            worker = node.args[0]
-            if isinstance(worker, ast.Lambda):
-                yield self._v(
-                    path, worker,
-                    f"lambda passed to {node.func.attr}() cannot be "
-                    "pickled into worker processes; define a "
-                    "module-level worker function",
-                )
-            elif isinstance(worker, ast.Name) and worker.id in nested_funcs:
-                yield self._v(
-                    path, worker,
-                    f"nested function {worker.id!r} passed to "
-                    f"{node.func.attr}() closes over the enclosing "
-                    "frame's mutable state; hoist it to module level "
-                    "and pass state via the payload",
-                )
-            elif isinstance(worker, ast.Name) and worker.id in lambda_names:
-                yield self._v(
-                    path, worker,
-                    f"{worker.id!r} is bound to a lambda; pickle "
-                    "serializes functions by qualified name, so it "
-                    f"cannot reach {node.func.attr}() workers — define "
-                    "a module-level def instead",
-                )
-
-
-# ----------------------------------------------------------------------
-# REP106 — wall-clock reads inside registered workflow steps
-# ----------------------------------------------------------------------
-#: Direct wall/CPU-clock reads.  Any of these inside a step body makes
-#: the output depend on *when* the step ran, which the content address
-#: cannot see.
-_WALLCLOCK_CALLS = frozenset({
-    "time.time",
-    "time.time_ns",
-    "time.monotonic",
-    "time.monotonic_ns",
-    "time.perf_counter",
-    "time.perf_counter_ns",
-    "time.process_time",
-    "time.process_time_ns",
-    "time.clock_gettime",
-    "time.clock_gettime_ns",
-    "datetime.now",
-    "datetime.utcnow",
-    "datetime.today",
-    "datetime.datetime.now",
-    "datetime.datetime.utcnow",
-    "datetime.datetime.today",
-    "datetime.date.today",
-    "date.today",
-})
-
-
-def _is_step_decorator(dec: ast.AST) -> bool:
-    """``@register_step(...)`` or ``@<registry>.register(...)`` —
-    the two spellings that enter a function into a step catalog."""
-    target = dec.func if isinstance(dec, ast.Call) else dec
-    dotted = _dotted(target)
-    if dotted is None:
-        return False
-    tail = dotted.rsplit(".", 1)[-1]
-    return tail == "register_step" or ("." in dotted and tail == "register")
-
-
-class ImpureStepClockRule(LintRule):
-    id = "REP106"
-    name = "impure-step-clock"
-    description = (
-        "registered workflow steps are content-addressed by their "
-        "inputs and replayed from checkpoints; a direct wall-clock "
-        "read makes the output depend on when the step ran"
-    )
-
-    def check(self, tree: ast.AST, path: str) -> Iterator[Violation]:
-        for node in ast.walk(tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if not any(_is_step_decorator(d) for d in node.decorator_list):
-                continue
-            yield from self._check_step_body(node, path)
-
-    def _check_step_body(
-        self, func: ast.AST, path: str
-    ) -> Iterator[Violation]:
-        for node in ast.walk(func):
-            if not isinstance(node, ast.Call):
-                continue
-            dotted = _dotted(node.func)
-            if dotted is not None and dotted in _WALLCLOCK_CALLS:
-                yield self._v(
-                    path, node,
-                    f"{dotted}() inside a registered workflow step: the "
-                    "runner content-addresses step outputs by their "
-                    "inputs and replays checkpoints on digest hits, so "
-                    "a wall-clock read breaks run-vs-resume "
-                    "byte-identity; timing belongs to the runner's "
-                    "telemetry span",
-                )
-
-
 ALL_RULES: Tuple[LintRule, ...] = (
     UnseededRandomRule(),
     HashOrderIterationRule(),
     MutableDefaultRule(),
     BareExceptRule(),
-    ParallelClosureRule(),
-    ImpureStepClockRule(),
 )
 
 #: The concurrency-soundness rule catalog (REP2xx).  These rules need
@@ -624,13 +413,6 @@ CONCURRENCY_RULES: Tuple[Tuple[str, str, str], ...] = (
         "a blocking call (time.sleep, sync file/socket IO, subprocess, "
         "Lock.acquire) is reachable from an async def without an "
         "executor handoff; it stalls the whole event loop",
-    ),
-    (
-        "REP203",
-        "process-escape",
-        "work submitted to a process executor captures unpicklable or "
-        "shared-mutable state (locks, sockets, TelemetryRegistry, "
-        "bound methods of lock-holding objects)",
     ),
     (
         "REP204",
@@ -682,18 +464,4 @@ SEEDED_FIXTURES = {
     "REP102": "out = [v for v in {1, 2, 3}]\n",
     "REP103": "def f(items=[]):\n    return items\n",
     "REP104": "try:\n    pass\nexcept:\n    pass\n",
-    "REP105": (
-        "def sweep(engine):\n"
-        "    acc = []\n"
-        "    def worker(payload, t):\n"
-        "        acc.append(t)\n"
-        "    return engine.run_trials(worker, 4, {})\n"
-    ),
-    "REP106": (
-        "import time\n"
-        "from repro.workflow import register_step\n"
-        "@register_step('demo', 'a demo step')\n"
-        "def demo(params, inputs):\n"
-        "    return {'stamp': time.time()}\n"
-    ),
 }

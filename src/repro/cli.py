@@ -1,6 +1,6 @@
 """Command-line interface.
 
-``python -m repro <command>`` exposes the main workflows:
+``python -m repro <command>`` exposes the main entry points:
 
 - ``lamb``        compute a lamb set for a (random or loaded) fault set
 - ``partition``   show the SES/DES partitions for a fault set
@@ -8,7 +8,7 @@
 - ``chaos``       live-fault chaos run: mid-flight fault injection with
   rollback/reconfigure epochs and graceful degradation
 - ``figure``      regenerate one of the paper's figures
-- ``experiments`` regenerate EXPERIMENTS.md (optionally in parallel)
+- ``experiments`` regenerate EXPERIMENTS.md
 - ``reliability`` Monte Carlo availability campaign with a
   Wilson-bounded SLO verdict
 - ``reconfigure`` replay fault epochs from a JSON script
@@ -23,10 +23,6 @@
   metrics registry (Prometheus / JSON / NDJSON)
 - ``smoke``       run seeded end-to-end smokes (``repro smoke
   serve|obs|...``) twice each and check they agree and pass
-- ``workflow``    list/run/resume declarative campaign presets with
-  content-addressed checkpoint-resume (``workflow run chaos-campaign
-  --store DIR`` survives a SIGKILL; ``workflow resume`` picks up from
-  the last completed step)
 - ``store``       artifact-store maintenance (``store gc`` LRU-evicts
   the disk tier down to a byte budget)
 
@@ -51,9 +47,7 @@ Examples
     python -m repro serve --mesh 16x16 --faults 5 --seed 4 --port 7420
     python -m repro smoke serve obs
     python -m repro query --port 7420 --source 0,0 --dest 9,9
-    python -m repro workflow run chaos-campaign --store /tmp/ckpt --json
-    python -m repro workflow resume chaos-campaign --store /tmp/ckpt
-    python -m repro store gc --root /tmp/ckpt --max-bytes 1000000
+    python -m repro store gc --root /tmp/store --max-bytes 1000000
 """
 
 from __future__ import annotations
@@ -338,7 +332,6 @@ def cmd_chaos(args) -> int:
 
 def cmd_figure(args) -> int:
     from .experiments import figures, render_sweep
-    from .experiments.parallel import engine_jobs
 
     fn = getattr(figures, args.name, None)
     if fn is None or not args.name.startswith(("fig", "section")):
@@ -346,11 +339,7 @@ def cmd_figure(args) -> int:
             f"unknown figure {args.name!r}; try fig17..fig26 or "
             "section3_one_vs_two_rounds"
         )
-    if args.jobs or args.executor:
-        with engine_jobs(args.jobs, executor=args.executor):
-            result = fn(trials=args.trials, seed=args.seed)
-    else:
-        result = fn(trials=args.trials, seed=args.seed)
+    result = fn(trials=args.trials, seed=args.seed)
     print(render_sweep(result), end="")
     return 0
 
@@ -366,10 +355,7 @@ def cmd_experiments(args) -> int:
                 f"unknown sections {sorted(unknown)}; "
                 f"choose from {', '.join(ALL_SECTIONS)}"
             )
-    rc = run_cli(
-        args.out, seed=args.seed, sections=sections, jobs=args.jobs,
-        executor=args.executor,
-    )
+    rc = run_cli(args.out, seed=args.seed, sections=sections)
     _export_telemetry(args)
     return rc
 
@@ -401,7 +387,7 @@ def cmd_reliability(args) -> int:
             availability=args.availability,
         ),
     )
-    report = run_campaign(config, jobs=args.jobs, executor=args.executor)
+    report = run_campaign(config)
     if args.json:
         with open(args.json, "w") as fh:
             fh.write(report.to_json())
@@ -409,9 +395,6 @@ def cmd_reliability(args) -> int:
         print(f"wrote {args.json}")
     print("\n".join(report.summary_lines()))
     _export_telemetry(args)
-    if not report.accounting.all_accounted:
-        print("WARNING: trial accounting incomplete")
-        return 1
     if args.require_slo and not report.verdict.met:
         return 1
     return 0
@@ -707,132 +690,6 @@ def cmd_query(args) -> int:
     return asyncio.run(_run())
 
 
-def _parse_override(text: str):
-    """``step.key=value`` -> ``(step, key, value)`` with JSON values."""
-    import json as _json
-
-    target, sep, raw = text.partition("=")
-    step, dot, key = target.partition(".")
-    if not sep or not dot or not step or not key:
-        raise argparse.ArgumentTypeError(
-            f"bad override {text!r}; use step.key=value "
-            "(e.g. run-campaign.trials=100)"
-        )
-    try:
-        value = _json.loads(raw)
-    except ValueError:
-        value = raw
-    return step, key, value
-
-
-def cmd_workflow_list(args) -> int:
-    """Catalog dump: presets and registered step types."""
-    import json as _json
-
-    from .workflow import PRESETS, STEPS, preset_digest
-
-    if args.json:
-        payload = {
-            "presets": [
-                {
-                    "name": name,
-                    "digest": preset_digest(PRESETS[name]),
-                    "steps": list(PRESETS[name].step_names()),
-                    "description": PRESETS[name].description,
-                }
-                for name in sorted(PRESETS)
-            ],
-            "steps": [
-                {
-                    "name": name,
-                    "version": STEPS.get(name).version,
-                    "description": STEPS.get(name).description,
-                }
-                for name in STEPS.names()
-            ],
-        }
-        print(_json.dumps(payload, indent=2, sort_keys=True))
-        return 0
-    print(f"{'preset':<18} {'steps':<6} description")
-    for name in sorted(PRESETS):
-        preset = PRESETS[name]
-        print(f"{name:<18} {len(preset.steps):<6} {preset.description}")
-    print()
-    print(f"{'step':<18} {'v':<3} description")
-    for name in STEPS.names():
-        step = STEPS.get(name)
-        print(f"{name:<18} {step.version:<3} {step.description}")
-    return 0
-
-
-def _run_workflow(args, resuming: bool) -> int:
-    import json as _json
-
-    from .service.store import ArtifactStore
-    from .workflow import (
-        EXIT_INTERRUPTED,
-        EXIT_PAUSED,
-        WorkflowError,
-        WorkflowInterrupted,
-        WorkflowRunner,
-    )
-
-    if resuming and not args.store:
-        raise SystemExit(
-            "workflow resume needs --store DIR (the checkpoint root "
-            "the interrupted run wrote into)"
-        )
-    overrides: dict = {}
-    for step, key, value in args.set or []:
-        overrides.setdefault(step, {})[key] = value
-    runner = WorkflowRunner(
-        store=ArtifactStore(root=args.store),
-        force=getattr(args, "force", False),
-        budget_seconds=args.budget_seconds,
-    )
-    try:
-        outcome = runner.run(args.preset, overrides=overrides)
-    except WorkflowInterrupted as exc:
-        print(f"interrupted: {exc}")
-        _export_telemetry(args)
-        return EXIT_INTERRUPTED
-    except WorkflowError as exc:
-        print(f"error: {exc}")
-        _export_telemetry(args)
-        return 1
-    if args.out and outcome.report is not None:
-        with open(args.out, "w") as fh:
-            fh.write(outcome.report_json())
-    if args.json:
-        print(_json.dumps(outcome.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(f"preset {outcome.preset}  digest {outcome.digest}")
-        print(f"{'step':<20} {'type':<18} {'source':<7} "
-              f"{'seconds':>9}  digest")
-        for s in outcome.steps:
-            print(f"{s.name:<20} {s.step:<18} {s.source:<7} "
-                  f"{s.seconds:>9.3f}  {s.digest}")
-        if outcome.pending:
-            print("pending: " + ", ".join(outcome.pending))
-        print(f"status {outcome.status} | "
-              f"executed {outcome.executed_steps} | "
-              f"cached {outcome.cached_steps}")
-    _export_telemetry(args)
-    return EXIT_PAUSED if outcome.status == "paused" else 0
-
-
-def cmd_workflow_run(args) -> int:
-    """Run a preset (checkpointing every step into ``--store``)."""
-    return _run_workflow(args, resuming=False)
-
-
-def cmd_workflow_resume(args) -> int:
-    """Resume a killed/paused run: identical to ``run`` except the
-    checkpoint root is mandatory (resuming without one is a no-op
-    restart, which is never what the operator meant)."""
-    return _run_workflow(args, resuming=True)
-
-
 def cmd_store_gc(args) -> int:
     """LRU-evict the store's disk tier down to a byte budget."""
     import json as _json
@@ -949,28 +806,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", help="fig17..fig26 or section3_one_vs_two_rounds")
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=None,
-                   help="fan trials over N workers "
-                   "(default: REPRO_JOBS, else serial)")
-    p.add_argument("--executor", choices=("thread", "process"), default=None,
-                   help="worker pool backend (default: REPRO_EXECUTOR, "
-                   "else process); implies parallel fan-out")
     p.set_defaults(fn=cmd_figure)
 
-    p = sub.add_parser(
-        "experiments",
-        help="regenerate EXPERIMENTS.md (optionally in parallel)",
-    )
+    p = sub.add_parser("experiments", help="regenerate EXPERIMENTS.md")
     p.add_argument("--out", type=str, default="EXPERIMENTS.md",
                    help="output path (default EXPERIMENTS.md)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes for the trial engine; 0 = "
-                   "auto (REPRO_JOBS, else all CPUs); default: "
-                   "REPRO_JOBS if set, else serial")
-    p.add_argument("--executor", choices=("thread", "process"), default=None,
-                   help="worker pool backend (default: REPRO_EXECUTOR, "
-                   "else process)")
     p.add_argument("--telemetry", type=str, default=None, metavar="PREFIX",
                    help="write the telemetry registry to "
                    "PREFIX.{prom,ndjson,json} on exit")
@@ -1016,11 +857,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-epoch survivor-connectivity SLO floor")
     p.add_argument("--availability", type=float, default=0.99,
                    help="required time-weighted availability")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="fan trials over N workers (0 = all CPUs)")
-    p.add_argument("--executor", choices=("thread", "process"), default=None,
-                   help="worker pool backend (default: REPRO_EXECUTOR, "
-                   "else process)")
     p.add_argument("--json", type=str, default=None, metavar="PATH",
                    help="write the deterministic campaign report")
     p.add_argument("--require-slo", action="store_true",
@@ -1050,7 +886,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the rule catalog and exit")
     p.add_argument("--concurrency", action="store_true",
                    help="run the interprocedural concurrency pass "
-                   "(REP201-REP205) instead of the per-file lint rules")
+                   "(REP201, REP202, REP204, REP205) instead of the "
+                   "per-file lint rules")
     p.add_argument("--baseline", default=None,
                    help="suppression baseline JSON for --concurrency; "
                    "new findings AND stale entries both fail the gate")
@@ -1150,50 +987,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shutdown", action="store_true",
                    help="ask the server to drain gracefully")
     p.set_defaults(fn=cmd_query)
-
-    p = sub.add_parser(
-        "workflow",
-        help="declarative campaign workflows with content-addressed "
-        "checkpoint-resume",
-    )
-    wsub = p.add_subparsers(dest="workflow_command", required=True)
-
-    w = wsub.add_parser("list", help="list presets and registered steps")
-    w.add_argument("--json", action="store_true")
-    w.set_defaults(fn=cmd_workflow_list)
-
-    for verb, fn, hlp in (
-        ("run", cmd_workflow_run,
-         "run a preset, checkpointing every step into --store"),
-        ("resume", cmd_workflow_resume,
-         "resume a killed or paused run from its --store checkpoints"),
-    ):
-        w = wsub.add_parser(verb, help=hlp)
-        w.add_argument("preset", help="preset name (see `workflow list`)")
-        w.add_argument("--store", type=str, default=None, metavar="DIR",
-                       required=(verb == "resume"),
-                       help="checkpoint root (ArtifactStore disk tier); "
-                       "omitted = in-memory, no resume possible")
-        w.add_argument("--budget-seconds", type=float, default=None,
-                       help="graceful checkpoint-and-stop after this "
-                       "much wall time (exit code 3)")
-        w.add_argument("--set", type=_parse_override, action="append",
-                       default=[], metavar="STEP.KEY=VALUE",
-                       help="override a step parameter (repeatable); "
-                       "enters the preset digest, so overridden runs "
-                       "checkpoint under their own keys")
-        w.add_argument("--out", type=str, default=None,
-                       help="write the final report JSON here")
-        w.add_argument("--json", action="store_true",
-                       help="machine-readable outcome on stdout")
-        w.add_argument("--telemetry", type=str, default=None,
-                       metavar="PREFIX",
-                       help="write PREFIX.{prom,ndjson,json} on exit")
-        if verb == "run":
-            w.add_argument("--force", action="store_true",
-                           help="recompute every step, overwriting "
-                           "checkpoints")
-        w.set_defaults(fn=fn)
 
     p = sub.add_parser("store", help="artifact-store maintenance")
     ssub = p.add_subparsers(dest="store_command", required=True)

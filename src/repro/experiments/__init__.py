@@ -17,13 +17,6 @@ from .figures import (
 from .chaos_experiments import fault_arrival_sweep
 from .harness import SweepResult, TrialSeries, default_trials, lamb_trials
 from .link_faults import link_fault_sweep, link_vs_node_conversion
-from .parallel import (
-    TrialEngine,
-    engine_jobs,
-    get_default_engine,
-    resolve_jobs,
-    set_default_jobs,
-)
 from .wormhole_experiments import (
     CascadeResult,
     injection_rate_sweep,
@@ -52,13 +45,8 @@ __all__ = [
     "section3_one_vs_two_rounds",
     "SweepResult",
     "TrialSeries",
-    "TrialEngine",
     "default_trials",
-    "engine_jobs",
-    "get_default_engine",
     "lamb_trials",
-    "resolve_jobs",
-    "set_default_jobs",
     "link_fault_sweep",
     "link_vs_node_conversion",
     "injection_rate_sweep",

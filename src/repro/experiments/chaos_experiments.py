@@ -11,48 +11,17 @@ robustness costs:
   number of mid-flight fault events grows.
 
 Each trial is a fully seeded, self-contained
-:func:`repro.wormhole.seeded_chaos_run`, so the sweep fans its
-trials over the :class:`repro.experiments.parallel.TrialEngine`
-(``jobs=`` / ``REPRO_JOBS``) with bit-identical counts and cycle
-statistics.
+:func:`repro.wormhole.seeded_chaos_run`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from ..wormhole.chaos import seeded_chaos_run
 from .harness import SweepResult, TrialSeries, default_trials
-from .parallel import resolve_engine
 
 __all__ = ["fault_arrival_sweep"]
-
-
-def _fate_trial(payload: Dict[str, Any], t: int) -> Dict[str, float]:
-    """One fault-arrival trial (runs identically in-process or in a
-    pool worker)."""
-    events = payload["events"]
-    report = seeded_chaos_run(
-        widths=payload["widths"],
-        initial_faults=payload["initial_faults"],
-        num_messages=payload["num_messages"],
-        num_events=events,
-        seed=(payload["seed"] * 1_000_003 + 7919 * events + t),
-        num_flits=payload["num_flits"],
-        inject_window=payload["inject_window"],
-        cycle_span=payload["cycle_span"],
-        max_cycles=payload["max_cycles"],
-    )
-    s = report.stats
-    return {
-        "delivered": s.delivered,
-        "retried_delivered": s.retried_delivered,
-        "aborted": s.aborted,
-        "epochs": report.num_epochs,
-        "avg_latency": s.avg_latency,
-        "avg_total_latency": s.avg_total_latency,
-        "accounted": 1.0 if report.fully_accounted else 0.0,
-    }
 
 
 def fault_arrival_sweep(
@@ -66,7 +35,6 @@ def fault_arrival_sweep(
     inject_window: int = 80,
     cycle_span: Tuple[int, int] = (20, 260),
     max_cycles: int = 100_000,
-    jobs: Optional[int] = None,
 ) -> SweepResult:
     """Message-fate accounting vs. live-fault arrival count.
 
@@ -90,26 +58,29 @@ def fault_arrival_sweep(
             "inject_window": inject_window,
         },
     )
-    engine, owned = resolve_engine(jobs)
-    try:
-        for events in event_counts:
-            payload = {
-                "events": events,
-                "widths": tuple(widths),
-                "initial_faults": initial_faults,
-                "num_messages": num_messages,
-                "seed": seed,
-                "num_flits": num_flits,
-                "inject_window": inject_window,
-                "cycle_span": tuple(cycle_span),
-                "max_cycles": max_cycles,
-            }
-            series = TrialSeries(x=events)
-            for row in engine.run_trials(_fate_trial, trials, payload):
-                series.add(**row)
-            out.series.append(series)
-    finally:
-        if owned:
-            engine.close()
+    for events in event_counts:
+        series = TrialSeries(x=events)
+        for t in range(trials):
+            report = seeded_chaos_run(
+                widths=tuple(widths),
+                initial_faults=initial_faults,
+                num_messages=num_messages,
+                num_events=events,
+                seed=(seed * 1_000_003 + 7919 * events + t),
+                num_flits=num_flits,
+                inject_window=inject_window,
+                cycle_span=tuple(cycle_span),
+                max_cycles=max_cycles,
+            )
+            s = report.stats
+            series.add(
+                delivered=s.delivered,
+                retried_delivered=s.retried_delivered,
+                aborted=s.aborted,
+                epochs=report.num_epochs,
+                avg_latency=s.avg_latency,
+                avg_total_latency=s.avg_total_latency,
+                accounted=1.0 if report.fully_accounted else 0.0,
+            )
+        out.series.append(series)
     return out
-

@@ -9,19 +9,16 @@ to restore the paper's counts.
 
 Determinism: trial ``t`` of a sweep point draws faults from
 ``numpy.random.default_rng((seed, tag, t))``, so every number in
-EXPERIMENTS.md is exactly reproducible.  Because each trial is seeded
-independently, the trials are embarrassingly parallel: pass ``jobs=``
-(or set ``REPRO_JOBS``, or run ``repro experiments --jobs N``) to fan
-them across a process pool via
-:class:`repro.experiments.parallel.TrialEngine` with bit-identical
-results for every deterministic measurement key.
+EXPERIMENTS.md is exactly reproducible.  Trials run serially: the
+Fig. 26 column times each Lamb1 run, and a worker pool contending for
+the CPU would inflate those timings without changing any count.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional
+from typing import Callable, Dict, List, Mapping, Optional
 
 import numpy as np
 from scipy import stats as _scipy_stats
@@ -30,7 +27,6 @@ from ..core.lamb import LambResult, find_lamb_set
 from ..mesh.faults import random_node_faults
 from ..mesh.geometry import Mesh
 from ..routing.ordering import KRoundOrdering, ascending, repeated
-from .parallel import is_picklable, resolve_engine, worker_memo
 
 __all__ = ["TrialSeries", "SweepResult", "default_trials", "lamb_trials"]
 
@@ -117,60 +113,6 @@ class SweepResult:
         return [s.x for s in self.series]
 
 
-# ----------------------------------------------------------------------
-# The lamb-trial kernel (shared verbatim by the serial and parallel
-# paths, so ``jobs`` can never change what a trial computes).
-# ----------------------------------------------------------------------
-def _one_lamb_trial(
-    mesh: Mesh,
-    num_faults: int,
-    seed: int,
-    tag: int,
-    t: int,
-    orderings: KRoundOrdering,
-    method: str,
-    extra: Optional[Callable[[LambResult], Mapping[str, float]]],
-) -> Dict[str, float]:
-    """Trial ``t`` of a sweep point: draw faults from
-    ``default_rng((seed, tag, t))``, run the lamb pipeline, and return
-    the measurement row."""
-    rng = np.random.default_rng((seed, tag, t))
-    faults = random_node_faults(mesh, num_faults, rng)
-    result = find_lamb_set(faults, orderings, method=method)
-    measurements: Dict[str, float] = {
-        "lambs": result.size,
-        "num_ses": result.num_ses,
-        "num_des": result.num_des,
-        "seconds": result.timings["total"],
-    }
-    if extra is not None:
-        measurements.update(extra(result))
-    return measurements
-
-
-def _lamb_trial_worker(payload: Dict[str, Any], t: int) -> Dict[str, float]:
-    """Process-pool worker: one lamb trial, with per-worker reuse of
-    the ``Mesh`` and ``KRoundOrdering`` objects across chunks."""
-    mesh = payload["mesh"]
-    mesh = worker_memo(
-        ("mesh", type(mesh).__name__, mesh.widths), lambda: mesh
-    )
-    orderings = payload["orderings"]
-    orderings = worker_memo(
-        ("orderings", tuple(o.perm for o in orderings)), lambda: orderings
-    )
-    return _one_lamb_trial(
-        mesh,
-        payload["num_faults"],
-        payload["seed"],
-        payload["tag"],
-        t,
-        orderings,
-        payload["method"],
-        payload["extra"],
-    )
-
-
 def lamb_trials(
     mesh: Mesh,
     num_faults: int,
@@ -180,52 +122,28 @@ def lamb_trials(
     orderings: Optional[KRoundOrdering] = None,
     method: str = "bipartite",
     extra: Optional[Callable[[LambResult], Mapping[str, float]]] = None,
-    jobs: Optional[int] = None,
 ) -> TrialSeries:
     """Run ``trials`` lamb computations with fresh random node faults.
 
+    Trial ``t`` draws its faults from ``default_rng((seed, tag, t))``.
     Records per trial: ``lambs`` (|Λ|), ``num_ses``, ``num_des``,
     ``seconds`` (total pipeline wall clock), plus anything returned by
     ``extra(result)``.
-
-    ``jobs`` fans the trials over a process pool (``None`` uses the
-    ambient :func:`repro.experiments.parallel.get_default_engine`,
-    which honours ``REPRO_JOBS``).  Trial ``t`` still seeds from
-    ``(seed, tag, t)``, and rows are merged in trial order, so every
-    deterministic key is bit-identical to the serial path; only the
-    wall-clock ``seconds`` key varies run to run (as it already does
-    serially).  Non-picklable ``extra`` callables fall back to the
-    serial path.
     """
     if orderings is None:
         orderings = repeated(ascending(mesh.d), 2)
-    engine, owned = resolve_engine(jobs)
-    try:
-        parallel_ok = engine.jobs > 1 and trials > 1 and (
-            not engine.requires_pickling or is_picklable(extra)
-        )
-        if parallel_ok:
-            payload: Dict[str, Any] = {
-                "mesh": mesh,
-                "num_faults": num_faults,
-                "seed": seed,
-                "tag": tag,
-                "orderings": orderings,
-                "method": method,
-                "extra": extra,
-            }
-            rows = engine.run_trials(_lamb_trial_worker, trials, payload)
-        else:
-            rows = [
-                _one_lamb_trial(
-                    mesh, num_faults, seed, tag, t, orderings, method, extra
-                )
-                for t in range(trials)
-            ]
-    finally:
-        if owned:
-            engine.close()
     series = TrialSeries(x=num_faults)
-    for row in rows:
+    for t in range(trials):
+        rng = np.random.default_rng((seed, tag, t))
+        faults = random_node_faults(mesh, num_faults, rng)
+        result = find_lamb_set(faults, orderings, method=method)
+        row: Dict[str, float] = {
+            "lambs": result.size,
+            "num_ses": result.num_ses,
+            "num_des": result.num_des,
+            "seconds": result.timings["total"],
+        }
+        if extra is not None:
+            row.update(extra(result))
         series.add(**row)
     return series

@@ -15,7 +15,7 @@ exercise the *machine* the lamb sets are for:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -24,40 +24,8 @@ from ..mesh.faults import FaultSet
 from ..routing.ordering import KRoundOrdering
 from ..wormhole.simulator import WormholeSimulator
 from .harness import SweepResult, TrialSeries
-from .parallel import resolve_engine
 
 __all__ = ["injection_rate_sweep", "lambs_must_route", "CascadeResult"]
-
-
-def _rate_point(payload: Dict[str, Any], t: int) -> Optional[Dict[str, float]]:
-    """Simulate one offered-load point (``t`` indexes into the rate
-    list); self-contained and seeded, so points parallelize."""
-    rate = payload["rates"][t]
-    faults: FaultSet = payload["faults"]
-    survivors = payload["survivors"]
-    seed = payload["seed"]
-    rng = np.random.default_rng((seed, int(rate * 1e6)))
-    sim = WormholeSimulator(faults, payload["orderings"], seed=seed)
-    injected = 0
-    for cycle in range(payload["window"]):
-        count = rng.poisson(rate)
-        for _ in range(count):
-            i = int(rng.integers(len(survivors)))
-            j = int(rng.integers(len(survivors) - 1))
-            if j >= i:
-                j += 1
-            sim.send(survivors[i], survivors[j], payload["num_flits"], cycle)
-            injected += 1
-    if injected == 0:
-        return None
-    stats = sim.run(max_cycles=payload["max_cycles"])
-    return {
-        "rate": rate,
-        "avg_latency": stats.avg_latency,
-        "p95_latency": stats.p95_latency,
-        "throughput": stats.throughput_flits_per_cycle,
-        "delivered": stats.delivered,
-    }
 
 
 def injection_rate_sweep(
@@ -67,16 +35,13 @@ def injection_rate_sweep(
     num_flits: int = 8,
     seed: int = 0,
     max_cycles: int = 2_000_000,
-    jobs: Optional[int] = None,
 ) -> SweepResult:
     """Latency vs offered load on the reconfigured machine.
 
     ``rates`` are offered loads in messages per cycle (network-wide);
     message arrivals are Bernoulli per cycle over a ``window``-cycle
     injection phase, after which the network drains.  Each rate point
-    is an independent seeded simulation, so the sweep fans the points
-    over the :class:`repro.experiments.parallel.TrialEngine`
-    (``jobs=`` / ``REPRO_JOBS``).
+    is an independent simulation seeded from ``(seed, rate)``.
     """
     mesh = result.mesh
     survivors = [v for v in mesh.nodes() if result.is_survivor(v)]
@@ -89,31 +54,27 @@ def injection_rate_sweep(
         x_label="offered load (msgs/cycle)",
         meta={"window": window, "num_flits": num_flits},
     )
-    payload: Dict[str, Any] = {
-        "rates": list(rates),
-        "faults": result.faults,
-        "orderings": result.orderings,
-        "survivors": survivors,
-        "seed": seed,
-        "window": window,
-        "num_flits": num_flits,
-        "max_cycles": max_cycles,
-    }
-    engine, owned = resolve_engine(jobs)
-    try:
-        rows = engine.run_trials(_rate_point, len(payload["rates"]), payload)
-    finally:
-        if owned:
-            engine.close()
-    for row in rows:
-        if row is None:
+    for rate in rates:
+        rng = np.random.default_rng((seed, int(rate * 1e6)))
+        sim = WormholeSimulator(result.faults, result.orderings, seed=seed)
+        injected = 0
+        for cycle in range(window):
+            for _ in range(rng.poisson(rate)):
+                i = int(rng.integers(len(survivors)))
+                j = int(rng.integers(len(survivors) - 1))
+                if j >= i:
+                    j += 1
+                sim.send(survivors[i], survivors[j], num_flits, cycle)
+                injected += 1
+        if injected == 0:
             continue
-        series = TrialSeries(x=row["rate"])
+        stats = sim.run(max_cycles=max_cycles)
+        series = TrialSeries(x=rate)
         series.add(
-            avg_latency=row["avg_latency"],
-            p95_latency=row["p95_latency"],
-            throughput=row["throughput"],
-            delivered=row["delivered"],
+            avg_latency=stats.avg_latency,
+            p95_latency=stats.p95_latency,
+            throughput=stats.throughput_flits_per_cycle,
+            delivered=stats.delivered,
         )
         out.series.append(series)
     return out

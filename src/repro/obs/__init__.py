@@ -29,9 +29,7 @@ Instrumented layers (they call :func:`get_registry` at call time, so
 - :class:`repro.wormhole.WormholeSimulator` — per-run cycle / stall /
   park / wake / abort / retry counters;
 - :class:`repro.service.ServiceMetrics` — the control-plane metrics,
-  now allocated through a registry;
-- :class:`repro.experiments.parallel.TrialEngine` — per-chunk wall
-  times.
+  now allocated through a registry.
 
 See ``docs/observability.md`` for the full API and the phase-timing
 glossary keyed to the paper's algorithm names.

@@ -3,8 +3,8 @@
 These are the building blocks of the unified telemetry layer
 (:mod:`repro.obs.registry`).  They originated in the control plane's
 ``repro.service.metrics`` (PR 4) and were promoted here so every layer
-— the lamb pipeline, the wormhole simulator, the trial engine, and the
-service — shares one implementation and one registry.
+— the lamb pipeline, the wormhole simulator and the service — shares
+one implementation and one registry.
 
 Dependency-free (no prometheus client in the image) but shaped like
 one: a :class:`Counter` only goes up, a :class:`Gauge` is a

@@ -9,8 +9,7 @@ about itself.  Library layers grab the ambient registry at *call* time
 - the wormhole simulator publishes per-run counters (cycles, stall
   cycles, park/wake events, aborts by reason, retries);
 - the control plane's :class:`repro.service.metrics.ServiceMetrics`
-  allocates its counters/histograms *through* a registry;
-- the trial engine observes per-chunk wall times.
+  allocates its counters/histograms *through* a registry.
 
 Design constraints
 ------------------

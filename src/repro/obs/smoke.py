@@ -10,9 +10,7 @@ into one registry, fully seeded:
    machinery is exercised),
 3. the control-plane compiler: a cache miss, a ``current`` cache
    hit, and an incremental delta, with its :class:`ServiceMetrics`
-   fronting the same registry,
-4. a tiny :class:`~repro.experiments.parallel.TrialEngine` sweep
-   (chunk wall-time histogram).
+   fronting the same registry.
 
 This is the scenario behind ``repro stats`` and ``make obs-smoke``;
 the latter runs it twice with ``redact_timings`` and diffs the
@@ -22,7 +20,7 @@ pure function of the seed).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -32,10 +30,6 @@ __all__ = ["run_telemetry_smoke", "WORKED_EXAMPLE_FAULTS"]
 
 #: The paper's worked-example fault set on the 12x12 mesh.
 WORKED_EXAMPLE_FAULTS = ((9, 1), (11, 6), (10, 10))
-
-
-def _trial_worker(payload: Dict[str, int], t: int) -> int:
-    return payload["base"] + t  # pragma: no cover - trivial
 
 
 def run_telemetry_smoke(
@@ -56,7 +50,6 @@ def run_telemetry_smoke(
     from ..service.compiler import ReconfigurationCompiler
     from ..service.metrics import ServiceMetrics
     from ..wormhole import WormholeSimulator, uniform_random_traffic
-    from ..experiments.parallel import TrialEngine
 
     reg = TelemetryRegistry() if registry is None else registry
     with use_registry(reg):
@@ -102,9 +95,4 @@ def run_telemetry_smoke(
             and v not in art.result.lambs
         ]
         compiler.route(survivors[0], survivors[-1])
-
-        # 4. Trial engine: chunk wall-time histogram (serial: the
-        # smoke must not fork).
-        with TrialEngine(jobs=1) as engine:
-            engine.run_trials(_trial_worker, 8, {"base": seed})
     return reg

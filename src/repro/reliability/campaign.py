@@ -18,18 +18,14 @@ survivor-connectivity floor?*  Per trial ``t`` (seeded from
    the SLO floor (a failed compile — ladder exhausted — is down time);
 4. time-weight up intervals into per-trial availability.
 
-The campaign pools trials (fanned over the
-:class:`~repro.experiments.parallel.TrialEngine`, thread or process
-executor) into a :class:`CampaignReport` with availability, observed
-MTTF/MTTR, and a Wilson-bounded :class:`~repro.reliability.SLOVerdict`
-— plus engine-level accounting proving no trial chunk was lost or
-double-counted.
+The campaign runs its trials serially and pools them into a
+:class:`CampaignReport` with availability, observed MTTF/MTTR, and a
+Wilson-bounded :class:`~repro.reliability.SLOVerdict`.
 
 Determinism: the report's JSON is a pure function of the
-:class:`CampaignConfig` — identical bytes for any job count and either
-executor.  Cache-hit counts are included *per trial* (each trial owns
-a fresh in-memory store, so its hit pattern is seeded-deterministic);
-wall-clock and executor topology never enter the report.
+:class:`CampaignConfig`.  Cache-hit counts are included *per trial*
+(each trial owns a fresh in-memory store, so its hit pattern is
+seeded-deterministic); wall-clock never enters the report.
 """
 
 from __future__ import annotations
@@ -41,7 +37,6 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core.reconfigure import largest_good_component
-from ..experiments.parallel import RunAccounting, resolve_engine, worker_memo
 from ..mesh.faults import FaultSet
 from ..mesh.geometry import Mesh
 from ..mesh.torus import Torus
@@ -58,9 +53,8 @@ __all__ = ["CampaignConfig", "CampaignReport", "run_campaign"]
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    """Everything a campaign depends on (picklable primitives only —
-    the worker rebuilds mesh/processes from this, so the config *is*
-    the campaign's identity)."""
+    """Everything a campaign depends on: the config *is* the
+    campaign's identity."""
 
     widths: Tuple[int, ...] = (8, 8)
     torus: bool = False
@@ -126,22 +120,14 @@ class CampaignConfig:
         }
 
 
-def _campaign_trial_worker(
-    payload: Dict[str, Any], t: int
-) -> Dict[str, Any]:
+def _campaign_trial(cfg: CampaignConfig, mesh: Mesh, t: int) -> Dict[str, Any]:
     """One trial: timeline -> per-interval compile -> availability.
 
-    Module-level and pure so it fans over either executor; the mesh is
-    reused per worker via :func:`worker_memo` (read-only, safe to
-    share across threads), but the compiler and its artifact store are
-    *fresh per trial* — the compiler adopts escalated orderings across
-    compiles, so sharing one across trials would make results depend
-    on which trials co-resided in a worker and break bit-identity.
+    The compiler and its artifact store are *fresh per trial*: the
+    compiler adopts escalated orderings across compiles, so sharing
+    one across trials would make a trial's result depend on the
+    trials before it.
     """
-    cfg: CampaignConfig = payload["config"]
-    mesh = worker_memo(
-        ("reliability-mesh", cfg.mesh_spec()), cfg.build_mesh
-    )
     arrival = arrival_process(cfg.arrival, cfg.rate, cfg.shape, cfg.scale)
     repair = repair_model(cfg.repair, cfg.mttr)
     rng = np.random.default_rng((cfg.seed, cfg.tag, t))
@@ -221,12 +207,11 @@ def _campaign_trial_worker(
 
 @dataclass
 class CampaignReport:
-    """Pooled campaign results + SLO verdict + engine accounting."""
+    """Pooled campaign results + SLO verdict."""
 
     config: CampaignConfig
     verdict: SLOVerdict
     trials: List[Dict[str, Any]]
-    accounting: RunAccounting
 
     # ------------------------------------------------------------------
     def _mean(self, key: str) -> Optional[float]:
@@ -258,9 +243,8 @@ class CampaignReport:
         return sum(row["compile_failures"] for row in self.trials)
 
     def to_dict(self) -> Dict[str, Any]:
-        """Deterministic report body: a pure function of the config —
-        no wall-clock, no executor/job topology, so thread and process
-        runs of the same config serialize to identical bytes."""
+        """Deterministic report body: a pure function of the config,
+        with no wall-clock."""
 
         def r(x: Optional[float]) -> Optional[float]:
             return None if x is None else round(x, 9)
@@ -289,11 +273,6 @@ class CampaignReport:
                 "min_connectivity": r(
                     min(row["min_connectivity"] for row in self.trials)
                 ),
-            },
-            "accounting": {
-                "trials_expected": self.accounting.trials_expected,
-                "trials_completed": self.accounting.trials_completed,
-                "all_accounted": self.accounting.all_accounted,
             },
             "trials": rows,
         }
@@ -329,56 +308,30 @@ class CampaignReport:
             f"compile failures {self.total_compile_failures}",
             f"  SLO availability>={v.target.availability} @ "
             f"connectivity>={v.target.connectivity}: {status}",
-            f"  accounting: {self.accounting.trials_completed}/"
-            f"{self.accounting.trials_expected} trials, "
-            f"all_accounted={self.accounting.all_accounted}",
         ]
         return lines
 
 
-def run_campaign(
-    config: CampaignConfig,
-    jobs: Optional[int] = None,
-    executor: Optional[str] = None,
-) -> CampaignReport:
-    """Run one campaign, fanned over the trial engine.
+def run_campaign(config: CampaignConfig) -> CampaignReport:
+    """Run one campaign, trial by trial.
 
-    ``jobs``/``executor`` pick the fan-out (``None`` = ambient engine /
-    environment); they change wall-clock only, never the report.  The
-    run is instrumented into the ambient telemetry registry: a
+    The run is instrumented into the ambient telemetry registry: a
     campaign span, per-epoch up/down counters, and a repair-latency
-    histogram (recorded by the parent from the returned rows — worker
-    processes do not share the registry).
-
-    Raises :class:`~repro.experiments.parallel.WorkerCrashError` if a
-    chunk cannot be completed; short of that, the returned report's
-    ``accounting`` proves every trial was counted exactly once.
+    histogram.
     """
     reg = get_registry()
-    engine, owned = resolve_engine(jobs, executor)
-    try:
-        with reg.span(
-            "reliability.campaign",
-            mesh=config.mesh_spec(),
-            trials=config.trials,
-            arrival=config.arrival,
-        ):
-            rows = engine.run_trials(
-                _campaign_trial_worker,
-                config.trials,
-                {"config": config},
-            )
-        accounting = engine.last_run
-    finally:
-        if owned:
-            engine.close()
-    rows = [row for row in rows if row is not None]
+    mesh = config.build_mesh()
+    with reg.span(
+        "reliability.campaign",
+        mesh=config.mesh_spec(),
+        trials=config.trials,
+        arrival=config.arrival,
+    ):
+        rows = [_campaign_trial(config, mesh, t) for t in range(config.trials)]
     epochs_up = sum(row["epochs_up"] for row in rows)
     epochs_total = sum(row["epochs"] for row in rows)
     up_time = sum(row["up_time"] for row in rows)
-    availability = (
-        up_time / (config.horizon * len(rows)) if rows else 0.0
-    )
+    availability = up_time / (config.horizon * len(rows))
     reg.inc("reliability_trials_total", len(rows))
     reg.inc("reliability_epochs_up_total", epochs_up)
     reg.inc("reliability_epochs_down_total", epochs_total - epochs_up)
@@ -396,9 +349,4 @@ def run_campaign(
     verdict = SLOVerdict.judge(
         config.slo, availability, epochs_up, epochs_total
     )
-    return CampaignReport(
-        config=config,
-        verdict=verdict,
-        trials=rows,
-        accounting=accounting,
-    )
+    return CampaignReport(config=config, verdict=verdict, trials=rows)

@@ -136,8 +136,7 @@ class ArtifactStore:
         #: ``move_to_end``/``popitem`` race can corrupt LRU order or
         #: raise outright.
         self._lock = threading.Lock()
-        #: Digests exempt from :meth:`prune` eviction (live epochs,
-        #: in-flight workflow checkpoints).
+        #: Digests exempt from :meth:`prune` eviction.
         self._pinned: Set[str] = set()
         self.memory_hits = 0
         self.disk_hits = 0

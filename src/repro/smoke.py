@@ -17,7 +17,6 @@ import itertools
 import json
 import multiprocessing
 import os
-import signal
 import sys
 import tempfile
 import traceback
@@ -51,16 +50,6 @@ def _child(run: Callable[[Path], Artifacts], workdir: str, conn) -> None:
         conn.send(("error", traceback.format_exc()))
 
 
-def _spawn(target: Callable[..., None], *args) -> multiprocessing.Process:
-    # Non-daemonic: the reliability smoke starts its own process
-    # executor workers, which a daemonic process may not.
-    proc = multiprocessing.get_context("spawn").Process(
-        target=target, args=args, daemon=False
-    )
-    proc.start()
-    return proc
-
-
 def _first_difference(a: Artifacts, b: Artifacts) -> Optional[str]:
     if sorted(a) != sorted(b):
         return f"artifact names {sorted(a)} != {sorted(b)}"
@@ -83,7 +72,10 @@ def check(smoke: Smoke) -> None:
             workdir = os.path.join(tmp, f"run{i}")
             os.mkdir(workdir)
             recv, send = multiprocessing.Pipe(duplex=False)
-            proc = _spawn(_child, smoke.run, workdir, send)
+            proc = multiprocessing.get_context("spawn").Process(
+                target=_child, args=(smoke.run, workdir, send)
+            )
+            proc.start()
             send.close()
             try:
                 status, payload = recv.recv()
@@ -202,7 +194,6 @@ def _expect_obs(artifacts: Artifacts) -> None:
     for key, want in (
         ('sim_aborts_total{reason="endpoint-failed"}', 1),
         ("service_compiles_total", 2),
-        ("trial_chunks_total", 1),
         ("telemetry_events_dropped", 0),
     ):
         got = float(series[key]) if key in series else None
@@ -210,64 +201,12 @@ def _expect_obs(artifacts: Artifacts) -> None:
 
 
 def _expect_reliability(artifacts: Artifacts) -> None:
-    diff = _first_difference(
-        {"json": artifacts["thread.json"], "out": artifacts["thread"]},
-        {"json": artifacts["process.json"], "out": artifacts["process"]},
-    )
-    _need(diff is None, f"thread vs process executor: {diff}")
-    report = json.loads(artifacts["thread.json"])
-    _need(report["accounting"]["all_accounted"] is True,
-          "JSON report: all_accounted is not true")
-    _need("all_accounted=True" in _expect(artifacts["thread"], "accounting:"),
-          "text report: no all_accounted=True")
-
-
-def _killed_workflow() -> None:
-    from .workflow.runner import KILL_AFTER_ENV
-
-    os.environ[KILL_AFTER_ENV] = "chaos-burst"
-    _cli("workflow", "run", "chaos-campaign", "--store", "kill")
-
-
-def _workflow(line: str) -> str:
-    """The outcome of ``repro workflow LINE --json``, minus the step
-    wall times."""
-    out = _cli("workflow", *line.split(), "--json")
-    outcome = json.loads(out[:out.rindex("exit ")])  # drop the exit line
-    for step in outcome["steps"]:
-        del step["seconds"]
-    return json.dumps(outcome, indent=2, sort_keys=True)
-
-
-def _run_workflow(workdir: Path) -> Artifacts:
-    artifacts = {
-        "outcome1": _workflow("run chaos-campaign --store s --out run1.json"),
-        "outcome2": _workflow("run chaos-campaign --store s --out run2.json"),
-    }
-    killed = _spawn(_killed_workflow)
-    killed.join()
-    artifacts["kill.exit"] = str(killed.exitcode)
-    artifacts["outcome3"] = _workflow(
-        "resume chaos-campaign --store kill --out resumed.json"
-    )
-    for name in ("run1.json", "run2.json", "resumed.json"):
-        artifacts[name] = (workdir / name).read_text()
-    return artifacts
-
-
-def _expect_workflow(artifacts: Artifacts) -> None:
-    outcomes = [json.loads(artifacts[f"outcome{i}"]) for i in (1, 2, 3)]
-    _need(all(o["status"] == "completed" for o in outcomes),
-          f"statuses {[o['status'] for o in outcomes]}")
-    for i, key, want in ((2, "executed_steps", 0), (2, "cached_steps", 5),
-                         (3, "cached_steps", 2)):
-        got = outcomes[i - 1][key]
-        _need(got == want, f"outcome{i} {key} {got}, want {want}")
-    for other in ("run2.json", "resumed.json"):
-        _need(artifacts[other] == artifacts["run1.json"],
-              f"{other} differs from run1.json")
-    _need(artifacts["kill.exit"] == str(-signal.SIGKILL),
-          f"killed run exit {artifacts['kill.exit']}, want SIGKILL")
+    _expect(artifacts["campaign"], "exit", exit="0")
+    report = json.loads(artifacts["campaign.json"])
+    trials = report["config"]["trials"]
+    _need(len(report["trials"]) == trials,
+          f"{len(report['trials'])} trial rows, want {trials}")
+    _need(report["fleet"]["faults"] > 0, "the campaign saw no faults")
 
 
 def _run_concurrency(workdir: Path) -> Artifacts:
@@ -297,9 +236,6 @@ def _expect_prove(artifacts: Artifacts) -> None:
     _expect(artifacts["broken"], "exit", exit="1")
 
 
-_RELIABILITY = ("reliability --mesh 8x8 --rate 1.5 --mttr 0.3 --horizon 2 "
-                "--trials 4 --seed 0 --jobs 2 --executor {0} --json {0}.json")
-
 SMOKES: Dict[str, Smoke] = {
     "chaos": Smoke(
         "deterministic and >=3 reconfiguration epochs",
@@ -315,14 +251,12 @@ SMOKES: Dict[str, Smoke] = {
                 ("obs.prom", "obs.ndjson", "obs.json")),
         _expect_obs),
     "reliability": Smoke(
-        "thread == process executor, all trials accounted",
-        partial(_repro, {e: _RELIABILITY.format(e)
-                         for e in ("thread", "process")},
-                ("thread.json", "process.json")),
+        "seeded campaign report stable, one row per trial",
+        partial(_repro, {"campaign": "reliability --mesh 8x8 --rate 1.5 "
+                         "--mttr 0.3 --horizon 2 --trials 4 --seed 0 "
+                         "--json campaign.json"},
+                ("campaign.json",)),
         _expect_reliability),
-    "workflow": Smoke(
-        "cached rerun and kill-and-resume reports identical",
-        _run_workflow, _expect_workflow),
     "concurrency": Smoke(
         "concurrency report stable, baseline gate clean",
         _run_concurrency, _expect_concurrency),

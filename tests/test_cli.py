@@ -198,71 +198,6 @@ class TestFigureSection3:
         assert "section3" in out
 
 
-class TestWorkflowCommand:
-    SMALL = [
-        "--set", "sample-timeline.horizon=1.0",
-        "--set", "run-campaign.horizon=1.0",
-        "--set", "run-campaign.trials=2",
-    ]
-
-    def test_list_table(self, capsys):
-        code, out = run(["workflow", "list"], capsys)
-        assert code == 0
-        assert "chaos-campaign" in out
-        assert "inject-chaos" in out
-
-    def test_list_json(self, capsys):
-        code, out = run(["workflow", "list", "--json"], capsys)
-        data = json.loads(out)
-        assert [p["name"] for p in data["presets"]] == [
-            "chaos-campaign", "reliability-slo", "serve-loadtest",
-        ]
-        assert len(data["steps"]) == 8
-
-    def test_run_then_rerun_is_fully_cached(self, tmp_path, capsys):
-        argv = [
-            "workflow", "run", "reliability-slo",
-            "--store", str(tmp_path / "ck"), "--json",
-            "--out", str(tmp_path / "report.json"), *self.SMALL,
-        ]
-        code, out = run(argv, capsys)
-        assert code == 0
-        assert json.loads(out)["executed_steps"] == 3
-        code, out = run(argv, capsys)
-        data = json.loads(out)
-        assert (code, data["executed_steps"], data["cached_steps"]) == \
-            (0, 0, 3)
-        report = json.loads((tmp_path / "report.json").read_text())
-        assert report["schema"] == 1
-        assert set(report["sections"]) == {
-            "sample-timeline", "run-campaign",
-        }
-
-    def test_budget_pause_exits_3(self, tmp_path, capsys):
-        code, out = run(
-            ["workflow", "run", "reliability-slo",
-             "--store", str(tmp_path / "ck"),
-             "--budget-seconds", "0", *self.SMALL],
-            capsys,
-        )
-        assert code == 3
-        assert "status paused" in out
-
-    def test_unknown_preset_is_exit_1(self, capsys):
-        code, out = run(["workflow", "run", "nope"], capsys)
-        assert code == 1
-        assert "unknown workflow preset" in out
-
-    def test_resume_requires_store(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["workflow", "resume", "reliability-slo"])
-
-    def test_bad_override_syntax_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["workflow", "run", "reliability-slo",
-                  "--set", "no-dot-or-equals"])
-
-
 class TestStoreGcCommand:
     def test_gc_shrinks_to_budget(self, tmp_path, capsys):
         from repro.service.store import ArtifactStore

@@ -1,9 +1,6 @@
 """Tests for the experiment harness and figure reproductions
 (repro.experiments) — run with tiny trial counts."""
 
-import os
-import pickle
-
 import numpy as np
 import pytest
 
@@ -20,11 +17,7 @@ from repro.experiments import (
     section3_one_vs_two_rounds,
     sweep_to_markdown,
 )
-from repro.experiments.figures import (
-    PERCENTS,
-    _faults_for_percent,
-    section62_densities,
-)
+from repro.experiments.figures import PERCENTS, _faults_for_percent
 from repro.mesh import Mesh
 
 
@@ -71,6 +64,15 @@ class TestHarness:
         )
         assert "damage" in s.values
 
+    def test_column_unknown_agg_raises_value_error(self):
+        result = SweepResult("f", "d", "x")
+        series = TrialSeries(x=1.0)
+        series.add(lambs=3.0)
+        result.series.append(series)
+        assert result.column("lambs", "avg") == [3.0]
+        with pytest.raises(ValueError, match="unknown agg"):
+            result.column("lambs", "median")
+
 
 class TestFigures:
     def test_fault_percent_rounding(self):
@@ -103,9 +105,8 @@ class TestFigures:
             assert s.max("num_ses") <= bound
 
     def test_fig25_records_section62_densities(self):
-        """R1, I1 and R1·I1 densities per trial, from a picklable
-        ``extra`` so ``jobs > 1`` keeps them."""
-        assert pickle.loads(pickle.dumps(section62_densities)) is section62_densities
+        """R1, I1 and R1·I1 densities per trial, from the
+        ``section62_densities`` extra."""
         r = fig25(trials=1, seed=1)
         for s in r.series:
             for key in ("R1_density", "I1_density", "R1I1_density"):

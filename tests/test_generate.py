@@ -72,3 +72,32 @@ class TestNoPlaceholders:
         assert text.count("Trials per point:") >= 10
         assert "Trials per point: ?" not in text
         assert "Trials per point: 1. Paper reference at 3%" in text
+
+
+def _sections(text):
+    """``{heading: body}`` per ``## `` section (the preamble under
+    ``""``), without the wall-clock ``_Total generation time`` footer."""
+    out, head = {}, ""
+    for line in text.splitlines(keepends=True):
+        if line.startswith("## "):
+            head = line
+        if not line.startswith("_Total generation time"):
+            out[head] = out.get(head, "") + line
+    return out
+
+
+class TestCommittedReport:
+    def test_deterministic_sections_match_committed_file(self, monkeypatch):
+        """The seeded sections with no wall-clock column regenerate the
+        committed EXPERIMENTS.md byte for byte."""
+        from pathlib import Path
+
+        monkeypatch.delenv("REPRO_TRIALS", raising=False)
+        root = Path(__file__).resolve().parents[1]
+        committed = _sections((root / "EXPERIMENTS.md").read_text())
+        fresh = _sections(generate(
+            "", seed=0, sections=("tables", "section3", "chaos", "artifacts"),
+        ))
+        assert len(fresh) == 5  # the preamble plus the four sections
+        for head, body in fresh.items():
+            assert body == committed.get(head), f"section {head!r} differs"

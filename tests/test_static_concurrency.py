@@ -1,4 +1,5 @@
-"""Tests for the interprocedural concurrency analyzer (REP201-205)."""
+"""Tests for the interprocedural concurrency analyzer (REP201, REP202,
+REP204, REP205)."""
 
 import dataclasses
 import json
@@ -234,50 +235,6 @@ class TestAsyncBlocking:
 
 
 # ----------------------------------------------------------------------
-# REP203 — process-worker escapes
-# ----------------------------------------------------------------------
-class TestProcessEscape:
-    def test_lock_argument_flagged(self):
-        src = (
-            "import threading\n"
-            "from concurrent.futures import ProcessPoolExecutor\n"
-            "_lock = threading.Lock()\n"
-            "def worker(lock):\n"
-            "    return 1\n"
-            "def run():\n"
-            "    pool = ProcessPoolExecutor()\n"
-            "    return pool.submit(worker, _lock)\n"
-        )
-        report = analyze_sources({"m.py": src})
-        assert _ids(report) == ["REP203"]
-        assert "m._lock" in report.findings[0].message
-
-    def test_thread_pool_not_flagged(self):
-        src = (
-            "import threading\n"
-            "from concurrent.futures import ThreadPoolExecutor\n"
-            "_lock = threading.Lock()\n"
-            "def worker(lock):\n"
-            "    return 1\n"
-            "def run():\n"
-            "    pool = ThreadPoolExecutor()\n"
-            "    return pool.submit(worker, _lock)\n"
-        )
-        report = analyze_sources({"m.py": src})
-        assert _ids(report) == []
-
-    def test_trial_engine_convention_checked_for_any_receiver(self):
-        src = (
-            "import threading\n"
-            "def run(engine):\n"
-            "    lock = threading.Lock()\n"
-            "    return engine.run_trials(max, [lock])\n"
-        )
-        report = analyze_sources({"m.py": src})
-        assert _ids(report) == ["REP203"]
-
-
-# ----------------------------------------------------------------------
 # REP204 / REP205
 # ----------------------------------------------------------------------
 class TestHeldAcrossAwaitAndWrites:
@@ -354,7 +311,7 @@ class TestReportAndBaseline:
 
     def test_baseline_split(self):
         f1 = ConcurrencyFinding("a.py", 1, 0, "REP202", "a.f", "x")
-        f2 = ConcurrencyFinding("b.py", 2, 0, "REP203", "b.g", "y")
+        f2 = ConcurrencyFinding("b.py", 2, 0, "REP204", "b.g", "y")
         entries = [
             {"rule": "REP202", "path": "a.py", "symbol": "a.f",
              "reason": "justified"},

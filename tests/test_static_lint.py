@@ -142,130 +142,6 @@ class TestMutableDefaultAndBareExcept:
         assert _ids(engine.check_source(ok)) == []
 
 
-class TestParallelClosure:
-    def check(self, src):
-        return _ids(LintEngine([rule_by_id("REP105")]).check_source(src))
-
-    def test_flags_lambda_worker(self):
-        assert self.check("engine.run_trials(lambda p, t: t, 4, {})\n") == \
-            ["REP105"]
-
-    def test_flags_nested_function_worker(self):
-        assert self.check(SEEDED_FIXTURES["REP105"]) == ["REP105"]
-
-    def test_module_level_worker_is_clean(self):
-        src = (
-            "def worker(payload, t):\n"
-            "    return t\n"
-            "def sweep(engine):\n"
-            "    return engine.map_ordered(worker, 4, {})\n"
-        )
-        assert self.check(src) == []
-
-    def test_flags_lambda_bound_name_even_at_module_level(self):
-        # A module-level ``name = lambda`` is just as unpicklable as a
-        # nested def: pickle resolves functions by qualified name and
-        # ``<lambda>`` never resolves.
-        src = (
-            "worker = lambda p, t: t\n"
-            "def sweep(engine):\n"
-            "    return engine.run_trials(worker, 4, {})\n"
-        )
-        assert self.check(src) == ["REP105"]
-
-    def test_flags_annotated_lambda_binding(self):
-        src = (
-            "def sweep(engine):\n"
-            "    worker: object = lambda p, t: t\n"
-            "    return engine.run_trials(worker, 4, {})\n"
-        )
-        assert self.check(src) == ["REP105"]
-
-    def test_flags_executor_submit_and_map(self):
-        # The raw concurrent.futures surface ships workers to process
-        # pools exactly like the trial engine does.
-        assert self.check("pool.submit(lambda: 1)\n") == ["REP105"]
-        assert self.check("pool.map(lambda x: x, items)\n") == ["REP105"]
-
-    def test_plain_builtin_map_is_clean(self):
-        # Only attribute calls (``pool.map``) are pool hand-offs; the
-        # builtin ``map`` stays in-process.
-        assert self.check("out = list(map(str, [1, 2]))\n") == []
-
-    def test_def_rebinding_is_clean(self):
-        src = (
-            "def worker(p, t):\n"
-            "    return t\n"
-            "alias = worker\n"
-            "def sweep(engine):\n"
-            "    return engine.run_trials(alias, 4, {})\n"
-        )
-        assert self.check(src) == []
-
-
-class TestImpureStepClock:
-    def check(self, src):
-        return _ids(LintEngine([rule_by_id("REP106")]).check_source(src))
-
-    def test_flags_time_time_in_registered_step(self):
-        assert self.check(SEEDED_FIXTURES["REP106"]) == ["REP106"]
-
-    def test_flags_registry_register_spelling(self):
-        src = (
-            "@STEPS.register('demo', 'demo')\n"
-            "def demo(params, inputs):\n"
-            "    return {'t': time.monotonic()}\n"
-        )
-        assert self.check(src) == ["REP106"]
-
-    def test_flags_datetime_now(self):
-        src = (
-            "@register_step('demo', 'demo')\n"
-            "def demo(params, inputs):\n"
-            "    return {'t': datetime.now().isoformat()}\n"
-        )
-        assert self.check(src) == ["REP106"]
-
-    def test_clock_outside_steps_is_clean(self):
-        # The runner itself times steps — wall-clock is fine anywhere
-        # that is not a registered (content-addressed) step body.
-        src = (
-            "def run(self):\n"
-            "    started = time.monotonic()\n"
-            "    return time.perf_counter() - started\n"
-        )
-        assert self.check(src) == []
-
-    def test_undecorated_neighbor_is_clean(self):
-        src = (
-            "@register_step('demo', 'demo')\n"
-            "def demo(params, inputs):\n"
-            "    return {}\n"
-            "def helper():\n"
-            "    return time.time()\n"
-        )
-        assert self.check(src) == []
-
-    def test_non_registry_decorator_is_clean(self):
-        src = (
-            "@functools.lru_cache()\n"
-            "def cached():\n"
-            "    return time.time()\n"
-        )
-        assert self.check(src) == []
-
-    def test_noqa_suppresses_rep106(self):
-        src = (
-            "@register_step('demo', 'demo')\n"
-            "def demo(params, inputs):\n"
-            "    return {'t': time.time()}  # noqa: REP106\n"
-        )
-        assert self.check(src) == []
-
-
-# ----------------------------------------------------------------------
-# Engine behavior: suppression, syntax errors, determinism, formats
-# ----------------------------------------------------------------------
 class TestEngine:
     def test_bare_noqa_suppresses(self):
         src = "xs = list({1, 2})  # noqa\n"
@@ -304,7 +180,7 @@ class TestEngine:
 
     def test_rule_catalog_complete(self):
         assert [r.id for r in ALL_RULES] == \
-            ["REP101", "REP102", "REP103", "REP104", "REP105", "REP106"]
+            ["REP101", "REP102", "REP103", "REP104"]
         with pytest.raises(KeyError):
             rule_by_id("REP999")
 
