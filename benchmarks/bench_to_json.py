@@ -143,9 +143,12 @@ def _bench_reliability_campaign() -> Dict[str, object]:
 
 def _bench_service_throughput() -> Dict[str, object]:
     """Route-query service data path: real TCP on localhost, 1000
-    pipelined queries (batches of 100) against a pre-compiled 16x16
-    artifact.  Times only the query phase — the compile is the control
-    path and has its own bench (``lamb_pipeline``)."""
+    pipelined queries (batches of 100, one binary frame each) against a
+    pre-compiled 16x16 artifact.  Times only the query phase — the
+    compile is the control path and has its own bench
+    (``lamb_pipeline``).  The ledger's recorded value was measured over
+    the since-deleted NDJSON codec, so a fresh run is not like for like
+    with it."""
     import asyncio
 
     from repro.service.client import RouteQueryClient

@@ -10,12 +10,11 @@ plane with a slow control path and a fast data path:
 - :mod:`repro.service.compiler` — compile-once semantics over the lamb
   pipeline with the degradation ladder and an optional CDG
   deadlock-freedom cross-check before publication;
-- :mod:`repro.service.wire` — the length-prefixed binary framing that
-  rides next to NDJSON on the same listener (negotiated per
-  connection);
+- :mod:`repro.service.wire` — the length-prefixed binary framing
+  every connection speaks;
 - :mod:`repro.service.server` / :mod:`repro.service.client` — an
-  asyncio TCP service (NDJSON or binary frames, batching, per-request
-  timeouts, graceful drain) serving route queries at high QPS;
+  asyncio TCP service (binary frames, batching, per-request timeouts,
+  graceful drain) serving route queries at high QPS;
 - :mod:`repro.service.metrics` — cache/compile/query observability
   behind the ``stats`` RPC;
 - :mod:`repro.service.errors` — typed wire errors under the

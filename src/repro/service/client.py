@@ -1,18 +1,17 @@
 """Asyncio client for the route-query service.
 
-Mirrors the wire protocol of :mod:`repro.service.server` in either
-codec: ``ndjson`` (one JSON request per line, or a JSON array for a
-pipelined batch, replies in request order) or ``binary``
-(length-prefixed frames, one reply frame per request frame — a batch
-frame gets a single reply frame carrying the array).  Error replies
-are rebuilt into the *same* typed exceptions the server raised
+Mirrors the wire protocol of :mod:`repro.service.server`:
+length-prefixed binary frames (:mod:`repro.service.wire`), one reply
+frame per request frame — a batch frame gets a single reply frame
+carrying the array of replies, in request order.  Error replies are
+rebuilt into the *same* typed exceptions the server raised
 (:mod:`repro.service.errors`), so client code handles
 :class:`~repro.service.errors.StaleEpochError` exactly as in-process
 callers do.
 
-A server-side *stream-level* error (e.g. the request exceeded the
-wire limit) comes back as an ``id: null`` error reply.  The server
-consumed the offending message in full before replying, so the
+A server-side *stream-level* error (e.g. the request frame exceeded
+the server's limit) comes back as an ``id: null`` error reply.  The
+server consumed the offending frame in full before replying, so the
 connection is still in sync: the client raises the typed error —
 usually :class:`~repro.service.errors.WireProtocolError` — without
 poisoning the connection.
@@ -21,8 +20,7 @@ poisoning the connection.
 from __future__ import annotations
 
 import asyncio
-import json
-from typing import Any, Awaitable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..mesh.faults import FaultSet
 from ..mesh.serialization import faults_to_dict
@@ -35,10 +33,7 @@ from .errors import (
     from_wire,
 )
 
-__all__ = ["RouteQueryClient", "raise_typed", "CODECS"]
-
-#: Wire codecs this client can speak.
-CODECS = ("ndjson", "binary")
+__all__ = ["RouteQueryClient", "raise_typed"]
 
 
 def raise_typed(reply: Dict[str, Any]) -> Dict[str, Any]:
@@ -57,8 +52,6 @@ class RouteQueryClient:
     Use :meth:`connect`; every RPC accepts an optional per-call
     ``timeout`` (seconds) overriding ``default_timeout`` — an expired
     wait raises :class:`~repro.service.errors.RequestTimeoutError`.
-    ``codec`` selects the wire framing (``"ndjson"`` or ``"binary"``);
-    the server auto-detects it from the first bytes sent.
     """
 
     def __init__(
@@ -66,14 +59,10 @@ class RouteQueryClient:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
         default_timeout: float = 10.0,
-        codec: str = "ndjson",
     ) -> None:
-        if codec not in CODECS:
-            raise ValueError(f"unknown codec {codec!r} (want one of {CODECS})")
         self._reader = reader
         self._writer = writer
         self.default_timeout = float(default_timeout)
-        self.codec = codec
         self._next_id = 0
         self._broken = False
 
@@ -84,19 +73,26 @@ class RouteQueryClient:
         port: int,
         default_timeout: float = 10.0,
         connect_timeout: float = 10.0,
-        codec: str = "ndjson",
+        codec: str = "binary",
     ) -> "RouteQueryClient":
-        # The asyncio default stream limit is 64 KiB — far below a
-        # legitimate large reply (a big stats snapshot or a pipelined
-        # batch's worth of lines); match the server's ceiling instead.
+        """Open a connection.
+
+        ``codec`` only accepts ``"binary"``, the one wire codec; any
+        other value raises :class:`ValueError`.  The keyword stays
+        because ``perfbench/workloads.py`` passes ``codec="binary"``;
+        it goes once the next benchmark change drops that argument.
+        """
+        if codec != "binary":
+            raise ValueError(f"unknown codec {codec!r} (want 'binary')")
+        # A stream limit at the frame ceiling keeps the transport from
+        # pausing and resuming while a large reply frame arrives.
         reader, writer = await asyncio.wait_for(
             asyncio.open_connection(
                 host, port, limit=wire.MAX_FRAME_BYTES
             ),
             timeout=connect_timeout,
         )
-        return cls(reader, writer, default_timeout=default_timeout,
-                   codec=codec)
+        return cls(reader, writer, default_timeout=default_timeout)
 
     async def close(self) -> None:
         self._writer.close()
@@ -145,37 +141,21 @@ class RouteQueryClient:
         req.update(payload)
         return req
 
-    def _send(self, message: Any) -> None:
-        """Encode one request (or batch) in the connection codec."""
-        if self.codec == "binary":
-            self._writer.write(wire.encode_frame(message))
-        else:
-            self._writer.write(
-                (json.dumps(message) + "\n").encode("utf-8")
-            )
-
-    async def _within(
-        self, aw: Awaitable[Any], timeout: Optional[float]
-    ) -> Any:
-        """Await ``aw`` under one client-side deadline; on expiry the
+    async def _read_message(self, timeout: Optional[float]) -> Any:
+        """One decoded reply message: a dict, or (batch reply) a list
+        of dicts, read under one client-side deadline.  On expiry the
         connection is poisoned and a typed timeout raised."""
         deadline = self.default_timeout if timeout is None else float(timeout)
         try:
-            return await asyncio.wait_for(aw, timeout=deadline)
+            body = await asyncio.wait_for(
+                wire.read_frame(self._reader), timeout=deadline
+            )
         except asyncio.TimeoutError:
             self._poison()
             raise RequestTimeoutError(
                 f"no reply within {deadline}s (client-side deadline); "
                 f"connection closed — reconnect to continue"
             )
-
-    async def _read_message(self, timeout: Optional[float]) -> Any:
-        """One decoded reply message: a dict, or (binary batch reply)
-        a list of dicts."""
-        if self.codec != "binary":
-            return await self._within(self._read_line(), timeout)
-        try:
-            body = await self._within(wire.read_frame(self._reader), timeout)
         except asyncio.IncompleteReadError:
             raise ServiceError(
                 "connection closed before a full reply frame arrived"
@@ -193,47 +173,6 @@ class RouteQueryClient:
             raise ServiceError(f"reply is not an object: {reply!r}")
         return reply
 
-    async def _read_line(self) -> Dict[str, Any]:
-        """One NDJSON reply line, decoded (no deadline of its own)."""
-        try:
-            line = await self._reader.readline()
-        except ValueError:
-            # The reply line overran the stream limit; the stream
-            # position inside that line is now unknowable.
-            self._poison()
-            raise WireProtocolError(
-                "reply line exceeds the client stream limit; "
-                "connection closed — reconnect to continue",
-                {"recoverable": False},
-            )
-        if not line:
-            raise ServiceError("connection closed before a reply arrived")
-        try:
-            reply = json.loads(line)
-        except ValueError:
-            raise ServiceError(f"unparseable reply line: {line[:80]!r}")
-        if not isinstance(reply, dict):
-            raise ServiceError(f"reply is not an object: {reply!r}")
-        return reply
-
-    async def _read_lines(
-        self, reqs: List[Dict[str, Any]]
-    ) -> List[Dict[str, Any]]:
-        """The NDJSON batch reply: one line per request, in order."""
-        replies: List[Dict[str, Any]] = []
-        for at, req in enumerate(reqs):
-            reply = await self._read_line()
-            if at == 0 and self._stream_level_error(reply):
-                raise_typed(reply)
-            if reply.get("id") != req["id"]:
-                self._poison()
-                raise ServiceError(
-                    f"reply id {reply.get('id')!r} does not match "
-                    f"request id {req['id']}"
-                )
-            replies.append(reply)
-        return replies
-
     async def _read_reply(self, timeout: Optional[float]) -> Dict[str, Any]:
         reply = await self._read_message(timeout)
         if not isinstance(reply, dict):
@@ -247,8 +186,8 @@ class RouteQueryClient:
     @staticmethod
     def _stream_level_error(reply: Dict[str, Any]) -> bool:
         """An ``id: null`` error reply reports a message-level failure
-        (unparseable line, oversized message).  The server consumed
-        the whole offending message before replying, so the stream is
+        (unparseable body, oversized frame).  The server consumed
+        the whole offending frame before replying, so the stream is
         still in sync — raise typed, do *not* poison."""
         return reply.get("id") is None and not reply.get("ok")
 
@@ -262,7 +201,7 @@ class RouteQueryClient:
         typed error."""
         self._ensure_usable()
         req = self._make_request(op, payload)
-        self._send(req)
+        self._writer.write(wire.encode_frame(req))
         await self._writer.drain()
         reply = await self._read_reply(timeout)
         if self._stream_level_error(reply):
@@ -281,7 +220,7 @@ class RouteQueryClient:
         timeout: Optional[float] = None,
     ) -> List[Dict[str, Any]]:
         """Pipeline a batch of ``(op, payload)`` requests as a single
-        message; returns the raw reply dicts in order (errors are
+        frame; returns the raw reply dicts in order (errors are
         *not* raised — inspect ``reply["ok"]`` or pass through
         :func:`raise_typed` per element).  A *stream-level* failure
         (the whole batch was rejected before parsing) raises its typed
@@ -291,18 +230,14 @@ class RouteQueryClient:
             raise MalformedRequestError("empty batch")
         self._ensure_usable()
         reqs = [self._make_request(op, payload) for op, payload in requests]
-        self._send(reqs)
+        self._writer.write(wire.encode_frame(reqs))
         await self._writer.drain()
-        if self.codec == "binary":
-            return self._match_batch(
-                reqs, await self._read_message(timeout)
-            )
-        return await self._within(self._read_lines(reqs), timeout)
+        return self._match_batch(reqs, await self._read_message(timeout))
 
     def _match_batch(
         self, reqs: List[Dict[str, Any]], message: Any
     ) -> List[Dict[str, Any]]:
-        """Validate a binary batch reply frame against the batch."""
+        """Validate a batch reply frame against the batch."""
         if isinstance(message, dict):
             if self._stream_level_error(message):
                 raise_typed(message)

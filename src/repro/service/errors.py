@@ -90,13 +90,12 @@ class ServiceUnavailableError(ServiceError):
 
 
 class WireProtocolError(ServiceError):
-    """The byte stream itself violated the wire protocol: an NDJSON
-    request line over the stream limit, a binary frame with a bad
-    magic/version header, or a frame body larger than the negotiated
-    maximum.
+    """The byte stream itself violated the wire protocol: a frame with
+    a bad magic/version header, or a frame body larger than the
+    receiver's maximum.
 
     ``data["recoverable"]`` tells the peer whether the connection is
-    still usable: an oversized line/frame is fully consumed before the
+    still usable: an oversized frame is fully consumed before the
     reply (the stream stays in sync), while a corrupt header leaves no
     way to find the next message boundary."""
 

@@ -60,12 +60,7 @@ class ServiceMetrics:
             "service_malformed_requests_total"
         )
         self.timeouts = reg.counter("service_timeouts_total")
-        self.connections_ndjson = reg.counter(
-            "service_connections_total", codec="ndjson"
-        )
-        self.connections_binary = reg.counter(
-            "service_connections_total", codec="binary"
-        )
+        self.connections = reg.counter("service_connections_total")
         self.wire_protocol_errors = reg.counter(
             "service_wire_protocol_errors_total"
         )
@@ -88,8 +83,7 @@ class ServiceMetrics:
             "compile_latency": self.compile_latency.snapshot(),
             "counters": {
                 "compiles": self.compiles.value,
-                "connections_binary": self.connections_binary.value,
-                "connections_ndjson": self.connections_ndjson.value,
+                "connections": self.connections.value,
                 "degraded_compiles": self.degraded_compiles.value,
                 "incremental_compiles": self.incremental_compiles.value,
                 "malformed_requests": self.malformed_requests.value,

@@ -1,24 +1,21 @@
 """Asyncio route-query server: the slow control path as a service.
 
-Two codecs share the listening port, negotiated per connection by the
-first four bytes (see :mod:`repro.service.wire`):
-
-- **ndjson**: one JSON request per line; a line may also carry a JSON
-  *array* of requests — the server processes them in order and writes
-  one reply line per element before flushing (a single round trip for
-  the whole batch).
-- **binary**: length-prefixed frames whose body is the same JSON; a
-  batch frame gets **one** reply frame carrying the array of replies,
-  serialized once and written zero-copy.
+Every connection speaks length-prefixed binary frames (see
+:mod:`repro.service.wire`) whose body is canonical JSON: one request
+object, or a JSON *array* of requests for a pipelined batch.  A batch
+frame gets **one** reply frame carrying the array of replies,
+serialized once and written zero-copy.
 
 Batches are processed against live state, so a ``delta`` inside a
 batch bumps the epoch for the requests behind it (queries pinned to
 the old epoch then get typed ``stale-epoch`` replies).  Replies echo
 the request ``id``: ``{"id": 7, "ok": true, ...}`` on success,
 ``{"id": 7, "ok": false, "error": {"code", "message", "data"}}`` on a
-typed failure (see :mod:`repro.service.errors`).  A request line over
-the stream limit is consumed in full and answered with a typed
+typed failure (see :mod:`repro.service.errors`).  A frame body over
+``max_frame_bytes`` is consumed in full and answered with a typed
 ``wire-protocol`` reply (``id: null``) — the connection stays usable.
+A bad frame header (say, JSON text instead of a frame) draws the same
+reply with ``recoverable: false``, and the connection is closed.
 
 Operations: ``ping``, ``compile``, ``delta``, ``query``, ``stats``,
 ``shutdown``.
@@ -56,24 +53,11 @@ __all__ = ["RouteQueryServer", "WIRE_VERSION"]
 
 WIRE_VERSION = 1
 
-#: Refuse absurd lines/frames early (a malformed client should get a
-#: typed error, not OOM the control plane).  Large enough that a
-#: many-thousand-query pipelined batch is *valid* traffic — the old
-#: 4 MiB limit plus the asyncio default 64 KiB client limit silently
-#: dropped big batches.
-_MAX_LINE_BYTES = 16 * 1024 * 1024
-
 #: Floor for the drain waits in :meth:`RouteQueryServer.stop`.  An
 #: already-expired deadline must still wait a beat: ``asyncio.wait(...,
 #: timeout=0.0)`` means "poll once", which reports compile threads as
 #: orphaned even though they finish microseconds later.
 _DRAIN_WAIT_FLOOR_S = 0.1
-
-
-def _encode(reply: Dict[str, Any]) -> bytes:
-    """One NDJSON reply line (body bytes shared with the binary codec
-    so the two framings are byte-equivalent)."""
-    return wire.encode_payload(reply) + b"\n"
 
 
 class RouteQueryServer:
@@ -95,10 +79,10 @@ class RouteQueryServer:
     drain_timeout:
         How long :meth:`stop` waits for in-flight work before cutting
         connections loose.
-    max_line_bytes:
-        Ceiling on one NDJSON request line *and* one binary frame
-        body.  An oversized message is consumed and answered with a
-        typed ``wire-protocol`` error; the connection survives.
+    max_frame_bytes:
+        Ceiling on one request frame body.  An oversized frame is
+        consumed and answered with a typed ``wire-protocol`` error;
+        the connection survives.
     """
 
     def __init__(
@@ -108,7 +92,7 @@ class RouteQueryServer:
         port: int = 0,
         request_timeout: float = 30.0,
         drain_timeout: float = 10.0,
-        max_line_bytes: int = _MAX_LINE_BYTES,
+        max_frame_bytes: int = wire.MAX_FRAME_BYTES,
     ) -> None:
         self.compiler = compiler
         self.metrics: ServiceMetrics = compiler.metrics
@@ -116,7 +100,7 @@ class RouteQueryServer:
         self.port = port
         self.request_timeout = float(request_timeout)
         self.drain_timeout = float(drain_timeout)
-        self.max_line_bytes = int(max_line_bytes)
+        self.max_frame_bytes = int(max_frame_bytes)
         self._server: Optional[asyncio.AbstractServer] = None
         self._conn_tasks: Set["asyncio.Task[None]"] = set()
         #: Executor futures of running compiles.  These track the
@@ -134,10 +118,7 @@ class RouteQueryServer:
         """Bind and start accepting; returns ``(host, port)``."""
         self._shutdown_event = asyncio.Event()
         self._server = await asyncio.start_server(
-            self._on_connect,
-            self.host,
-            self.port,
-            limit=self.max_line_bytes,
+            self._on_connect, self.host, self.port
         )
         sock = self._server.sockets[0]
         self.host, self.port = sock.getsockname()[:2]
@@ -217,121 +198,11 @@ class RouteQueryServer:
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        # Codec negotiation: peek at the first four bytes.  The binary
-        # magic starts with 0xAB (never valid JSON text), so the peek
-        # is unambiguous.  Any valid NDJSON request is longer than four
-        # bytes, so a partial read here only happens at (or right
-        # before) EOF.
-        try:
-            first = await reader.readexactly(len(wire.MAGIC))
-        except asyncio.IncompleteReadError as exc:
-            first = exc.partial
-            if not first:
-                return
-        if first == wire.MAGIC:
-            self.metrics.connections_binary.inc()
-            await self._serve_binary(reader, writer, first)
-        else:
-            self.metrics.connections_ndjson.inc()
-            await self._serve_ndjson(reader, writer, first)
-
-    # ------------------------------------------------------------------
-    # NDJSON codec
-    # ------------------------------------------------------------------
-    async def _serve_ndjson(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        pending: bytes,
-    ) -> None:
-        while not self._draining:
-            line, oversized = await self._read_line(reader, pending)
-            pending = b""
-            if oversized:
-                self.metrics.wire_protocol_errors.inc()
-                writer.write(
-                    _encode(self._error_obj(None, self._oversize_error()))
-                )
-                await writer.drain()
-                continue
-            if not line:
-                return  # peer closed
-            stripped = line.strip()
-            if not stripped:
-                continue
-            requests, is_batch, decode_error = self._decode_payload(stripped)
-            if decode_error is not None:
-                self.metrics.malformed_requests.inc()
-                writer.write(_encode(self._error_obj(None, decode_error)))
-                await writer.drain()
-                continue
-            replies, shutdown = await self._replies_for(requests)
-            writer.write(b"".join(_encode(reply) for reply in replies))
-            await writer.drain()  # one flush per batch
-            if shutdown:
-                assert self._shutdown_event is not None
-                self._shutdown_event.set()
-                return
-            await asyncio.sleep(0)  # one yield per message (fairness)
-
-    async def _read_line(
-        self, reader: asyncio.StreamReader, pending: bytes
-    ) -> Tuple[Optional[bytes], bool]:
-        """One request line, resilient to the stream limit.
-
-        Returns ``(line, False)`` normally (``line`` empty at EOF) or
-        ``(None, True)`` after an oversized line has been consumed
-        through its terminating newline — the caller replies with a
-        typed error and the connection stays in sync.
-
-        ``pending`` carries bytes the codec negotiation already read;
-        it is at most four bytes, so a *valid* request can never be
-        split across it (a newline inside it only merges fragments of
-        garbage that would each have drawn a malformed-request reply).
-        """
-        try:
-            return pending + await reader.readuntil(b"\n"), False
-        except asyncio.IncompleteReadError as exc:
-            return pending + exc.partial, False  # EOF (maybe mid-line)
-        except asyncio.LimitOverrunError as exc:
-            consumed = exc.consumed
-            while True:
-                try:
-                    await reader.readexactly(consumed)
-                except asyncio.IncompleteReadError:
-                    return b"", False  # peer died mid-oversized-line
-                try:
-                    await reader.readuntil(b"\n")
-                    return None, True  # resynced past the newline
-                except asyncio.LimitOverrunError as more:
-                    consumed = more.consumed
-                except asyncio.IncompleteReadError:
-                    return b"", False
-
-    def _oversize_error(self) -> WireProtocolError:
-        return WireProtocolError(
-            f"request exceeds the {self.max_line_bytes}-byte stream "
-            f"limit; it was discarded (split the batch, or switch to "
-            f"the binary codec)",
-            {"recoverable": True, "limit_bytes": self.max_line_bytes},
-        )
-
-    # ------------------------------------------------------------------
-    # Binary codec
-    # ------------------------------------------------------------------
-    async def _serve_binary(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        first_magic: bytes,
-    ) -> None:
-        header_prefix = first_magic
+        self.metrics.connections.inc()
         while not self._draining:
             try:
                 body = await wire.read_frame(
-                    reader,
-                    max_frame_bytes=self.max_line_bytes,
-                    first_header_bytes=header_prefix,
+                    reader, max_frame_bytes=self.max_frame_bytes
                 )
             except asyncio.IncompleteReadError:
                 return  # truncated frame: the peer died mid-message
@@ -341,9 +212,7 @@ class RouteQueryServer:
                 await writer.drain()
                 if not exc.data.get("recoverable"):
                     return  # corrupt header: no next frame boundary
-                header_prefix = b""
                 continue
-            header_prefix = b""
             if body is None:
                 return  # clean EOF
             requests, is_batch, decode_error = self._decode_payload(body)

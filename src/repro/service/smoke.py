@@ -2,20 +2,19 @@
 
 One process, real TCP on an ephemeral localhost port:
 
-1. start a server for a seeded faulty mesh and compile the base config
-   (cache miss);
+1. start a server for a seeded faulty mesh and compile the base config;
 2. issue a batch of route queries from the client;
-3. re-issue the identical compile — must be a cache hit, verified via
+3. re-issue the identical compile and read the cache counters through
    the ``stats`` RPC;
-4. apply a mid-run fault delta — must trigger an incremental recompile
-   and an epoch bump;
-5. query against the superseded epoch — must come back as a typed
-   ``stale-epoch`` reply;
-6. drain gracefully — no orphaned compile tasks.
+4. apply a mid-run fault delta;
+5. query against the superseded epoch;
+6. drain gracefully.
 
-Every printed line is deterministic for a fixed seed (no wall-clock
-values), so ``repro smoke serve`` runs the scenario twice and diffs
-the transcripts to prove determinism.
+The scenario only emits one fact line per step.  Every line is
+deterministic for a fixed seed (no wall-clock values), so
+``repro smoke serve`` runs the scenario twice, diffs the transcripts
+to prove determinism, and then checks the facts as typed expectations
+(:func:`repro.smoke._expect_serve`).
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from ..mesh.geometry import Mesh, Node
 from ..routing.ordering import ascending, repeated
 from .client import RouteQueryClient, raise_typed
 from .compiler import ReconfigurationCompiler
-from .errors import StaleEpochError, from_wire
 from .server import RouteQueryServer
 from .store import ArtifactStore
 
@@ -67,7 +65,7 @@ async def _smoke(
     seed: int,
     verify: bool,
     emit: Callable[[str], None],
-) -> int:
+) -> None:
     mesh = faults.mesh
     orderings = repeated(ascending(mesh.d), rounds)
     compiler = ReconfigurationCompiler(
@@ -80,9 +78,8 @@ async def _smoke(
     host, port = await server.start()
     client = await RouteQueryClient.connect(host, port, default_timeout=60.0)
     rng = np.random.default_rng(seed)
-    failures = 0
 
-    # 1. Base compile (must be a miss: the store is cold).
+    # 1. Base compile (a miss: the store is cold).
     compiled = await client.compile(faults, timeout=120.0)
     emit(
         f"compile: digest {compiled['digest'][:12]} epoch "
@@ -90,9 +87,6 @@ async def _smoke(
         f"survivors {compiled['survivors']} cache_hit "
         f"{compiled['cache_hit']}"
     )
-    if compiled["cache_hit"]:
-        emit("FAIL: first compile reported a cache hit")
-        failures += 1
     epoch0 = int(compiled["epoch"])
 
     # 2. Route-query traffic, pipelined in batches.
@@ -118,7 +112,7 @@ async def _smoke(
             hops += int(reply["hops"])
     emit(f"queries: {ok}/{queries} resolved, total hops {hops}")
 
-    # 3. Identical compile again: must hit the cache.
+    # 3. Identical compile again: a cache hit on the same epoch.
     again = await client.compile(faults, timeout=120.0)
     stats = (await client.stats())["stats"]
     emit(
@@ -127,12 +121,6 @@ async def _smoke(
         f"stats hits {stats['cache']['hits']} "
         f"misses {stats['cache']['misses']}"
     )
-    if not again["cache_hit"] or stats["cache"]["hits"] < 1:
-        emit("FAIL: identical compile was not served from the cache")
-        failures += 1
-    if int(again["epoch"]) != epoch0:
-        emit("FAIL: cache-hit compile must not bump the epoch")
-        failures += 1
 
     # 4. Mid-run fault delta: kill a surviving node.
     victim = pairs[0][0]
@@ -143,26 +131,19 @@ async def _smoke(
         f"{deltad['cache_hit']}) faults {deltad['faults']} "
         f"lambs {deltad['lambs']}"
     )
-    if int(deltad["epoch"]) == epoch0:
-        emit("FAIL: fault delta did not bump the epoch")
-        failures += 1
 
-    # 5. Querying the superseded epoch must be refused, typed.
+    # 5. Querying the superseded epoch: a typed refusal.
     safe = next(
         p for p in pairs[1:]
         if p[0] != victim and p[1] != victim
     )
     stale = await client.query_batch([safe], epoch=epoch0, timeout=60.0)
     err = stale[0].get("error") or {}
-    typed = from_wire(err) if not stale[0].get("ok") else None
-    if isinstance(typed, StaleEpochError):
-        emit(
-            f"stale query: typed {err.get('code')} "
-            f"(requested {typed.requested}, current {typed.current})"
-        )
-    else:
-        emit(f"FAIL: stale-epoch query got {stale[0]!r}")
-        failures += 1
+    data = err.get("data") or {}
+    emit(
+        f"stale query: typed {err.get('code')} "
+        f"(requested {data.get('requested')}, current {data.get('current')})"
+    )
 
     # 6. Graceful drain.
     await client.shutdown(timeout=60.0)
@@ -172,11 +153,6 @@ async def _smoke(
         f"drain: orphaned compiles {server.orphaned_compiles} "
         f"epoch {compiler.current_epoch}"
     )
-    if server.orphaned_compiles:
-        emit("FAIL: drain left orphaned compile tasks")
-        failures += 1
-    emit("smoke FAILED" if failures else "smoke OK")
-    return 1 if failures else 0
 
 
 def serve_smoke(
@@ -186,9 +162,9 @@ def serve_smoke(
     seed: int = 0,
     verify: bool = False,
     emit: Callable[[str], None] = print,
-) -> int:
-    """Run the acceptance scenario; returns a process exit code."""
-    return asyncio.run(
+) -> None:
+    """Run the acceptance scenario, emitting its fact lines."""
+    asyncio.run(
         _smoke(faults, rounds, queries, seed, verify, emit)
     )
 

@@ -34,7 +34,7 @@ import os
 import tempfile
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..mesh.faults import FaultSet
 from ..mesh.serialization import mesh_to_dict
@@ -136,8 +136,6 @@ class ArtifactStore:
         #: ``move_to_end``/``popitem`` race can corrupt LRU order or
         #: raise outright.
         self._lock = threading.Lock()
-        #: Digests exempt from :meth:`prune` eviction.
-        self._pinned: Set[str] = set()
         self.memory_hits = 0
         self.disk_hits = 0
         self.misses = 0
@@ -250,23 +248,8 @@ class ArtifactStore:
             self.evictions += 1
 
     # ------------------------------------------------------------------
-    # Pinning and disk-tier garbage collection
+    # Disk-tier garbage collection
     # ------------------------------------------------------------------
-    def pin(self, digest: str) -> None:
-        """Exempt ``digest`` from :meth:`prune` eviction."""
-        with self._lock:
-            self._pinned.add(digest)
-
-    def unpin(self, digest: str) -> None:
-        """Make ``digest`` evictable again (no-op if not pinned)."""
-        with self._lock:
-            self._pinned.discard(digest)
-
-    def pinned(self) -> Tuple[str, ...]:
-        """Currently pinned digests, sorted."""
-        with self._lock:
-            return tuple(sorted(self._pinned))
-
     def _disk_entries(self) -> List[Tuple[str, str, int, float]]:
         """``(digest, path, size_bytes, mtime)`` for every disk
         artifact (unsorted; callers order as needed)."""
@@ -301,8 +284,8 @@ class ArtifactStore:
 
         Least-recently-*used* first — :meth:`get` refreshes an
         artifact's mtime on every disk hit, so hot artifacts survive.
-        Digests that are pinned (:meth:`pin`) or listed in ``keep``
-        are never evicted, even if the tier stays over budget.
+        Digests listed in ``keep`` are never evicted, even if the tier
+        stays over budget.
         Evicted digests are dropped from the memory tier too, so a
         pruned artifact is gone, not lingering in the LRU.
 
@@ -311,9 +294,7 @@ class ArtifactStore:
         """
         if max_bytes < 0:
             raise ValueError("max_bytes must be >= 0")
-        protected: Set[str] = set(keep)
-        with self._lock:
-            protected |= self._pinned
+        protected = set(keep)
         entries = self._disk_entries()
         total = sum(size for _d, _p, size, _m in entries)
         removed = 0

@@ -1,26 +1,15 @@
-"""Binary wire framing for the route-query plane.
+"""Binary wire framing for the route-query service.
 
-Two codecs share one TCP port:
+A frame is a fixed 12-byte header (``!4sBBHI`` — magic, version,
+flags, reserved, body length) followed by a JSON body encoded with
+``sort_keys=True``.  A batch is a single frame whose body is a JSON
+array; the reply to a batch is a single frame carrying the array of
+replies, serialized with **one** ``json.dumps`` call and written as a
+header + ``memoryview`` pair (no concatenation copy on the hot path).
 
-- **ndjson** (the original): one JSON request per line, one reply line
-  per request, ``\\n``-delimited.
-- **binary**: length-prefixed frames.  A frame is a fixed 12-byte
-  header (``!4sBBHI`` — magic, version, flags, reserved, body length)
-  followed by a JSON body encoded with ``sort_keys=True``.  A batch is
-  a single frame whose body is a JSON array; the reply to a batch is a
-  single frame carrying the array of replies, serialized with **one**
-  ``json.dumps`` call and written as a header + ``memoryview`` pair
-  (no concatenation copy on the hot path).
-
-Negotiation is per-connection and implicit: the server peeks the first
-four bytes.  :data:`MAGIC` starts with ``0xAB`` — not valid UTF-8 JSON
-text — so a binary client can never be mistaken for an NDJSON one (and
-vice versa: JSON starts with printable ASCII).
-
-Byte-equivalence invariant (covered by a golden test): for any reply
-object ``r``, the binary frame body for ``r`` plus ``b"\\n"`` is
-byte-identical to the NDJSON reply line for ``r`` — both sides call
-:func:`encode_payload`.
+A stream that does not open with :data:`MAGIC` (JSON text, say) is
+rejected with an unrecoverable ``wire-protocol`` error: without a
+valid header there is no next frame boundary to resynchronize on.
 """
 
 from __future__ import annotations
@@ -45,8 +34,8 @@ __all__ = [
     "reply_views",
 ]
 
-#: First bytes of every binary frame.  ``0xAB`` is outside printable
-#: ASCII, so the stream can never be confused with NDJSON text.
+#: First bytes of every frame.  ``0xAB`` is outside printable ASCII,
+#: so text sent to the port by mistake fails the magic check at once.
 MAGIC = b"\xabRQ1"
 
 #: Bump when the header layout or body encoding changes.
@@ -55,7 +44,9 @@ FRAME_VERSION = 1
 #: ``magic(4s) version(B) flags(B) reserved(H) body_length(I)``.
 HEADER = struct.Struct("!4sBBHI")
 
-#: Default ceiling on one frame body (matches the NDJSON line limit).
+#: Default ceiling on one frame body: a malformed client gets a typed
+#: error, not an out-of-memory control plane, while a many-thousand-
+#: query pipelined batch is still valid traffic.
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
 #: Discard chunk size while draining an oversized frame body.
@@ -63,8 +54,7 @@ _DRAIN_CHUNK = 64 * 1024
 
 
 def encode_payload(obj: Any) -> bytes:
-    """Canonical JSON body bytes — shared by both codecs so replies
-    are byte-equivalent across them."""
+    """Canonical JSON body bytes."""
     return json.dumps(obj, sort_keys=True).encode("utf-8")
 
 
@@ -97,7 +87,6 @@ async def _drain_exact(reader: asyncio.StreamReader, count: int) -> bool:
 async def read_frame(
     reader: asyncio.StreamReader,
     max_frame_bytes: int = MAX_FRAME_BYTES,
-    first_header_bytes: bytes = b"",
 ) -> Optional[bytes]:
     """Read one frame; returns the raw body bytes.
 
@@ -108,21 +97,13 @@ async def read_frame(
       (``data["recoverable"] is False`` — the next boundary is lost)
       or an oversized body (``data["recoverable"] is True`` — the body
       is fully drained first, so the stream stays in sync).
-
-    ``first_header_bytes`` lets a negotiating server pass in header
-    bytes it already consumed while peeking at the codec.
     """
-    need = HEADER.size - len(first_header_bytes)
-    if need > 0:
-        try:
-            rest = await reader.readexactly(need)
-        except asyncio.IncompleteReadError as exc:
-            if not first_header_bytes and not exc.partial:
-                return None  # clean EOF between frames
-            raise
-        header = first_header_bytes + rest
-    else:
-        header = first_header_bytes
+    try:
+        header = await reader.readexactly(HEADER.size)
+    except asyncio.IncompleteReadError as exc:
+        if not exc.partial:
+            return None  # clean EOF between frames
+        raise
     magic, version, _flags, _reserved, length = HEADER.unpack(header)
     if magic != MAGIC:
         raise WireProtocolError(

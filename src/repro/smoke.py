@@ -163,26 +163,33 @@ def _expect_chaos(artifacts: Artifacts) -> None:
 
 
 def _run_serve(workdir: Path) -> Artifacts:
-    """The ``repro.service.smoke`` scenario's lines, then ``exit N``."""
+    """The ``repro.service.smoke`` scenario's fact lines."""
     from .service import smoke
 
     lines: List[str] = []
-    rc = smoke.serve_smoke(smoke.default_smoke_faults(), emit=lines.append)
-    return {"transcript": "".join(f"{s}\n" for s in lines) + f"exit {rc}\n"}
+    smoke.serve_smoke(smoke.default_smoke_faults(), emit=lines.append)
+    return {"transcript": "".join(f"{s}\n" for s in lines)}
 
 
-def _expect_ok(transcript: str) -> None:
-    tail = transcript.splitlines()[-2:]
-    _need(tail == ["smoke OK", "exit 0"],
-          f"transcript ends {tail}, want ['smoke OK', 'exit 0']")
+def _value(tokens: List[str], key: str) -> str:
+    """The token after ``key`` in ``tokens`` (``""`` if absent), as
+    :func:`_expect` reads ``key value`` pairs."""
+    return dict(zip(tokens, tokens[1:])).get(key, "")
 
 
 def _expect_serve(artifacts: Artifacts) -> None:
     text = artifacts["transcript"]
-    _expect(text, "recompile:", cache_hit="True")
+    epoch = _value(_expect(text, "compile:", cache_hit="False"), "epoch")
+    resolved, _, total = _expect(text, "queries:")[1].partition("/")
+    _need(resolved == total, f"{resolved} of {total} queries resolved")
+    hits = _value(_expect(text, "recompile:", cache_hit="True", epoch=epoch),
+                  "hits")
+    _need(hits.isdigit() and int(hits) >= 1,
+          f"recompile stats hits {hits!r}, want >= 1")
+    delta = _value(_expect(text, "delta:"), "epoch")
+    _need(delta != epoch, f"the delta left the epoch at {epoch}")
     _expect(text, "stale query:", typed="stale-epoch")
     _expect(text, "drain:", compiles="0")
-    _expect_ok(text)
 
 
 def _expect_obs(artifacts: Artifacts) -> None:

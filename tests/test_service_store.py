@@ -260,7 +260,7 @@ class TestArtifactStore:
 
 
 # ----------------------------------------------------------------------
-# Disk-tier garbage collection (prune / pin)
+# Disk-tier garbage collection (prune)
 # ----------------------------------------------------------------------
 class TestStorePrune:
     @staticmethod
@@ -318,27 +318,13 @@ class TestStorePrune:
         assert ("00" * 20) in store
         assert ("05" * 20) not in store
 
-    def test_pinned_artifacts_survive_eviction(self, tmp_path):
-        store = self._fill(tmp_path)
-        store.pin("00" * 20)  # the oldest — first eviction candidate
-        summary = store.prune(0)
-        assert ("00" * 20) in store
-        assert store.pinned() == ("00" * 20,)
-        assert summary["protected"] == 1
-        # Everything unpinned is gone (budget 0).
-        assert set(store.digests()) == {"00" * 20}
-
     def test_keep_argument_protects_like_a_pin(self, tmp_path):
         store = self._fill(tmp_path)
-        store.prune(0, keep=["03" * 20])
-        assert set(store.digests()) == {"03" * 20}
-
-    def test_unpin_makes_evictable_again(self, tmp_path):
-        store = self._fill(tmp_path)
-        store.pin("00" * 20)
-        store.unpin("00" * 20)
-        store.prune(0)
-        assert store.digests() == ()
+        summary = store.prune(0, keep=["00" * 20, "03" * 20])
+        # The oldest kept digest is the first eviction candidate.
+        assert set(store.digests()) == {"00" * 20, "03" * 20}
+        assert summary["protected"] == 2
+        assert summary["removed"] == 4
 
     def test_pruned_digest_leaves_the_memory_tier_too(self, tmp_path):
         store = self._fill(tmp_path)

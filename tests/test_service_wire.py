@@ -1,19 +1,15 @@
-"""Wire-protocol tests: binary framing, codec negotiation, and the
-oversize/truncation edge cases on both codecs.
+"""Wire-protocol tests: binary framing, the connection start, and the
+oversize/truncation edge cases.
 
 Everything runs real asyncio TCP on ephemeral localhost ports via
 plain ``asyncio.run`` (no pytest-asyncio dependency), mirroring
-``test_service.py``.  The load-bearing invariant covered here is
-byte-equivalence: for any reply object the binary frame body plus a
-newline is byte-identical to the NDJSON reply line, because both
-codecs serialize through :func:`repro.service.wire.encode_payload`.
+``test_service.py``.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
-from typing import Any, Awaitable, Callable, Dict, Tuple
+from typing import Any, Awaitable, Callable, List
 
 import pytest
 
@@ -75,8 +71,8 @@ class TestFraming:
         assert length == 1234
 
     def test_magic_is_not_json_text(self):
-        # The negotiation peek relies on the magic never being valid
-        # UTF-8 JSON leading bytes.
+        # Text sent to the port by mistake must fail the magic check:
+        # the magic is never valid UTF-8 JSON leading bytes.
         with pytest.raises(UnicodeDecodeError):
             wire.MAGIC.decode("utf-8")
 
@@ -149,33 +145,30 @@ class TestFraming:
 
         asyncio.run(main())
 
-    def test_first_header_bytes_prefix(self):
-        frame = wire.encode_frame({"id": 9, "op": "ping"})
-
-        async def main():
-            # A negotiating server has already consumed the magic.
-            reader = _feed(frame[4:])
-            body = await wire.read_frame(
-                reader, first_header_bytes=frame[:4]
-            )
-            assert wire.decode_payload(body)["id"] == 9
-
-        asyncio.run(main())
-
 
 # ----------------------------------------------------------------------
-# Golden byte-equivalence: NDJSON line == binary frame body + newline
+# One encoder: every reply body is canonical ``encode_payload`` JSON
 # ----------------------------------------------------------------------
 class TestByteEquivalence:
     def test_encode_payload_is_shared(self):
+        """The server writes exactly the frame :func:`wire.encode_frame`
+        builds, so both peers frame the same canonical bytes."""
+
+        class Sink:
+            def __init__(self) -> None:
+                self.chunks: List[bytes] = []
+
+            def write(self, data: Any) -> None:
+                self.chunks.append(bytes(data))
+
         for obj in (
             {"id": 0, "ok": True, "pong": True},
             {"id": None, "ok": False, "error": {"code": "x", "data": {}}},
             [{"id": 1, "ok": True}, {"id": 2, "ok": True}],
         ):
-            from repro.service.server import _encode
-
-            assert _encode(obj) == wire.encode_payload(obj) + b"\n"
+            sink = Sink()
+            RouteQueryServer._write_frame(sink, obj)  # type: ignore[arg-type]
+            assert b"".join(sink.chunks) == wire.encode_frame(obj)
 
     def test_batch_body_concatenates_individual_bodies(self):
         replies = [{"id": i, "ok": True, "hops": i} for i in range(3)]
@@ -184,85 +177,64 @@ class TestByteEquivalence:
         ) + b"]"
         assert wire.encode_payload(replies) == joined
 
-    def test_live_replies_are_byte_identical_across_codecs(self):
-        """Speak both codecs raw against one server and diff the
-        reply bytes — the golden test for the shared encoder."""
-        # Stateless ops only: a stateful reply (e.g. ``stats``) would
-        # differ between the two exchanges because the first one
-        # bumps the counters it reports.
-        request = {"id": 0, "op": "ping"}
-        batch = [
-            {"id": 1, "op": "ping"},
-            {"id": 2, "op": "nonesuch"},
-        ]
-
-        async def scenario(server, host, port):
-            # NDJSON, raw.
-            reader, writer = await asyncio.open_connection(
-                host, port, limit=wire.MAX_FRAME_BYTES
-            )
-            writer.write(json.dumps(request).encode() + b"\n")
-            line_single = await reader.readline()
-            writer.write(json.dumps(batch).encode() + b"\n")
-            line_a = await reader.readline()
-            line_b = await reader.readline()
-            writer.close()
-            await writer.wait_closed()
-
-            # Binary, raw.
-            reader, writer = await asyncio.open_connection(
-                host, port, limit=wire.MAX_FRAME_BYTES
-            )
-            writer.write(wire.encode_frame(request))
-            frame_single = await wire.read_frame(reader)
-            writer.write(wire.encode_frame(batch))
-            frame_batch = await wire.read_frame(reader)
-            writer.close()
-            await writer.wait_closed()
-            return line_single, line_a, line_b, frame_single, frame_batch
-
-        line_single, line_a, line_b, frame_single, frame_batch = (
-            _with_server(scenario)
-        )
-        assert frame_single + b"\n" == line_single
-        # The batch frame carries one JSON array whose elements are
-        # byte-identical to the two NDJSON reply lines.
-        assert frame_batch == (
-            b"[" + line_a.rstrip(b"\n") + b", "
-            + line_b.rstrip(b"\n") + b"]"
-        )
-
 
 # ----------------------------------------------------------------------
-# Negotiation and mixed traffic on one listener
+# Connection start: one codec, nothing to negotiate
 # ----------------------------------------------------------------------
 class TestNegotiation:
-    def test_mixed_codecs_share_one_server(self):
-        faults = _base_faults()
+    def test_json_text_gets_one_unrecoverable_error_then_eof(self):
+        """A connection that opens with an NDJSON-style request gets one
+        ``wire-protocol`` error frame and is closed; the server keeps
+        serving fresh clients."""
 
         async def scenario(server, host, port):
-            nd = await RouteQueryClient.connect(
-                host, port, default_timeout=30.0, codec="ndjson"
-            )
-            bi = await RouteQueryClient.connect(
-                host, port, default_timeout=30.0, codec="binary"
-            )
+            reader, writer = await asyncio.open_connection(host, port)
             try:
-                compiled = await nd.compile(faults, timeout=60.0)
-                again = await bi.compile(faults, timeout=60.0)
-                assert again["digest"] == compiled["digest"]
-                assert again["cache_hit"] is True
-                # Pipelined batches on both, same replies.
-                pairs = [((0, 0), (7, 7)), ((1, 0), (0, 1))]
-                nd_replies = await nd.query_batch(pairs)
-                bi_replies = await bi.query_batch(pairs)
-                assert nd_replies == bi_replies
-                stats = (await bi.stats())["stats"]
-                assert stats["counters"]["connections_ndjson"] == 1
-                assert stats["counters"]["connections_binary"] == 1
+                writer.write(b'{"op":"ping"}\n')
+                await writer.drain()
+                reply = wire.decode_payload(await wire.read_frame(reader))
+                assert await reader.read() == b""  # EOF
             finally:
-                await nd.close()
-                await bi.close()
+                writer.close()
+                await writer.wait_closed()
+            assert reply["id"] is None and reply["ok"] is False
+            assert reply["error"]["code"] == "wire-protocol"
+            assert reply["error"]["data"]["recoverable"] is False
+            async with await RouteQueryClient.connect(host, port) as client:
+                assert (await client.ping())["pong"] is True
+                stats = (await client.stats())["stats"]
+            assert stats["counters"]["wire_protocol_errors"] == 1
+
+        _with_server(scenario)
+
+    def test_client_accepts_only_the_binary_codec(self):
+        async def scenario(server, host, port):
+            with pytest.raises(ValueError, match="ndjson"):
+                await RouteQueryClient.connect(host, port, codec="ndjson")
+            async with await RouteQueryClient.connect(
+                host, port, codec="binary"
+            ) as client:
+                assert (await client.ping())["pong"] is True
+
+        _with_server(scenario)
+
+    def test_stats_count_connections_in_one_counter(self):
+        async def scenario(server, host, port):
+            first = await RouteQueryClient.connect(host, port)
+            second = await RouteQueryClient.connect(host, port)
+            try:
+                await first.ping()
+                stats = (await second.stats())["stats"]
+            finally:
+                await first.close()
+                await second.close()
+            counters = stats["counters"]
+            assert counters["connections"] == 2
+            assert not any(
+                key.startswith("connections_") for key in counters
+            )
+            prom = server.metrics.registry.snapshot()["counters"]
+            assert prom["service_connections_total"] == 2
 
         _with_server(scenario)
 
@@ -276,9 +248,7 @@ class TestNegotiation:
             await writer.wait_closed()
             # The server must shrug that connection off and keep
             # serving fresh ones.
-            client = await RouteQueryClient.connect(
-                host, port, codec="binary"
-            )
+            client = await RouteQueryClient.connect(host, port)
             try:
                 reply = await client.ping()
                 assert reply["pong"] is True
@@ -295,7 +265,7 @@ class TestOversizeMessages:
     def test_oversize_frame_gets_typed_error_and_connection_survives(self):
         async def scenario(server, host, port):
             client = await RouteQueryClient.connect(
-                host, port, default_timeout=30.0, codec="binary"
+                host, port, default_timeout=30.0
             )
             try:
                 with pytest.raises(WireProtocolError) as exc_info:
@@ -307,31 +277,12 @@ class TestOversizeMessages:
                 assert client.broken is False
                 reply = await client.ping()
                 assert reply["pong"] is True
-            finally:
-                await client.close()
-
-        _with_server(scenario, max_line_bytes=2048)
-
-    def test_oversize_ndjson_line_gets_typed_error_and_resyncs(self):
-        async def scenario(server, host, port):
-            client = await RouteQueryClient.connect(
-                host, port, default_timeout=30.0, codec="ndjson"
-            )
-            try:
-                with pytest.raises(WireProtocolError) as exc_info:
-                    await client.request("ping", junk="x" * 5000)
-                assert exc_info.value.data["recoverable"] is True
-                # The server consumed the whole line before replying,
-                # so the client is *not* poisoned.
-                assert client.broken is False
-                reply = await client.ping()
-                assert reply["pong"] is True
                 stats = (await client.stats())["stats"]
                 assert stats["counters"]["wire_protocol_errors"] == 1
             finally:
                 await client.close()
 
-        _with_server(scenario, max_line_bytes=2048)
+        _with_server(scenario, max_frame_bytes=2048)
 
     def test_oversize_mid_batch_does_not_poison_later_batches(self):
         """A batch over the limit draws one stream-level error; a
@@ -339,7 +290,7 @@ class TestOversizeMessages:
 
         async def scenario(server, host, port):
             client = await RouteQueryClient.connect(
-                host, port, default_timeout=30.0, codec="ndjson"
+                host, port, default_timeout=30.0
             )
             try:
                 big = [("ping", {"junk": "x" * 400}) for _ in range(20)]
@@ -352,4 +303,4 @@ class TestOversizeMessages:
             finally:
                 await client.close()
 
-        _with_server(scenario, max_line_bytes=2048)
+        _with_server(scenario, max_frame_bytes=2048)

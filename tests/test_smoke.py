@@ -124,11 +124,15 @@ def test_ci_and_makefile_invoke_every_smoke():
 
 CHAOS = "epochs {n} | fault events 3 | final rounds 2\nexit 0\n"
 SERVE = (
-    "recompile: cache_hit {hit} (source memory) epoch 1\n"
-    "stale query: typed stale-epoch (requested 1, current 2)\n"
-    "drain: orphaned compiles 0 epoch 2\n"
-    "smoke OK\n"
-    "exit 0\n"
+    "compile: digest 0123456789ab epoch 0 lambs 2 survivors 249 "
+    "cache_hit False\n"
+    "queries: 1000/1000 resolved, total hops 9000\n"
+    "recompile: cache_hit {hit} (source current) epoch 0 | stats hits 1 "
+    "misses 1\n"
+    "delta: +1 node fault -> epoch 1 (incremental True, cache_hit False) "
+    "faults 6 lambs 2\n"
+    "stale query: typed stale-epoch (requested 0, current 1)\n"
+    "drain: orphaned compiles 0 epoch 1\n"
 )
 PROM = (
     'spans_total{{span="lamb.wvc"}} 3\n'
@@ -147,9 +151,15 @@ def test_typed_expectations_accept_and_reject():
     _expect_serve({"transcript": SERVE.format(hit=True)})
     with pytest.raises(SmokeFailure, match="cache_hit is 'False'"):
         _expect_serve({"transcript": SERVE.format(hit=False)})
-    with pytest.raises(SmokeFailure, match=r"ends \['smoke OK', 'exit 1'\]"):
+    with pytest.raises(SmokeFailure, match="delta left the epoch at 0"):
         _expect_serve({"transcript": SERVE.format(hit=True)
-                       .replace("exit 0", "exit 1")})
+                       .replace("-> epoch 1", "-> epoch 0")})
+    with pytest.raises(SmokeFailure, match="recompile stats hits .0., want >= 1"):
+        _expect_serve({"transcript": SERVE.format(hit=True)
+                       .replace("stats hits 1", "stats hits 0")})
+    with pytest.raises(SmokeFailure, match="typed is 'None'"):
+        _expect_serve({"transcript": SERVE.format(hit=True)
+                       .replace("typed stale-epoch", "typed None")})
     _expect_obs({"obs.prom": PROM.format(compiles=2)})
     with pytest.raises(SmokeFailure, match="service_compiles_total is 1"):
         _expect_obs({"obs.prom": PROM.format(compiles=1)})
