@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import bisect
 import threading
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 __all__ = ["Counter", "Gauge", "Histogram", "DEFAULT_BUCKETS"]
 
@@ -98,6 +98,35 @@ class Histogram:
             self.total += 1
             self.sum += seconds
             self.max = max(self.max, seconds)
+
+    def observe_many(self, values: Sequence[float]) -> None:
+        """``observe`` each of ``values`` under one lock acquisition
+        (the route-query server publishes a whole query run at once).
+        The result equals one ``observe`` per value, in order; a
+        negative value raises before anything is recorded.
+
+        The values are sorted once and each bucket's count read off
+        with one bisection, instead of one bisection per value."""
+        seconds = list(map(float, values))
+        if not seconds:
+            return
+        if any(map((0.0).__gt__, seconds)):
+            raise ValueError("latencies cannot be negative")
+        ordered = sorted(seconds)
+        with self._lock:
+            # observe's bucket for s is the first bound >= s.
+            below = 0
+            for i, bound in enumerate(self.buckets):
+                upto = bisect.bisect_right(ordered, bound, below)
+                self.counts[i] += upto - below
+                below = upto
+            self.overflow += len(ordered) - below
+            self.total += len(seconds)
+            total = self.sum
+            for s in seconds:  # the same float additions as observe's
+                total += s
+            self.sum = total
+            self.max = max(self.max, ordered[-1])
 
     @property
     def mean(self) -> float:

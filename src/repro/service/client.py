@@ -226,10 +226,19 @@ class RouteQueryClient:
         (the whole batch was rejected before parsing) raises its typed
         error without poisoning the connection.  ``timeout`` bounds the
         whole batch: one client-side deadline covers every reply."""
-        if not requests:
+        return await self._send_batch(
+            [self._make_request(op, payload) for op, payload in requests],
+            timeout,
+        )
+
+    async def _send_batch(
+        self, reqs: List[Dict[str, Any]], timeout: Optional[float]
+    ) -> List[Dict[str, Any]]:
+        """Write ``reqs`` (ids already assigned) as one batch frame and
+        return the matched replies."""
+        if not reqs:
             raise MalformedRequestError("empty batch")
         self._ensure_usable()
-        reqs = [self._make_request(op, payload) for op, payload in requests]
         self._writer.write(wire.encode_frame(reqs))
         await self._writer.drain()
         return self._match_batch(reqs, await self._read_message(timeout))
@@ -260,7 +269,7 @@ class RouteQueryClient:
                     f"{reply.get('id') if isinstance(reply, dict) else reply!r}"
                     f" does not match request id {req['id']}"
                 )
-        return list(message)
+        return message
 
     # ------------------------------------------------------------------
     # Typed RPCs
@@ -318,16 +327,21 @@ class RouteQueryClient:
     ) -> List[Dict[str, Any]]:
         """Pipeline many route queries in one round trip (raw replies,
         see :meth:`request_batch`)."""
-        requests: List[Tuple[str, Dict[str, Any]]] = []
-        for (source, dest) in pairs:
-            payload: Dict[str, Any] = {
+        pin = None if epoch is None else int(epoch)
+        first = self._next_id
+        reqs: List[Dict[str, Any]] = []
+        for k, (source, dest) in enumerate(pairs):
+            req: Dict[str, Any] = {
+                "id": first + k,
+                "op": "query",
                 "source": [int(x) for x in source],
                 "dest": [int(x) for x in dest],
             }
-            if epoch is not None:
-                payload["epoch"] = int(epoch)
-            requests.append(("query", payload))
-        return await self.request_batch(requests, timeout=timeout)
+            if pin is not None:
+                req["epoch"] = pin
+            reqs.append(req)
+        self._next_id = first + len(reqs)
+        return await self._send_batch(reqs, timeout)
 
     async def stats(self, timeout: Optional[float] = None) -> Dict[str, Any]:
         return await self.request("stats", timeout=timeout)

@@ -33,9 +33,10 @@ mutation lock held across base-read -> compile -> activate.  Without
 it two concurrent deltas could both base on the same epoch and the
 second activation would silently drop the first delta's faults — the
 live table would then route through known-dead hardware.  Queries
-(:meth:`ReconfigurationCompiler.route`) never take the mutation lock;
-they read the current artifact reference atomically and stay fast
-while a compile runs.
+(:meth:`ReconfigurationCompiler.route_batch`) never take the mutation
+lock; a run of them reads the current artifact reference once,
+atomically, so every reply in the run pairs its route with the epoch
+that served it, and they stay fast while a compile runs.
 """
 
 from __future__ import annotations
@@ -43,7 +44,16 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from ..core.lamb import LambResult
 from ..core.reconfigure import ReconfigurationError, ReconfigurationManager
@@ -62,6 +72,10 @@ from .metrics import ServiceMetrics
 from .store import ArtifactStore, config_digest
 
 __all__ = ["CompiledArtifact", "ReconfigurationCompiler"]
+
+#: One route query: ``(source, dest, epoch)``, ``epoch`` None when the
+#: caller does not pin one.
+Query = Tuple[Sequence[int], Sequence[int], Optional[int]]
 
 
 @dataclass(frozen=True)
@@ -177,8 +191,7 @@ class ReconfigurationCompiler:
         self.slow_compile_seconds = float(slow_compile_seconds)
         self.slow_query_seconds = float(slow_query_seconds)
         #: ``op_seconds{op="service.query"}``, resolved on the first
-        #: query (not here, so the series appears exactly when
-        #: ``slow_op`` would have created it).
+        #: fast query (see :meth:`route_batch`).
         self._query_op_seconds: Optional[Histogram] = None
         self._live: Dict[str, CompiledArtifact] = {}
         self._current: Optional[CompiledArtifact] = None
@@ -310,41 +323,90 @@ class ReconfigurationCompiler:
         ``epoch`` pins the reconfiguration the caller believes is live;
         a mismatch is a :class:`StaleEpochError` (the fast data path
         must never be served routes from a superseded configuration).
+        A one-pair :meth:`route_batch`.
+        """
+        _, (result,) = self.route_batch([(source, dest, epoch)])
+        if isinstance(result, ServiceError):
+            raise result
+        return result
+
+    def route_batch(
+        self, queries: Sequence[Query]
+    ) -> Tuple[CompiledArtifact, List[Union[RouteEntry, ServiceError]]]:
+        """Resolve a run of ``(source, dest, epoch)`` queries against
+        one read of the current artifact.
+
+        Returns that artifact and, per query in order, its
+        :class:`RouteEntry` or the typed error it failed with: a
+        :class:`StaleEpochError` when ``epoch`` is set and is not the
+        artifact's, a :class:`MalformedRequestError` for a non-survivor
+        endpoint, a :class:`ServiceError` for an unreachable pair
+        (an invalid lamb set).  Raises :class:`ServiceUnavailableError`
+        before any artifact is compiled.
+
+        Every lookup is timed; the run publishes its counters and
+        latencies once, and only a query past ``slow_query_seconds``
+        goes through the registry's ``slow_op`` (with its event).
         """
         current = self._current
         if current is None:
             raise ServiceUnavailableError(
                 "no current artifact; compile a config first"
             )
-        if epoch is not None and int(epoch) != current.epoch:
-            self.metrics.stale_epoch_rejections.inc()
-            raise StaleEpochError(int(epoch), current.epoch)
-        self.metrics.queries.inc()
-        t0 = time.perf_counter()
+        live = current.epoch
+        lookup = current.table.lookup
+        clock = time.perf_counter
+        slow_after = self.slow_query_seconds
+        results: List[Union[RouteEntry, ServiceError]] = []
+        latencies: List[float] = []
+        fast: List[float] = []
+        stale = queried = 0
         try:
-            entry = current.table.lookup(source, dest)
-        except ValueError as exc:  # non-survivor endpoint
-            raise MalformedRequestError(str(exc))
-        except RuntimeError as exc:  # unreachable => invalid lamb set
-            raise ServiceError(str(exc))
-        elapsed = time.perf_counter() - t0
-        self.metrics.query_latency.observe(elapsed)
-        if elapsed < self.slow_query_seconds:
-            # slow_op's own fast branch, minus its per-call series lookup.
-            op_seconds = self._query_op_seconds
-            if op_seconds is None:
-                op_seconds = self._query_op_seconds = (
-                    self.metrics.registry.histogram(
-                        "op_seconds", op="service.query"
+            for source, dest, epoch in queries:
+                if epoch is not None and int(epoch) != live:
+                    stale += 1
+                    results.append(StaleEpochError(int(epoch), live))
+                    continue
+                queried += 1
+                t0 = clock()
+                try:
+                    entry = lookup(source, dest)
+                except ValueError as exc:  # non-survivor endpoint
+                    results.append(MalformedRequestError(str(exc)))
+                    continue
+                except RuntimeError as exc:  # unreachable: invalid lambs
+                    results.append(ServiceError(str(exc)))
+                    continue
+                elapsed = clock() - t0
+                latencies.append(elapsed)
+                if elapsed < slow_after:
+                    fast.append(elapsed)
+                else:
+                    self.metrics.registry.slow_op(
+                        "service.query", elapsed,
+                        threshold=slow_after, epoch=live,
                     )
-                )
-            op_seconds.observe(elapsed)
-        else:
-            self.metrics.registry.slow_op(
-                "service.query", elapsed,
-                threshold=self.slow_query_seconds, epoch=current.epoch,
-            )
-        return entry
+                results.append(entry)
+        finally:
+            metrics = self.metrics
+            if stale:
+                metrics.stale_epoch_rejections.inc(stale)
+            if queried:
+                metrics.queries.inc(queried)
+            metrics.query_latency.observe_many(latencies)
+            if fast:
+                # slow_op's own fast branch, minus its per-call series
+                # lookup; resolved on the first fast query, so the
+                # series appears exactly when slow_op would create it.
+                op_seconds = self._query_op_seconds
+                if op_seconds is None:
+                    op_seconds = self._query_op_seconds = (
+                        metrics.registry.histogram(
+                            "op_seconds", op="service.query"
+                        )
+                    )
+                op_seconds.observe_many(fast)
+        return current, results
 
     # ------------------------------------------------------------------
     def persist_current(self) -> None:

@@ -3,8 +3,16 @@
 Every connection speaks length-prefixed binary frames (see
 :mod:`repro.service.wire`) whose body is canonical JSON: one request
 object, or a JSON *array* of requests for a pipelined batch.  A batch
-frame gets **one** reply frame carrying the array of replies,
-serialized once and written zero-copy.
+frame gets **one** reply frame carrying the array of replies, written
+zero-copy.  Its body is the replies' canonical encodings joined by
+:func:`~repro.service.wire.join_payloads`, so it equals
+:func:`~repro.service.wire.encode_payload` of the reply list.
+
+Each run of consecutive ``query`` requests is served by one read of
+the current artifact, and an ok query reply is spliced from memoized
+bytes of its route entry plus its epoch and id: no per-reply
+``json.dumps``.  The memo belongs to the live routing table and is
+dropped when that table changes.
 
 Batches are processed against live state, so a ``delta`` inside a
 batch bumps the epoch for the requests behind it (queries pinned to
@@ -33,11 +41,13 @@ from __future__ import annotations
 
 import asyncio
 import json
+from itertools import groupby
 from typing import Any, Dict, List, Optional, Set, Tuple
 
+from ..core.routing_table import RouteEntry, RoutingTable
 from ..mesh.serialization import faults_from_dict
 from . import wire
-from .compiler import ReconfigurationCompiler
+from .compiler import Query, ReconfigurationCompiler
 from .errors import (
     MalformedRequestError,
     RequestTimeoutError,
@@ -58,6 +68,19 @@ WIRE_VERSION = 1
 #: timeout=0.0)`` means "poll once", which reports compile threads as
 #: orphaned even though they finish microseconds later.
 _DRAIN_WAIT_FLOOR_S = 0.1
+
+#: Placeholder values for the per-reply slots of a memoized query
+#: reply (:meth:`RouteQueryServer._route_pieces`), and their encodings.
+#: The NUL makes them unlike any key or value of a route reply.
+_EPOCH_SLOT = "\x00epoch"
+_ID_SLOT = "\x00id"
+_EPOCH_MARK = wire.encode_payload(_EPOCH_SLOT)
+_ID_MARK = wire.encode_payload(_ID_SLOT)
+
+#: A memoized query reply: the route entry (pinning its ``id()``, the
+#: memo key) and the ``head``, ``mid`` and ``tail`` bytes around the
+#: reply's epoch and id.
+_Pieces = Tuple[RouteEntry, bytes, bytes, bytes]
 
 
 class RouteQueryServer:
@@ -112,6 +135,10 @@ class RouteQueryServer:
         self.orphaned_compiles = 0
         self._draining = False
         self._shutdown_event: Optional[asyncio.Event] = None
+        #: Encoded query-reply pieces of the live routing table, keyed
+        #: by ``id()`` of the route entry (see :meth:`_memo_for`).
+        self._memo_table: Optional[RoutingTable] = None
+        self._memo: Dict[int, _Pieces] = {}
 
     # ------------------------------------------------------------------
     async def start(self) -> Tuple[str, int]:
@@ -221,8 +248,10 @@ class RouteQueryServer:
                 self._write_frame(writer, self._error_obj(None, decode_error))
                 await writer.drain()
                 continue
-            replies, shutdown = await self._replies_for(requests)
-            self._write_frame(writer, replies if is_batch else replies[0])
+            parts, shutdown = await self._replies_for(requests)
+            self._write_body(
+                writer, wire.join_payloads(parts) if is_batch else parts[0]
+            )
             await writer.drain()
             if shutdown:
                 assert self._shutdown_event is not None
@@ -230,10 +259,14 @@ class RouteQueryServer:
                 return
             await asyncio.sleep(0)  # one yield per message (fairness)
 
-    @staticmethod
-    def _write_frame(writer: asyncio.StreamWriter, obj: Any) -> None:
+    @classmethod
+    def _write_frame(cls, writer: asyncio.StreamWriter, obj: Any) -> None:
         """Serialize once, write header + body view (no copy)."""
-        header, view = wire.reply_views(wire.encode_payload(obj))
+        cls._write_body(writer, wire.encode_payload(obj))
+
+    @staticmethod
+    def _write_body(writer: asyncio.StreamWriter, body: bytes) -> None:
+        header, view = wire.reply_views(body)
         writer.write(header)
         writer.write(view)
 
@@ -262,41 +295,133 @@ class RouteQueryServer:
     # ------------------------------------------------------------------
     async def _replies_for(
         self, requests: List[Dict[str, Any]]
-    ) -> Tuple[List[Dict[str, Any]], bool]:
-        """The replies to one message's requests, in order, and whether
-        one of them was ``shutdown`` (never raises).
+    ) -> Tuple[List[bytes], bool]:
+        """The encoded replies to one message's requests, in order, and
+        whether one of them was ``shutdown`` (never raises).
 
         Requests run in order against live state, so a ``delta`` bumps
-        the epoch for the requests behind it.  Only ``compile`` and
-        ``delta`` await (a worker thread), under ``request_timeout``;
-        every other op is a plain call that a deadline could never cut
-        short, so it is answered inline with no task or timer.
+        the epoch for the requests behind it.  Each maximal run of
+        consecutive ``query`` requests is answered by
+        :meth:`_query_run`.  Only ``compile`` and ``delta`` await (a
+        worker thread), under ``request_timeout``; every other op is a
+        plain call that a deadline could never cut short, so it is
+        answered inline with no task or timer.
         """
-        replies: List[Dict[str, Any]] = []
+        parts: List[bytes] = []
         shutdown = False
-        for req in requests:
-            req_id = req.get("id")
-            self.metrics.requests.inc()
-            op = req.get("op")
+        for is_query, group in groupby(requests, key=_is_query):
+            if is_query:
+                parts.extend(self._query_run(list(group)))
+                continue
+            for req in group:
+                req_id = req.get("id")
+                self.metrics.requests.inc()
+                op = req.get("op")
+                try:
+                    if op == "compile" or op == "delta":
+                        body = await self._handle_write(op, req)
+                    else:
+                        body = self._handle_read(op, req)
+                except Exception as exc:
+                    parts.append(self._error_body(req_id, exc))
+                    continue
+                self.metrics.replies_ok.inc()
+                reply = {"id": req_id, "ok": True}
+                reply.update(body)
+                parts.append(wire.encode_payload(reply))
+                shutdown = shutdown or op == "shutdown"
+        return parts, shutdown
+
+    def _query_run(self, run: List[Dict[str, Any]]) -> List[bytes]:
+        """The encoded replies to a run of ``query`` requests, all
+        served by one read of the current artifact
+        (:meth:`~repro.service.compiler.ReconfigurationCompiler.\
+route_batch`), so each reply's ``epoch`` is that of the artifact
+        whose table produced its route.
+
+        An ok reply is spliced from the memoized pieces of its route
+        entry (:meth:`_route_pieces`) plus its epoch and id; error
+        replies are encoded whole.
+        """
+        self.metrics.requests.inc(len(run))
+        parts: List[bytes] = [b""] * len(run)
+        queries: List[Query] = []
+        slots: List[int] = []
+        for k, req in enumerate(run):
             try:
-                if op == "compile" or op == "delta":
-                    body = await self._handle_write(op, req)
-                else:
-                    body = self._handle_read(op, req)
-            except ServiceError as exc:
-                if isinstance(exc, MalformedRequestError):
-                    self.metrics.malformed_requests.inc()
-                replies.append(self._error_obj(req_id, exc))
+                queries.append(self._parse_query(req))
+            except MalformedRequestError as exc:
+                parts[k] = self._error_body(req.get("id"), exc)
                 continue
-            except Exception as exc:  # defensive: typed even when surprised
-                replies.append(self._error_obj(req_id, ServiceError(str(exc))))
+            slots.append(k)
+        if not queries:
+            return parts
+        try:
+            artifact, results = self.compiler.route_batch(queries)
+        except Exception as exc:  # no artifact yet, or a surprise
+            for k in slots:
+                parts[k] = self._error_body(run[k].get("id"), exc)
+            return parts
+        epoch = b"%d" % artifact.epoch
+        memo = self._memo_for(artifact.table)
+        ok = 0
+        for k, result in zip(slots, results):
+            req_id = run[k].get("id")
+            if isinstance(result, ServiceError):
+                parts[k] = self._error_body(req_id, result)
                 continue
-            self.metrics.replies_ok.inc()
-            reply = {"id": req_id, "ok": True}
-            reply.update(body)
-            replies.append(reply)
-            shutdown = shutdown or op == "shutdown"
-        return replies, shutdown
+            pieces = memo.get(id(result))
+            if pieces is None:
+                pieces = memo[id(result)] = self._route_pieces(result)
+            _, head, mid, tail = pieces
+            parts[k] = b"".join((head, epoch, mid, _encode_id(req_id), tail))
+            ok += 1
+        if ok:
+            self.metrics.replies_ok.inc(ok)
+        return parts
+
+    def _memo_for(self, table: RoutingTable) -> Dict[int, _Pieces]:
+        """The reply-piece memo of ``table``; a new live table drops the
+        previous table's memo."""
+        if table is not self._memo_table:
+            self._memo_table = table
+            self._memo = {}
+        return self._memo
+
+    @staticmethod
+    def _route_pieces(entry: RouteEntry) -> _Pieces:
+        """The canonical bytes of an ok reply to a query for ``entry``,
+        cut around its two per-reply values: the reply body is
+        ``head + epoch + mid + id + tail``.  The pieces come from
+        encoding the reply with placeholder strings in those two slots,
+        so they hold the ``sort_keys`` layout of
+        :func:`~repro.service.wire.encode_payload` by construction.
+        The entry itself is kept first: it pins the ``id()`` the memo
+        is keyed on."""
+        body = wire.encode_payload({
+            "id": _ID_SLOT,
+            "ok": True,
+            "epoch": _EPOCH_SLOT,
+            "source": list(entry.source),
+            "dest": list(entry.dest),
+            "intermediates": [list(v) for v in entry.intermediates],
+            "rounds_used": entry.rounds_used,
+            "hops": entry.hops,
+            "turns": entry.turns,
+        })
+        head, rest = body.split(_EPOCH_MARK)
+        mid, tail = rest.split(_ID_MARK)
+        return entry, head, mid, tail
+
+    def _error_body(self, req_id: Any, err: Exception) -> bytes:
+        """The encoded error reply to one request; an exception that is
+        not a :class:`ServiceError` is reported as one (typed even when
+        surprised)."""
+        if not isinstance(err, ServiceError):
+            err = ServiceError(str(err))
+        elif isinstance(err, MalformedRequestError):
+            self.metrics.malformed_requests.inc()
+        return wire.encode_payload(self._error_obj(req_id, err))
 
     def _error_obj(self, req_id: Any, err: Exception) -> Dict[str, Any]:
         self.metrics.replies_error.inc()
@@ -304,8 +429,6 @@ class RouteQueryServer:
 
     # ------------------------------------------------------------------
     def _handle_read(self, op: Any, req: Dict[str, Any]) -> Dict[str, Any]:
-        if op == "query":
-            return self._handle_query(req)
         if op == "ping":
             return {
                 "pong": True,
@@ -412,7 +535,10 @@ class RouteQueryServer:
         future.add_done_callback(_on_done)
         return await asyncio.shield(future)
 
-    def _handle_query(self, req: Dict[str, Any]) -> Dict[str, Any]:
+    @staticmethod
+    def _parse_query(req: Dict[str, Any]) -> Query:
+        """A ``query`` request's ``(source, dest, epoch)``, endpoints
+        as int tuples (the table lookup then converts nothing again)."""
         source = req.get("source")
         dest = req.get("dest")
         if not isinstance(source, list) or not isinstance(dest, list):
@@ -423,20 +549,18 @@ class RouteQueryServer:
         if epoch is not None and not isinstance(epoch, int):
             raise MalformedRequestError("'epoch' must be an integer")
         try:
-            src = tuple(map(int, source))
-            dst = tuple(map(int, dest))
+            return tuple(map(int, source)), tuple(map(int, dest)), epoch
         except (TypeError, ValueError) as exc:
             raise MalformedRequestError(f"bad coordinates: {exc}")
-        # Int tuples: the table lookup below converts nothing again.
-        entry = self.compiler.route(src, dst, epoch=epoch)
-        current = self.compiler.current
-        assert current is not None  # route() guarantees
-        return {
-            "epoch": current.epoch,
-            "source": list(entry.source),
-            "dest": list(entry.dest),
-            "intermediates": [list(v) for v in entry.intermediates],
-            "rounds_used": entry.rounds_used,
-            "hops": entry.hops,
-            "turns": entry.turns,
-        }
+
+
+def _is_query(req: Dict[str, Any]) -> bool:
+    return req.get("op") == "query"
+
+
+def _encode_id(req_id: Any) -> bytes:
+    """The canonical JSON of a request id (ints, the common case, by
+    ``%d``; ``bool`` is not ``int`` here, so ``true`` stays ``true``)."""
+    if type(req_id) is int:
+        return b"%d" % req_id
+    return wire.encode_payload(req_id)

@@ -4,8 +4,8 @@ A frame is a fixed 12-byte header (``!4sBBHI`` — magic, version,
 flags, reserved, body length) followed by a JSON body encoded with
 ``sort_keys=True``.  A batch is a single frame whose body is a JSON
 array; the reply to a batch is a single frame carrying the array of
-replies, serialized with **one** ``json.dumps`` call and written as a
-header + ``memoryview`` pair (no concatenation copy on the hot path).
+replies, its body joined from the replies' canonical bodies
+(:func:`join_payloads`) and written as a header + ``memoryview`` pair.
 
 A stream that does not open with :data:`MAGIC` (JSON text, say) is
 rejected with an unrecoverable ``wire-protocol`` error: without a
@@ -17,7 +17,7 @@ from __future__ import annotations
 import asyncio
 import json
 import struct
-from typing import Any, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from .errors import WireProtocolError
 
@@ -27,6 +27,7 @@ __all__ = [
     "HEADER",
     "MAX_FRAME_BYTES",
     "encode_payload",
+    "join_payloads",
     "decode_payload",
     "frame_header",
     "encode_frame",
@@ -56,6 +57,13 @@ _DRAIN_CHUNK = 64 * 1024
 def encode_payload(obj: Any) -> bytes:
     """Canonical JSON body bytes."""
     return json.dumps(obj, sort_keys=True).encode("utf-8")
+
+
+def join_payloads(parts: List[bytes]) -> bytes:
+    """The body of a JSON array from its elements' canonical bodies:
+    ``join_payloads([encode_payload(x) for x in xs])`` equals
+    ``encode_payload(xs)``."""
+    return b"[" + b", ".join(parts) + b"]"
 
 
 def decode_payload(data: bytes) -> Any:

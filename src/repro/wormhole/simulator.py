@@ -620,12 +620,18 @@ class WormholeSimulator:
         The head is parked on its next hop's resource when that is
         held by another message (woken by release) or its downstream
         buffer is full (woken by a buffer pop — the buffer may hold
-        straggling tail flits of a previous owner).  Body flits with a
-        gap ahead can additionally be stuck behind such straggler-full
-        buffers mid-route, so those resources are collected too.  All
-        other blockers resolve by themselves next cycle, so the message
-        stays runnable; uncertain cases also stay runnable (safe,
-        merely a wasted visit)."""
+        straggling tail flits of a previous owner).  The front flit of
+        every other buffer the worm holds, and the source queue's
+        front flit behind the worm, wait on the buffer ahead, which a
+        zero move shows full (of the worm's own flits or of
+        stragglers past a gap), so those resources are collected too,
+        in flit order.  All other blockers resolve by themselves next
+        cycle, so the message stays runnable; uncertain cases also
+        stay runnable (safe, merely a wasted visit).
+
+        The walk goes by buffer runs (:attr:`Message.runs`, current
+        after the zero-move visit), not by flit; ``tests/sim_oracle.py``
+        keeps the per-flit walk it must match."""
         fp = m.flit_pos
         ids = m.hop_ids
         last = len(ids) - 1
@@ -641,20 +647,26 @@ class WormholeSimulator:
         if holder is None and (nxt == last or occupancy[head] < cap):
             return None  # only blocked by this cycle's bandwidth
         wait = [head]
-        for f in range(1, m.num_flits):
-            pos = fp[f]
-            b = pos + 1
-            if b > last:
-                continue  # flit already ejected
-            if fp[f - 1] < b:
-                if pos < 0:
-                    break  # the rest are still queued at the source
-                continue  # no gap: waits on its predecessor (internal)
-            if b == last:
-                return None  # defensive: ejection always possible
-            if occupancy[ids[b]] < cap:
+        # Run ``[c, span]`` spans hops p down to p - span + 1; the front
+        # flit of its buffer at hop q waits on hop q + 1 (the head's
+        # buffer, the first run's front, is done above).
+        p = top = nxt - 1
+        flits = 0
+        for c, span in m.runs:
+            if c:
+                ahead = ids[p - span + 2 : p + (p < top) + 1]
+                if ahead:
+                    if min(map(occupancy.__getitem__, ahead)) < cap:
+                        return None  # defensive: should have moved
+                    ahead.reverse()
+                    wait += ahead
+                flits += c * span
+            p -= span
+        if 0 < flits < m.num_flits:
+            # The source queue's front flit waits on hop 0.
+            if not last or occupancy[ids[0]] < cap:
                 return None  # defensive: should have moved
-            wait.append(ids[b])
+            wait.append(ids[0])
         return wait
 
     # ------------------------------------------------------------------

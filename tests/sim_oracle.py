@@ -4,25 +4,70 @@ for cycle.
 
 :class:`FlitKernelSimulator` swaps the production run-level kernel for
 the historical one that walks every undelivered flit of a visited
-message, one at a time; the frontier step loop (pending heap,
-park/wake) is the production one, so its park and wake counts must
-equal the production simulator's too.  :class:`ScanSimulator` also
-drops the frontier: every cycle it visits every active message, oldest
-first.  Both cost O(flits) per visit (the scan also O(messages) per
-cycle), so use them on test-sized runs only.
+message, one at a time, and parks a blocked message by the same
+per-flit walk (:func:`park_keys_by_flit`); the frontier step loop
+(pending heap, park/wake) is the production one, so its park and wake
+counts must equal the production simulator's too.
+:class:`ScanSimulator` also drops the frontier: every cycle it visits
+every active message, oldest first.  Both cost O(flits) per visit
+(the scan also O(messages) per cycle), so use them on test-sized runs
+only.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 from repro.wormhole.packets import Message
 from repro.wormhole.simulator import WormholeSimulator
 from repro.wormhole.trace import TraceEvent
 
 
+def park_keys_by_flit(
+    sim: WormholeSimulator, m: Message
+) -> Optional[List[int]]:
+    """The resources a zero-move message waits on, walking every flit:
+    the reference for the production run walk
+    (:meth:`WormholeSimulator._park_keys`), which must return the same
+    list in the same order."""
+    fp = m.flit_pos
+    ids = m.hop_ids
+    last = len(ids) - 1
+    nxt = fp[0] + 1
+    if nxt > last:
+        return None  # head ejected: trailing drain, stay runnable
+    occupancy = sim.net.occupancy
+    cap = sim.net.buffer_flits
+    head = ids[nxt]
+    holder = sim.net.owners[head]
+    if holder == m.msg_id:
+        return None  # defensive: should have moved
+    if holder is None and (nxt == last or occupancy[head] < cap):
+        return None  # only blocked by this cycle's bandwidth
+    wait = [head]
+    for f in range(1, m.num_flits):
+        pos = fp[f]
+        b = pos + 1
+        if b > last:
+            continue  # flit already ejected
+        if fp[f - 1] < b:
+            if pos < 0:
+                break  # the rest are still queued at the source
+            continue  # no gap: waits on its predecessor (internal)
+        if b == last:
+            return None  # defensive: ejection always possible
+        if occupancy[ids[b]] < cap:
+            return None  # defensive: should have moved
+        wait.append(ids[b])
+    return wait
+
+
 class FlitKernelSimulator(WormholeSimulator):
-    """The production step loop over the per-flit kernel."""
+    """The production step loop over the per-flit kernel and the
+    per-flit park walk (the kernel keeps no run list)."""
+
+    def _park_keys(self, m: Message) -> Optional[List[int]]:
+        return park_keys_by_flit(self, m)
 
     def _advance_message(self, m: Message) -> int:
         """Move every flit of ``m`` that can move this cycle (head

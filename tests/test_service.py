@@ -295,6 +295,40 @@ class TestMidBatchEpochBump:
 
         _with_service(scenario)
 
+    def test_activation_after_the_lookup_keeps_the_served_epoch(self):
+        """A compile that activates a new artifact right after a query's
+        table lookup (as a worker thread may) does not relabel the
+        reply: its ``epoch`` is that of the artifact whose table
+        produced the route, and the next query sees the new epoch."""
+        faults = _base_faults()
+        other = FaultSet(faults.mesh, [(2, 2), (5, 6), (6, 1)])
+
+        async def scenario(client, server, compiler):
+            compiled = await client.compile(faults)
+            epoch0 = compiled["epoch"]
+            src, dst = _survivor_pair(faults, compiled)
+            served = compiler.current
+            real_lookup = served.table.lookup
+
+            def lookup(source, dest):
+                entry = real_lookup(source, dest)
+                served.table.lookup = real_lookup  # activate only once
+                compiler.compile(other)
+                return entry
+
+            served.table.lookup = lookup
+            reply = await client.query(src, dst)
+            assert compiler.current_epoch == epoch0 + 1
+            assert reply["epoch"] == epoch0
+            entry = real_lookup(tuple(src), tuple(dst))
+            assert reply["intermediates"] == [
+                list(v) for v in entry.intermediates
+            ]
+            later = await client.query(src, dst)
+            assert later["epoch"] == epoch0 + 1
+
+        _with_service(scenario)
+
 
 # ----------------------------------------------------------------------
 # Inline reads: no task, timer or deadline per read request
@@ -388,14 +422,14 @@ class TestInlineReads:
         async def scenario(client, server, compiler):
             compiled = await client.compile(faults)
             (v, w), (x, y) = _survivor_pairs(faults, compiled, 2)
-            real_route = compiler.route
+            real_route_batch = compiler.route_batch
 
-            def route(source, dest, epoch=None):
-                if list(source) == x:
+            def route_batch(queries):
+                if any(list(source) == x for source, _, _ in queries):
                     raise ZeroDivisionError("handler blew up")
-                return real_route(source, dest, epoch=epoch)
+                return real_route_batch(queries)
 
-            compiler.route = route  # type: ignore[method-assign]
+            compiler.route_batch = route_batch  # type: ignore[method-assign]
             reader, writer = await asyncio.open_connection(
                 server.host, server.port
             )

@@ -176,6 +176,9 @@ class TestByteEquivalence:
             wire.encode_payload(r) for r in replies
         ) + b"]"
         assert wire.encode_payload(replies) == joined
+        assert wire.join_payloads(
+            [wire.encode_payload(r) for r in replies]
+        ) == joined
 
 
 # ----------------------------------------------------------------------

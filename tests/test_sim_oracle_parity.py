@@ -30,7 +30,7 @@ from repro.wormhole.packets import Hop
 from repro.wormhole.simulator import WormholeSimulator, _flit_runs
 from repro.wormhole.trace import Tracer
 
-from sim_oracle import FlitKernelSimulator, ScanSimulator
+from sim_oracle import FlitKernelSimulator, ScanSimulator, park_keys_by_flit
 
 SEEDS = range(200)
 
@@ -132,6 +132,79 @@ def test_run_kernel_matches_per_flit_oracles(chunk):
     assert deadlocks >= 1
 
 
+class _ParkChecked(WormholeSimulator):
+    """The production simulator, checking every park walk against the
+    per-flit one on the same state."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.walks = self.parked_walks = 0
+
+    def _park_keys(self, m):
+        keys = super()._park_keys(m)
+        assert keys == park_keys_by_flit(self, m), (
+            f"cycle {self.cycle}, message {m.msg_id}: {m.flit_pos}")
+        self.walks += 1
+        self.parked_walks += keys is not None
+        return keys
+
+
+def test_park_walk_by_runs_matches_the_per_flit_walk():
+    """For every zero-move visit in the corpus, the run walk returns
+    the per-flit walk's list, in the same order (or both return
+    None)."""
+    walks = parked = 0
+    for seed in SEEDS:
+        sc = _scenario(seed)
+        sim = _ParkChecked(sc["faults"], sc["orderings"], **sc["kw"])
+        for src, dst, flits, when in sc["traffic"]:
+            sim.send(src, dst, flits, when)
+        try:
+            sim.run(max_cycles=1200)
+        except SimulationError:
+            pass
+        walks += sim.walks
+        parked += sim.parked_walks
+    # 37,767 walks, 36,973 of them parking, at the time of writing.
+    assert parked > 10000 and walks > parked, (walks, parked)
+
+
+@pytest.mark.parametrize("buffer_flits, fp, stragglers, want", [
+    # Hop 2's flits behind a straggler-full gap at hop 3, the queue
+    # behind a straggler-full hop 0.
+    (2, [4, 4, 2, 2, -1, -1], {3: 2, 0: 2}, [5, 3, 0]),
+    # Full buffers, no gap, then a gap at hop 1 before the queue.
+    (2, [4, 4, 3, 3, 2, 2, -1], {1: 2, 0: 2}, [5, 4, 3, 0]),
+    # One-flit buffers: every flit waits on the one ahead.
+    (1, [4, 3, 2, 1], {}, [5, 4, 3, 2]),
+    # A gap with room, or a hop 0 with room: the walk stays runnable.
+    (2, [4, 4, 2, 2, -1, -1], {3: 1, 0: 2}, None),
+    (2, [4, 4, 3, 3, -1], {0: 1}, None),
+])
+def test_park_walk_on_hand_built_worms(buffer_flits, fp, stragglers, want):
+    """A worm whose head waits on a hop another message holds parks on
+    that hop and on the buffer ahead of each of its other buffers'
+    front flits (and of the queue's), in flit order, whatever gaps lie
+    between: the same list as the per-flit walk."""
+    sim = WormholeSimulator(FaultSet(Mesh((8, 2))), repeated(xy(), 2),
+                            buffer_flits=buffer_flits)
+    m = sim.send((0, 0), (6, 0), len(fp))
+    m.flit_pos = list(fp)
+    ids, net = m.hop_ids, sim.net
+    for q in range(max(fp[-1] + 1, 0), fp[0] + 1):
+        net.owners[ids[q]] = m.msg_id
+    net.owners[ids[fp[0] + 1]] = m.msg_id + 1  # the head's blocker
+    for pos in fp:
+        if pos >= 0:
+            net.occupancy[ids[pos]] += 1
+    for q, n in stragglers.items():
+        net.occupancy[ids[q]] += n
+    m.runs, m.runs_of = _flit_runs(m.flit_pos, 0), m.flit_pos
+    got = sim._park_keys(m)
+    assert got == park_keys_by_flit(sim, m)
+    assert got == (None if want is None else [ids[q] for q in want])
+
+
 def test_runs_are_derived_from_flit_pos():
     """The incrementally updated run list equals the one rebuilt from
     ``flit_pos`` after every cycle, and replacing ``flit_pos`` (with an
@@ -184,9 +257,10 @@ def test_hand_built_gaps_match_the_per_flit_kernel(buffer_flits, fp,
     stragglers only drain once its new owner has entered it), but the
     kernel takes any ``flit_pos``: a worm placed by hand around other
     worms' straggling flits moves exactly as under the per-flit
-    kernel, before and after the stragglers drain at cycle 3."""
+    kernel, before and after the stragglers drain at cycle 3, and its
+    park walk returns the per-flit walk's list at every blocked visit."""
     runs = []
-    for cls in (WormholeSimulator, FlitKernelSimulator):
+    for cls in (_ParkChecked, FlitKernelSimulator):
         tracer = Tracer()
         sim = cls(FaultSet(Mesh((8, 2))), repeated(xy(), 2),
                   buffer_flits=buffer_flits, tracer=tracer)
