@@ -54,7 +54,7 @@ lint:
 	@if $(PYTHON) -c "import mypy" 2>/dev/null; \
 	then PYTHONPATH=src $(PYTHON) -m mypy -p repro.routing -p repro.graphs \
 	    -p repro.service -p repro.core.routing_table -p repro.obs \
-	    -p repro.reliability -p repro.analysis; \
+	    -p repro.analysis; \
 	else echo "mypy not installed; skipping (CI runs it)"; fi
 
 # Just the domain lint suite.

@@ -2,11 +2,11 @@
 
 Runs a small curated benchmark subset — the lamb pipeline, the
 one-round reachability kernel, the wormhole simulator under
-saturation, the seeded chaos scenario, a serial reliability campaign
-and the route-query service data path — and writes ``BENCH_<date>.json``
-rows of ``{bench, mesh, wall_s, cycles_per_s / trials_per_s /
-queries_per_s}``.  A comparator mode diffs a fresh run against the
-latest committed baseline and fails on a >25% wall-clock regression.
+saturation, the seeded chaos scenario and the route-query service
+data path — and writes ``BENCH_<date>.json`` rows of ``{bench, mesh,
+wall_s, cycles_per_s / trials_per_s / queries_per_s}``.  A comparator
+mode diffs a fresh run against the latest committed baseline and
+fails on a >25% wall-clock regression.
 
 Usage (from the repo root, ``PYTHONPATH=src``)::
 
@@ -124,23 +124,6 @@ def _bench_chaos_smoke() -> Dict[str, object]:
             "wall_s": wall, "cycles_per_s": report.stats.cycles / wall}
 
 
-def _bench_reliability_campaign() -> Dict[str, object]:
-    """Seeded Poisson reliability campaign on M2(8): timeline sampling
-    + per-interval compile through the content-addressed cache +
-    connectivity scoring."""
-    from repro.reliability import CampaignConfig, run_campaign
-
-    cfg = CampaignConfig(
-        widths=(8, 8), rate=1.5, mttr=0.3, horizon=2.0, trials=4, seed=0,
-    )
-    t0 = time.perf_counter()
-    report = run_campaign(cfg)
-    wall = time.perf_counter() - t0
-    assert len(report.trials) == cfg.trials
-    return {"bench": "reliability_campaign", "mesh": "M2(8) x4 trials",
-            "wall_s": wall, "trials_per_s": cfg.trials / wall}
-
-
 def _bench_service_throughput() -> Dict[str, object]:
     """Route-query service data path: real TCP on localhost, 1000
     pipelined queries (batches of 100, one binary frame each) against a
@@ -207,7 +190,6 @@ BENCHES: Tuple[Callable[[], Dict[str, object]], ...] = (
     _bench_reachability_product,
     _bench_sim_saturation,
     _bench_chaos_smoke,
-    _bench_reliability_campaign,
     _bench_service_throughput,
 )
 

@@ -9,8 +9,6 @@
   rollback/reconfigure epochs and graceful degradation
 - ``figure``      regenerate one of the paper's figures
 - ``experiments`` regenerate EXPERIMENTS.md
-- ``reliability`` Monte Carlo availability campaign with a
-  Wilson-bounded SLO verdict
 - ``reconfigure`` replay fault epochs from a JSON script
 - ``worked-example``  print the Section 5 artifacts (Tables 1-2, Λ)
 - ``analyze``     run the domain lint suite over Python sources
@@ -147,10 +145,7 @@ def _export_telemetry(args) -> None:
         return
     from .obs import export_all, get_registry
 
-    written = export_all(
-        get_registry(), prefix,
-        redact_timings=bool(getattr(args, "redact_timings", False)),
-    )
+    written = export_all(get_registry(), prefix)
     for fmt in sorted(written):
         print(f"telemetry: wrote {written[fmt]}")
 
@@ -271,31 +266,6 @@ def cmd_chaos(args) -> int:
     rng = np.random.default_rng(args.seed)
     if args.inject_fault:
         schedule = FaultSchedule.from_specs(args.inject_fault)
-    elif args.arrival:
-        # Renewal-process schedule: faults arrive at --rate per
-        # kilocycle over the event window (repairs do not exist in the
-        # live simulator, so the repair model is "never").
-        from .reliability import (
-            DeterministicRepair,
-            arrival_process,
-            generate_timeline,
-        )
-
-        horizon = max(args.event_end - args.event_start, 1) / 1000.0
-        timeline = generate_timeline(
-            mesh,
-            arrival_process(
-                args.arrival, rate=args.rate,
-                shape=args.arrival_shape, scale=args.arrival_scale,
-            ),
-            DeterministicRepair(float("inf")),
-            horizon,
-            rng,
-            avoid=faults.node_faults,
-        )
-        schedule = timeline.to_fault_schedule(
-            cycles_per_unit=1000.0, start_cycle=args.event_start
-        )
     else:
         schedule = FaultSchedule.random(
             mesh, args.events, rng,
@@ -358,46 +328,6 @@ def cmd_experiments(args) -> int:
     rc = run_cli(args.out, seed=args.seed, sections=sections)
     _export_telemetry(args)
     return rc
-
-
-def cmd_reliability(args) -> int:
-    from .mesh import Torus
-    from .reliability import CampaignConfig, SLOTarget, run_campaign
-
-    mesh = args.mesh
-
-    config = CampaignConfig(
-        widths=mesh.widths,
-        torus=isinstance(mesh, Torus),
-        k=args.rounds,
-        arrival=args.arrival,
-        rate=args.rate,
-        shape=args.arrival_shape,
-        scale=args.arrival_scale,
-        repair=args.repair,
-        mttr=args.mttr,
-        horizon=args.horizon,
-        trials=args.trials,
-        seed=args.seed,
-        tag=args.tag,
-        lamb_budget=args.budget,
-        max_extra_rounds=args.extra_rounds,
-        slo=SLOTarget(
-            connectivity=args.connectivity,
-            availability=args.availability,
-        ),
-    )
-    report = run_campaign(config)
-    if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(report.to_json())
-            fh.write("\n")
-        print(f"wrote {args.json}")
-    print("\n".join(report.summary_lines()))
-    _export_telemetry(args)
-    if args.require_slo and not report.verdict.met:
-        return 1
-    return 0
 
 
 def cmd_reconfigure(args) -> int:
@@ -789,17 +719,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="max k escalation of the degradation ladder")
     p.add_argument("--max-retries", type=int, default=3)
     p.add_argument("--retry-backoff", type=int, default=8)
-    p.add_argument("--arrival", choices=("poisson", "weibull"), default=None,
-                   help="draw fault events from a renewal process at "
-                   "--rate faults/kilocycle instead of --events "
-                   "uniform-random events")
-    p.add_argument("--rate", type=float, default=2.0,
-                   help="Poisson arrival rate (faults per kilocycle)")
-    p.add_argument("--arrival-shape", type=float, default=1.5,
-                   help="Weibull shape (hazard: <1 infant mortality, "
-                   ">1 wear-out)")
-    p.add_argument("--arrival-scale", type=float, default=0.5,
-                   help="Weibull scale (kilocycles)")
     p.set_defaults(fn=cmd_chaos)
 
     p = sub.add_parser("figure", help="regenerate a paper figure")
@@ -820,53 +739,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="regenerate only the named section(s) "
                    "(repeatable); see repro.experiments.generate")
     p.set_defaults(fn=cmd_experiments)
-
-    p = sub.add_parser(
-        "reliability",
-        help="Monte Carlo availability campaign: renewal-process "
-        "faults/repairs -> compile -> survivor connectivity -> SLO "
-        "verdict with Wilson bounds",
-    )
-    p.add_argument("--mesh", type=_parse_mesh, default="8x8",
-                   help="mesh spec, e.g. 8x8 or torus:8x8 (default 8x8)")
-    p.add_argument("--rounds", type=int, default=2,
-                   help="routing rounds k (default 2)")
-    p.add_argument("--arrival", choices=("poisson", "weibull"),
-                   default="poisson")
-    p.add_argument("--rate", type=float, default=1.0,
-                   help="Poisson arrival rate (faults per time unit)")
-    p.add_argument("--arrival-shape", type=float, default=1.5,
-                   help="Weibull shape")
-    p.add_argument("--arrival-scale", type=float, default=1.0,
-                   help="Weibull scale (time units)")
-    p.add_argument("--repair", choices=("deterministic", "exponential"),
-                   default="deterministic")
-    p.add_argument("--mttr", type=float, default=0.25,
-                   help="mean time to repair (time units)")
-    p.add_argument("--horizon", type=float, default=4.0,
-                   help="simulated time units per trial")
-    p.add_argument("--trials", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tag", type=int, default=0)
-    p.add_argument("--budget", type=int, default=None,
-                   help="lamb budget before the degradation ladder "
-                   "escalates")
-    p.add_argument("--extra-rounds", type=int, default=1,
-                   help="max k escalation of the degradation ladder")
-    p.add_argument("--connectivity", type=float, default=0.9,
-                   help="per-epoch survivor-connectivity SLO floor")
-    p.add_argument("--availability", type=float, default=0.99,
-                   help="required time-weighted availability")
-    p.add_argument("--json", type=str, default=None, metavar="PATH",
-                   help="write the deterministic campaign report")
-    p.add_argument("--require-slo", action="store_true",
-                   help="exit 1 when the availability SLO is not met")
-    p.add_argument("--telemetry", type=str, default=None, metavar="PREFIX",
-                   help="write the telemetry registry to "
-                   "PREFIX.{prom,ndjson,json} on exit")
-    p.add_argument("--redact-timings", action="store_true",
-                   help="zero duration fields in exported telemetry")
-    p.set_defaults(fn=cmd_reliability)
 
     p = sub.add_parser("reconfigure", help="replay fault epochs from JSON")
     p.add_argument("script", help="JSON: {mesh, rounds?, epochs: [...]}")

@@ -189,26 +189,13 @@ class ReconfigurationManager:
     ) -> Epoch:
         """Diagnose-and-reconfigure: add the newly detected faults and
         recompute the lamb set.  Returns the new epoch."""
-        new_nodes = tuple(tuple(int(x) for x in v) for v in node_faults)
-        new_links = tuple(
-            (tuple(int(x) for x in u), tuple(int(x) for x in w))
-            for (u, w) in link_faults
-        )
-        if not new_nodes and not new_links and self.epochs:
-            raise ValueError("no new faults reported")
-        self._node_faults.extend(new_nodes)
-        self._link_faults.extend(new_links)
+        new_nodes, new_links = self._add_faults(node_faults, link_faults)
         faults = self.fault_set()
-        predetermined: Tuple[Node, ...] = ()
-        if self.sticky_lambs and self.epochs:
-            predetermined = tuple(
-                v for v in self.current_lambs if not faults.node_is_faulty(v)
-            )
         result = find_lamb_set(
             faults,
             self.orderings,
             method=self.method,
-            predetermined=predetermined,
+            predetermined=self._sticky_predetermined(faults),
         )
         epoch = Epoch(
             index=len(self.epochs),
@@ -219,9 +206,24 @@ class ReconfigurationManager:
         self.epochs.append(epoch)
         return epoch
 
-    # ------------------------------------------------------------------
-    # Degradation ladder
-    # ------------------------------------------------------------------
+    def _add_faults(
+        self,
+        node_faults: Iterable[Sequence[int]],
+        link_faults: Iterable[Tuple[Sequence[int], Sequence[int]]],
+    ) -> Tuple[Tuple[Node, ...], Tuple[Link, ...]]:
+        """Normalise and record one report's faults; returns them.
+        Every report after the first must name at least one fault."""
+        new_nodes = tuple(tuple(int(x) for x in v) for v in node_faults)
+        new_links = tuple(
+            (tuple(int(x) for x in u), tuple(int(x) for x in w))
+            for (u, w) in link_faults
+        )
+        if not new_nodes and not new_links and self.epochs:
+            raise ValueError("no new faults reported")
+        self._node_faults.extend(new_nodes)
+        self._link_faults.extend(new_links)
+        return new_nodes, new_links
+
     def _sticky_predetermined(self, faults: FaultSet) -> Tuple[Node, ...]:
         if not (self.sticky_lambs and self.epochs):
             return ()
@@ -229,6 +231,9 @@ class ReconfigurationManager:
             v for v in self.current_lambs if not faults.node_is_faulty(v)
         )
 
+    # ------------------------------------------------------------------
+    # Degradation ladder
+    # ------------------------------------------------------------------
     def _try_lambs(
         self, faults: FaultSet, orderings: KRoundOrdering
     ) -> Optional[LambResult]:
@@ -290,15 +295,7 @@ class ReconfigurationManager:
            rather than crash; raise :class:`ReconfigurationError` only
            if every rung failed outright.
         """
-        new_nodes = tuple(tuple(int(x) for x in v) for v in node_faults)
-        new_links = tuple(
-            (tuple(int(x) for x in u), tuple(int(x) for x in w))
-            for (u, w) in link_faults
-        )
-        if not new_nodes and not new_links and self.epochs:
-            raise ValueError("no new faults reported")
-        self._node_faults.extend(new_nodes)
-        self._link_faults.extend(new_links)
+        new_nodes, new_links = self._add_faults(node_faults, link_faults)
         self._rung_failures = []
         budget = float("inf") if lamb_budget is None else int(lamb_budget)
         # Previously quarantined nodes stay out of the machine.

@@ -14,7 +14,6 @@ from __future__ import annotations
 import contextlib
 import io
 import itertools
-import json
 import multiprocessing
 import os
 import sys
@@ -207,35 +206,6 @@ def _expect_obs(artifacts: Artifacts) -> None:
         _need(got == want, f"{key} is {got}, want {want}")
 
 
-def _expect_reliability(artifacts: Artifacts) -> None:
-    _expect(artifacts["campaign"], "exit", exit="0")
-    report = json.loads(artifacts["campaign.json"])
-    trials = report["config"]["trials"]
-    _need(len(report["trials"]) == trials,
-          f"{len(report['trials'])} trial rows, want {trials}")
-    _need(report["fleet"]["faults"] > 0, "the campaign saw no faults")
-
-
-def _run_concurrency(workdir: Path) -> Artifacts:
-    # Baseline entries key on "src/..." paths: analyze from the checkout.
-    os.chdir(Path(__file__).resolve().parents[2])
-    try:
-        gate = _cli("analyze", "--concurrency", "src",
-                    "--baseline", "concurrency_baseline.json",
-                    "--out", str(workdir / "report.json"))
-    finally:
-        os.chdir(workdir)
-    return {"gate": gate, "report.json": (workdir / "report.json").read_text()}
-
-
-def _expect_concurrency(artifacts: Artifacts) -> None:
-    report = json.loads(artifacts["report.json"])
-    _need(report["schema"] == 1, f"schema {report['schema']}, want 1")
-    _need(report["cycles"] == [], f"lock-order cycles {report['cycles']}")
-    baseline = " ".join(_expect(artifacts["gate"], "baseline:"))
-    _need(artifacts["gate"].endswith("exit 0\n"), f"gate failed: {baseline}")
-
-
 def _expect_prove(artifacts: Artifacts) -> None:
     _expect(artifacts["good"], "acyclic: deadlock-free")
     _expect(artifacts["good"], "exit", exit="0")
@@ -257,16 +227,6 @@ SMOKES: Dict[str, Smoke] = {
         partial(_repro, {"stats": "stats --redact-timings --telemetry obs"},
                 ("obs.prom", "obs.ndjson", "obs.json")),
         _expect_obs),
-    "reliability": Smoke(
-        "seeded campaign report stable, one row per trial",
-        partial(_repro, {"campaign": "reliability --mesh 8x8 --rate 1.5 "
-                         "--mttr 0.3 --horizon 2 --trials 4 --seed 0 "
-                         "--json campaign.json"},
-                ("campaign.json",)),
-        _expect_reliability),
-    "concurrency": Smoke(
-        "concurrency report stable, baseline gate clean",
-        _run_concurrency, _expect_concurrency),
     "prove": Smoke(
         "good discipline proved, single-VC discipline refuted",
         partial(_repro, {"good": "prove --mesh 16x16 --faults 8 --seed 1",

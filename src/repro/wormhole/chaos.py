@@ -316,8 +316,6 @@ class ChaosEngine:
         *,
         lamb_budget: Optional[int] = None,
         max_extra_rounds: int = 1,
-        sticky_lambs: bool = True,
-        method: str = "bipartite",
         buffer_flits: int = 2,
         policy: str = "shortest",
         seed: int = 0,
@@ -334,10 +332,7 @@ class ChaosEngine:
         self.lamb_budget = lamb_budget
         self.max_extra_rounds = max_extra_rounds
         self.manager = ReconfigurationManager(
-            mesh,
-            orderings,
-            sticky_lambs=sticky_lambs,
-            method=method,
+            mesh, orderings, sticky_lambs=True, method="bipartite"
         )
         # Epoch 0: reconfigure for the initial fault state (possibly
         # empty) so the survivor set is defined before traffic starts.

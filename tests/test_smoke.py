@@ -23,7 +23,6 @@ from repro.smoke import (
     SmokeFailure,
     _expect_chaos,
     _expect_obs,
-    _expect_reliability,
     _expect_serve,
     _first_difference,
     run_smokes,
@@ -140,8 +139,6 @@ PROM = (
     "service_compiles_total {compiles}\n"
     "telemetry_events_dropped 0\n"
 )
-CAMPAIGN = ('{{"config": {{"trials": 2}}, "fleet": {{"faults": 3}}, '
-            '"trials": {rows}}}')
 
 
 def test_typed_expectations_accept_and_reject():
@@ -163,8 +160,3 @@ def test_typed_expectations_accept_and_reject():
     _expect_obs({"obs.prom": PROM.format(compiles=2)})
     with pytest.raises(SmokeFailure, match="service_compiles_total is 1"):
         _expect_obs({"obs.prom": PROM.format(compiles=1)})
-    _expect_reliability({"campaign": "exit 0\n",
-                         "campaign.json": CAMPAIGN.format(rows="[{}, {}]")})
-    with pytest.raises(SmokeFailure, match="1 trial rows, want 2"):
-        _expect_reliability({"campaign": "exit 0\n",
-                             "campaign.json": CAMPAIGN.format(rows="[{}]")})
