@@ -865,7 +865,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = ssub.add_parser(
         "gc",
         help="LRU-evict the disk tier down to a byte budget "
-        "(pinned digests and --keep survive)",
+        "(--keep digests survive)",
     )
     s.add_argument("--root", type=str, required=True,
                    help="store root directory")

@@ -27,10 +27,16 @@ import numpy as np
 from ..mesh.faults import FaultSet
 from ..mesh.geometry import Mesh, Node
 from ..routing.ordering import KRoundOrdering
-from ..routing.reachindex import ReachIndex, find_k_round_route
+# ``find_k_round_route`` stays bound here: the benchmark's tracer
+# (``perfbench/tracer.py``) wraps this module's binding.
+from ..routing.reachindex import (  # noqa: F401
+    ReachIndex,
+    find_k_round_route,
+    find_k_round_routes,
+)
 from .lamb import LambResult, build_reach_index
 
-__all__ = ["RouteEntry", "RoutingTable", "build_routing_table"]
+__all__ = ["RouteEntry", "RoutingTable", "build_routing_table", "route_entry"]
 
 
 @dataclass(frozen=True)
@@ -44,6 +50,46 @@ class RouteEntry:
     rounds_used: int
     hops: int
     turns: int
+
+
+def route_entry(
+    orderings: KRoundOrdering,
+    source: Node,
+    dest: Node,
+    intermediates: Tuple[Node, ...],
+) -> RouteEntry:
+    """The entry of the route through ``intermediates``, in closed form.
+
+    Round ``t`` runs from stop ``t`` to stop ``t + 1`` (``source``, the
+    intermediates, ``dest``) and moves along each dimension of its
+    ordering in turn: one straight segment per coordinate that
+    differs.  ``hops`` is the sum of the rounds' L1 lengths;
+    ``rounds_used`` is the last round that moves (at least 1); a turn
+    is a segment whose (dimension, direction) differs from the one
+    before it, across round boundaries too, since the message is
+    pipelined through every round (Section 1).  No node path is walked.
+    """
+    stops = (source,) + intermediates + (dest,)
+    hops = turns = rounds_used = 0
+    heading: Optional[Tuple[int, bool]] = None
+    for t, pi in enumerate(orderings):
+        a, b = stops[t], stops[t + 1]
+        for j in pi:
+            delta = b[j] - a[j]
+            if delta:
+                hops += abs(delta)
+                if heading is not None and heading != (j, delta > 0):
+                    turns += 1
+                heading = (j, delta > 0)
+                rounds_used = t + 1
+    return RouteEntry(
+        source=source,
+        dest=dest,
+        intermediates=intermediates,
+        rounds_used=max(rounds_used, 1),
+        hops=hops,
+        turns=turns,
+    )
 
 
 class RoutingTable:
@@ -88,46 +134,65 @@ class RoutingTable:
             pass
         source = tuple(int(x) for x in source)
         dest = tuple(int(x) for x in dest)
-        key = (source, dest)
-        if key in self._entries:
-            return self._entries[key]
         for end, name in ((source, "source"), (dest, "destination")):
             if not self.result.is_survivor(end):
                 raise ValueError(f"{name} {end} is not a survivor node")
-        entry = self._compute(source, dest)
+        (entry,) = self.resolve([(source, dest)])
         if entry is None:
             raise RuntimeError(
                 f"{dest} unreachable from {source}: the lamb set is invalid"
             )
-        self._entries[key] = entry
         return entry
 
-    def _compute(self, source: Node, dest: Node) -> Optional[RouteEntry]:
-        from ..routing.turns import count_turns_multiround
+    def resolve(
+        self, pairs: Sequence[Tuple[Sequence[int], Sequence[int]]]
+    ) -> List[Optional[RouteEntry]]:
+        """The route entry of every pair of ``pairs``, in order; the
+        pairs the table lacks are routed in one
+        :func:`~repro.routing.reachindex.find_k_round_routes` batch and
+        cached.
 
-        paths = find_k_round_route(
-            self.index, source, dest, policy=self.policy, rng=self._rng
-        )
-        if paths is None:
-            return None
-        # Trim trailing no-op rounds: rounds_used is the last round
-        # whose path actually moves.
-        rounds_used = 0
-        for t, p in enumerate(paths):
-            if len(p) > 1:
-                rounds_used = t + 1
-        rounds_used = max(rounds_used, 1)
-        intermediates = tuple(p[-1] for p in paths[:-1])
-        hops = sum(len(p) - 1 for p in paths)
-        turns = count_turns_multiround(paths)
-        return RouteEntry(
-            source=source,
-            dest=dest,
-            intermediates=intermediates,
-            rounds_used=rounds_used,
-            hops=hops,
-            turns=turns,
-        )
+        Missing pairs go to the batch in order of first appearance, so
+        routes and rng draws are those of one :meth:`lookup` per pair.
+        A pair left without a route reads ``None``: one with a
+        non-survivor or malformed endpoint (it draws nothing;
+        :meth:`lookup` raises its error) or an unreachable one.
+        """
+        entries = self._entries
+        found: List[Optional[RouteEntry]]
+        try:
+            # Int-tuple pairs, the common case, are read in one pass.
+            found = [entries.get(pair) for pair in pairs]  # type: ignore
+        except TypeError:  # unhashable sequences
+            found = [None] * len(pairs)
+        missing: Dict[int, Tuple[Node, Node]] = {}
+        for q, entry in enumerate(found):
+            if entry is None:
+                source, dest = pairs[q]
+                try:
+                    missing[q] = (
+                        tuple(int(x) for x in source),
+                        tuple(int(x) for x in dest),
+                    )
+                except (TypeError, ValueError):
+                    pass
+        if not missing:
+            return found
+        survivor = self.result.is_survivor
+        todo = [
+            key for key in dict.fromkeys(missing.values())
+            if key not in entries and survivor(key[0]) and survivor(key[1])
+        ]
+        if todo:  # the index may have to be built first
+            routes = find_k_round_routes(
+                self.index, todo, self.policy, self._rng
+            )
+            for key, mids in zip(todo, routes):
+                if mids is not None:
+                    entries[key] = route_entry(self.orderings, *key, mids)
+        for q, key in missing.items():
+            found[q] = entries.get(key)
+        return found
 
     # ------------------------------------------------------------------
     def preload(self, entries: Iterable[RouteEntry]) -> None:
@@ -177,16 +242,16 @@ def build_routing_table(
 
     ``pairs=None`` builds the full all-pairs table over survivors
     (O(|survivors|^2) — small meshes); otherwise only the given pairs
-    are resolved.
+    are resolved.  The routes come from one :meth:`RoutingTable.resolve`
+    batch; a non-survivor or unreachable pair raises as
+    :meth:`RoutingTable.lookup` does.
     """
     table = RoutingTable(result, policy=policy, seed=seed)
     if pairs is None:
         survivors = result.survivors()
-        for v in survivors:
-            for w in survivors:
-                if v != w:
-                    table.lookup(v, w)
-    else:
-        for (v, w) in pairs:
-            table.lookup(v, w)
+        pairs = [(v, w) for v in survivors for w in survivors if v != w]
+    pairs = list(pairs)
+    table.resolve(pairs)
+    for (v, w) in pairs:  # raises for a pair left without a route
+        table.lookup(v, w)
     return table

@@ -18,7 +18,7 @@ from .multiround import (
     reverse_reach_set_one_round,
 )
 from .ordering import KRoundOrdering, Ordering, ascending, repeated, xy, xyz
-from .reachindex import ReachIndex, find_k_round_route
+from .reachindex import ReachIndex, find_k_round_route, find_k_round_routes
 from .turns import count_turns, count_turns_multiround, max_turns_bound
 
 __all__ = [
@@ -43,6 +43,7 @@ __all__ = [
     "k_round_reachable",
     "ReachIndex",
     "find_k_round_route",
+    "find_k_round_routes",
     "count_turns",
     "count_turns_multiround",
     "max_turns_bound",

@@ -60,13 +60,13 @@ def dor_path(
     w = tuple(int(x) for x in w)
     if not mesh.contains(v) or not mesh.contains(w):
         raise ValueError("route endpoints must be mesh nodes")
-    cur = list(v)
-    path = [tuple(cur)]
+    path = [v]
     for j in pi:
-        step = 1 if w[j] > cur[j] else -1
-        while cur[j] != w[j]:
-            cur[j] += step
-            path.append(tuple(cur))
+        cur = path[-1]
+        a, b = cur[j], w[j]
+        step = 1 if b > a else -1
+        pre, post = cur[:j], cur[j + 1:]
+        path += [pre + (x,) + post for x in range(a + step, b + step, step)]
     return path
 
 

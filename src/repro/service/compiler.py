@@ -344,7 +344,13 @@ class ReconfigurationCompiler:
         (an invalid lamb set).  Raises :class:`ServiceUnavailableError`
         before any artifact is compiled.
 
-        Every lookup is timed; the run publishes its counters and
+        The run's lookups are one
+        :meth:`~repro.core.routing_table.RoutingTable.resolve` call: it
+        reads every routable query's entry and routes the table's
+        misses in one batch, in query order.  That stage is timed once
+        and each answered query is charged an equal share of it (the
+        run's replies leave together), so a miss's latency includes its
+        share of the batch.  The run publishes its counters and
         latencies once, and only a query past ``slow_query_seconds``
         goes through the registry's ``slow_op`` (with its event).
         """
@@ -354,58 +360,57 @@ class ReconfigurationCompiler:
                 "no current artifact; compile a config first"
             )
         live = current.epoch
-        lookup = current.table.lookup
         clock = time.perf_counter
-        slow_after = self.slow_query_seconds
+        t0 = clock()
+        found = current.table.resolve([
+            (s, d) for s, d, e in queries if e is None or int(e) == live
+        ])
+        share = (clock() - t0) / len(found) if found else 0.0
         results: List[Union[RouteEntry, ServiceError]] = []
-        latencies: List[float] = []
-        fast: List[float] = []
-        stale = queried = 0
-        try:
-            for source, dest, epoch in queries:
-                if epoch is not None and int(epoch) != live:
-                    stale += 1
-                    results.append(StaleEpochError(int(epoch), live))
-                    continue
-                queried += 1
-                t0 = clock()
+        stale = answered = 0
+        routable = iter(found)
+        for source, dest, epoch in queries:
+            if epoch is not None and int(epoch) != live:
+                stale += 1
+                results.append(StaleEpochError(int(epoch), live))
+                continue
+            entry = next(routable)
+            if entry is None:  # no route: lookup raises its typed error
                 try:
-                    entry = lookup(source, dest)
+                    entry = current.table.lookup(source, dest)
                 except ValueError as exc:  # non-survivor endpoint
                     results.append(MalformedRequestError(str(exc)))
                     continue
                 except RuntimeError as exc:  # unreachable: invalid lambs
                     results.append(ServiceError(str(exc)))
                     continue
-                elapsed = clock() - t0
-                latencies.append(elapsed)
-                if elapsed < slow_after:
-                    fast.append(elapsed)
-                else:
-                    self.metrics.registry.slow_op(
-                        "service.query", elapsed,
-                        threshold=slow_after, epoch=live,
+            answered += 1
+            results.append(entry)
+        metrics = self.metrics
+        if stale:
+            metrics.stale_epoch_rejections.inc(stale)
+        if found:
+            metrics.queries.inc(len(found))
+        latencies = [share] * answered
+        metrics.query_latency.observe_many(latencies)
+        if share >= self.slow_query_seconds:
+            for _ in latencies:
+                metrics.registry.slow_op(
+                    "service.query", share,
+                    threshold=self.slow_query_seconds, epoch=live,
+                )
+        elif latencies:
+            # slow_op's own fast branch, minus its per-call series
+            # lookup; resolved on the first fast query, so the series
+            # appears exactly when slow_op would create it.
+            op_seconds = self._query_op_seconds
+            if op_seconds is None:
+                op_seconds = self._query_op_seconds = (
+                    metrics.registry.histogram(
+                        "op_seconds", op="service.query"
                     )
-                results.append(entry)
-        finally:
-            metrics = self.metrics
-            if stale:
-                metrics.stale_epoch_rejections.inc(stale)
-            if queried:
-                metrics.queries.inc(queried)
-            metrics.query_latency.observe_many(latencies)
-            if fast:
-                # slow_op's own fast branch, minus its per-call series
-                # lookup; resolved on the first fast query, so the
-                # series appears exactly when slow_op would create it.
-                op_seconds = self._query_op_seconds
-                if op_seconds is None:
-                    op_seconds = self._query_op_seconds = (
-                        metrics.registry.histogram(
-                            "op_seconds", op="service.query"
-                        )
-                    )
-                op_seconds.observe_many(fast)
+                )
+            op_seconds.observe_many(latencies)
         return current, results
 
     # ------------------------------------------------------------------

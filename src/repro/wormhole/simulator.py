@@ -335,8 +335,7 @@ class WormholeSimulator:
         hops: List[Hop] = []
         for t, path in enumerate(paths):
             vc = self._vc_of_round(t)
-            for u, v in zip(path, path[1:]):
-                hops.append(Hop(tuple(u), tuple(v), vc))
+            hops += [Hop(u, v, vc) for u, v in zip(path, path[1:])]
         route = (hops, self.net.admit_route(hops))
         self._routes[(src, dst)] = route
         return route

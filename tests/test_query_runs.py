@@ -19,6 +19,7 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import json
+import time
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -29,6 +30,7 @@ from repro.mesh.serialization import faults_to_dict
 from repro.obs.metrics import Histogram
 from repro.routing import repeated, xy
 from repro.service import ReconfigurationCompiler, wire
+from repro.service.errors import ServiceError
 from repro.service.server import RouteQueryServer
 from repro.service.store import ArtifactStore
 
@@ -284,3 +286,89 @@ class TestHistogramObserveMany:
             h.observe_many([0.002, -1e-9, 0.003])
         assert h.snapshot() == before
         assert h.sum == 0.001
+
+
+class TestColdRuns:
+    """A run on a cold table routes its misses as one batch in query
+    order: the routes equal one-query-at-a-time routing, the counters
+    and histograms count what they did before, and a miss's latency
+    carries its share of the batch."""
+
+    @staticmethod
+    def _compiled(**kwargs: Any):
+        mesh = Mesh.square(2, 12)
+        faults = random_node_faults(mesh, 6, np.random.default_rng(4))
+        compiler = ReconfigurationCompiler(
+            mesh, repeated(xy(), 2), store=ArtifactStore(), **kwargs
+        )
+        artifact, _ = compiler.compile(faults)
+        return compiler, artifact
+
+    @staticmethod
+    def _queries(artifact) -> List[Tuple[Node, Node, Optional[int]]]:
+        """Six distinct misses, repeats of three of them, a non-survivor
+        endpoint and a stale epoch, in one run."""
+        result = artifact.result
+        survivors = [v for v in result.mesh.nodes() if result.is_survivor(v)]
+        p = [(survivors[i], survivors[-1 - 3 * i]) for i in range(6)]
+        faulty = sorted(result.faults.node_faults)[0]
+        live = artifact.epoch
+        return [
+            (*p[0], None), (*p[1], live), (*p[0], live), (faulty, p[2][1], None),
+            (*p[2], live), (*p[3], live + 1), (*p[1], None), (*p[3], None),
+            (p[4][0], faulty, live), (*p[4], None), (*p[2], None), (*p[5], live),
+        ]
+
+    def test_routes_equal_one_query_at_a_time(self):
+        compiler, artifact = self._compiled()
+        queries = self._queries(artifact)
+        _, batch = compiler.route_batch(queries)
+        reference, _ = self._compiled()
+        one_by_one = [reference.route_batch([q])[1][0] for q in queries]
+        assert [type(r) for r in batch] == [type(r) for r in one_by_one]
+        for got, want in zip(batch, one_by_one):
+            if isinstance(want, ServiceError):
+                assert str(got) == str(want)
+            else:
+                assert got == want
+        assert [type(r).__name__ for r in batch].count("RouteEntry") == 9
+        assert len(artifact.table) == 6
+
+    def test_counters_and_histograms(self):
+        compiler, artifact = self._compiled(slow_query_seconds=3600.0)
+        _, results = compiler.route_batch(self._queries(artifact))
+        answered = sum(not isinstance(r, ServiceError) for r in results)
+        metrics, reg = compiler.metrics, compiler.metrics.registry
+        assert answered == 9
+        assert metrics.queries.value == 11  # every query but the stale one
+        assert metrics.stale_epoch_rejections.value == 1
+        assert metrics.query_latency.total == answered
+        op = reg.histogram("op_seconds", op="service.query")
+        assert op.total == answered
+        assert reg.counter("slow_ops_total", op="service.query").value == 0
+
+    def test_a_miss_carries_its_share_of_the_batch(self, monkeypatch):
+        """The run's replies leave together, so its lookup stage (the
+        batch resolve) is charged in equal shares to the answered
+        queries: with the stage slowed to 0.3 s, each of the 11 routable
+        queries carries 0.3 / 11 s, and the 9 answered ones are logged
+        as slow past a 0.02 s threshold, with the run's epoch."""
+        compiler, artifact = self._compiled(slow_query_seconds=0.02)
+        table = artifact.table
+        resolve = table.resolve
+
+        def slow_resolve(pairs):
+            time.sleep(0.3)
+            return resolve(pairs)
+
+        monkeypatch.setattr(table, "resolve", slow_resolve)
+        compiler.route_batch(self._queries(artifact))
+        reg = compiler.metrics.registry
+        assert reg.histogram("op_seconds", op="service.query").total == 9
+        assert reg.counter("slow_ops_total", op="service.query").value == 9
+        slow = [e for e in reg.events()
+                if e["kind"] == "slow_op" and e["op"] == "service.query"]
+        assert all(e["s"] >= 0.3 / 11 for e in slow)
+        assert {e["epoch"] for e in slow} == {artifact.epoch}
+        latency = compiler.metrics.query_latency
+        assert latency.total == 9 and latency.sum >= 9 * 0.3 / 11

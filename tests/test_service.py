@@ -296,8 +296,8 @@ class TestMidBatchEpochBump:
         _with_service(scenario)
 
     def test_activation_after_the_lookup_keeps_the_served_epoch(self):
-        """A compile that activates a new artifact right after a query's
-        table lookup (as a worker thread may) does not relabel the
+        """A compile that activates a new artifact right after a run's
+        table lookups (as a worker thread may) does not relabel the
         reply: its ``epoch`` is that of the artifact whose table
         produced the route, and the next query sees the new epoch."""
         faults = _base_faults()
@@ -308,19 +308,19 @@ class TestMidBatchEpochBump:
             epoch0 = compiled["epoch"]
             src, dst = _survivor_pair(faults, compiled)
             served = compiler.current
-            real_lookup = served.table.lookup
+            real_resolve = served.table.resolve
 
-            def lookup(source, dest):
-                entry = real_lookup(source, dest)
-                served.table.lookup = real_lookup  # activate only once
+            def resolve(pairs):
+                found = real_resolve(pairs)
+                served.table.resolve = real_resolve  # activate only once
                 compiler.compile(other)
-                return entry
+                return found
 
-            served.table.lookup = lookup
+            served.table.resolve = resolve
             reply = await client.query(src, dst)
             assert compiler.current_epoch == epoch0 + 1
             assert reply["epoch"] == epoch0
-            entry = real_lookup(tuple(src), tuple(dst))
+            entry = served.table.lookup(tuple(src), tuple(dst))
             assert reply["intermediates"] == [
                 list(v) for v in entry.intermediates
             ]
