@@ -168,6 +168,19 @@ class ReachIndex:
         found: np.ndarray = ids[hit.argmax(axis=1)]
         return found
 
+    def reaches(self, v: Sequence[int], w: Sequence[int]) -> bool:
+        """Whether ``w`` is ``(k, F, pi_vec)``-reachable from ``v``:
+        the test :func:`find_k_round_routes` applies to each pair (one
+        locate per end and one lookup in ``R^(k)``, Lemma 5.1), for one
+        pair and with no route chosen, so no draw."""
+        d, k = self.mesh.d, self.orderings.k
+        if len(v) != d or len(w) != d or not self.ses[0]:
+            return False
+        ends = np.array((v, w), dtype=np.int64)
+        a = self.locate(self.ses[0], ends[:1])[0]
+        b = self.locate(self.des[k - 1], ends[1:])[0]
+        return bool(a >= 0 and b >= 0 and self.reach.partial[k - 1][a, b])
+
     def boxes(self, t: int) -> Tuple[np.ndarray, ...]:
         """Round ``t``'s candidate boxes ``D_{t,j} ∩ S_{t+1,i}``: the
         nonzeros ``(j, i)`` of ``I_t`` and their intersections'

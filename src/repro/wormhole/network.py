@@ -80,13 +80,10 @@ class VirtualNetwork:
         self._dead_links: FrozenSet[Link] = frozenset(faults.link_faults)
 
     # ------------------------------------------------------------------
-    def _intern(self, key: ResourceKey) -> int:
-        """The id of resource ``key``, allocated on first use.  Only
-        real resources get an id — a VC in range on a mesh link — and
-        both stay real: the mesh is fixed and VCs only grow."""
-        rid = self._ids.get(key)
-        if rid is not None:
-            return rid
+    def _new_resource(self, key: ResourceKey) -> int:
+        """Allocate the id of resource ``key``, which has none yet.
+        Only real resources get an id — a VC in range on a mesh link —
+        and both stay real: the mesh is fixed and VCs only grow."""
         src, dst, vc = key
         if vc < 0 or vc >= self.num_vcs:
             raise ValueError(f"hop uses VC {vc}, have {self.num_vcs}")
@@ -130,9 +127,10 @@ class VirtualNetwork:
         for hop in hops:
             src = hop.src
             dst = hop.dst
-            rid = ids.get((src, dst, hop.vc))
+            key = (src, dst, hop.vc)
+            rid = ids.get(key)
             if rid is None:
-                rid = self._intern((src, dst, hop.vc))
+                rid = self._new_resource(key)
             if src in dead or dst in dead:
                 raise ValueError(f"hop {src} -> {dst} touches a faulty node")
             if (src, dst) in dead_links:
@@ -197,7 +195,9 @@ class VirtualNetwork:
     # Hop-based wrappers (diagnostics, tests)
     # ------------------------------------------------------------------
     def _rid(self, hop: Hop) -> int:
-        return self._intern((hop.src, hop.dst, hop.vc))
+        key = (hop.src, hop.dst, hop.vc)
+        rid = self._ids.get(key)
+        return self._new_resource(key) if rid is None else rid
 
     def owner(self, hop: Hop) -> Optional[int]:
         return self.owners[self._rid(hop)]

@@ -2,16 +2,16 @@
 
 A message is a sequence of *flits* (flow control units, Section 1)
 that follow the same path in a pipelined manner.  The path is a
-k-round dimension-ordered route materialized by
-:func:`repro.routing.find_k_round_route`; each hop is annotated with
-the virtual channel of its round (round ``t`` uses VC ``t``), which is
-exactly the paper's deadlock-avoidance discipline.
+k-round dimension-ordered route through the intermediates
+:func:`repro.routing.find_k_round_routes` picks; each hop is annotated
+with the virtual channel of its round (round ``t`` uses VC ``t``),
+which is exactly the paper's deadlock-avoidance discipline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Any, Callable, List, Optional, Sequence
 
 from ..mesh.geometry import Node
 
@@ -33,6 +33,44 @@ class Hop:
     src: Node
     dst: Node
     vc: int
+
+    @classmethod
+    def chain(cls, path: Sequence[Node], vc: int) -> List["Hop"]:
+        """The hops between consecutive nodes of ``path``, all on
+        ``vc``: ``Hop(u, v, vc)`` for each step, with the frozen
+        ``__init__``'s three attribute writes made directly."""
+        new = object.__new__
+        put = object.__setattr__
+        hops: List[Hop] = []
+        for u, v in zip(path, path[1:]):
+            hop = new(cls)
+            put(hop, "src", u)
+            put(hop, "dst", v)
+            put(hop, "vc", vc)
+            hops.append(hop)
+        return hops
+
+
+class _QueuedRoute:
+    """``Message.hops`` / ``Message.hop_ids`` of a message whose route
+    its simulator has queued (:meth:`Message.route_later`): the first
+    read routes the simulator's queue, which sets both on the instance.
+
+    A non-data descriptor, so an instance attribute shadows it: a
+    routed message's fields are plain attribute reads, and the
+    descriptor runs only for a message still waiting for its route."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __get__(self, msg: Optional["Message"], owner: Any = None) -> Any:
+        if msg is None:
+            return self
+        route = msg.__dict__.get("_route_queue")
+        if route is None:
+            raise AttributeError(self.name)
+        route()
+        return msg.__dict__[self.name]
 
 
 @dataclass
@@ -115,6 +153,19 @@ class Message:
     def was_retried(self) -> bool:
         return self.attempts > 1
 
+    def route_later(self, route_queue: Callable[[], None]) -> None:
+        """Leave ``hops`` and ``hop_ids`` unset until ``route_queue()``
+        (the simulator's batch of queued routes) sets them; a read of
+        either before then runs it."""
+        del self.hops, self.hop_ids
+        self._route_queue = route_queue
+
+    def routed(self, hops: List[Hop], hop_ids: List[int]) -> None:
+        """Set the route :meth:`route_later` left unset."""
+        self.hops = hops
+        self.hop_ids = hop_ids
+        del self._route_queue
+
     def reset_for_retry(
         self, hops: List[Hop], hop_ids: List[int], inject_cycle: int
     ) -> None:
@@ -154,3 +205,9 @@ class Message:
         out = [self.source]
         out.extend(h.dst for h in self.hops)
         return out
+
+
+# Declared after the dataclass, so that the generated ``__init__`` takes
+# both fields as before and stores them on the instance.
+Message.hops = _QueuedRoute("hops")  # type: ignore[assignment]
+Message.hop_ids = _QueuedRoute("hop_ids")  # type: ignore[assignment]

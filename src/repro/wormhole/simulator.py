@@ -61,12 +61,30 @@ other).
 
 Routes
 ------
-:meth:`WormholeSimulator.build_hops` memoizes materialized routes per
-``(src, dst)`` pair within a *routing epoch*; the memo is invalidated
-whenever the fault state or the k-round ordering changes (live-fault
-events, :meth:`WormholeSimulator.set_orderings`).  The rng is only
-consulted on misses; for any fixed configuration the simulation is
-deterministic.
+Routes are memoized per ``(src, dst)`` pair within a *routing epoch*;
+the memo and the epoch's :class:`~repro.routing.reachindex.ReachIndex`
+are dropped whenever the fault state or the k-round ordering changes
+(live-fault events, :meth:`WormholeSimulator.set_orderings`).
+
+:meth:`WormholeSimulator.send` does not choose a miss's intermediates.
+It checks at once that the pair is k-round reachable (one locate per
+end and one lookup in ``R^(k)``: no draw) and raises ``ValueError`` if
+not; otherwise it queues the pair and returns the message.  The queue
+is routed in one :func:`~repro.routing.reachindex.find_k_round_routes`
+call, in first-send order, the first time a route is needed: at the
+start of :meth:`~WormholeSimulator.step` / :meth:`~WormholeSimulator.run`,
+on :meth:`~WormholeSimulator.build_hops`, a send with explicit hops,
+:meth:`~WormholeSimulator.inject_faults`,
+:meth:`~WormholeSimulator.set_orderings` or
+:meth:`~WormholeSimulator.stats`, or on a read of a queued message's
+``hops`` / ``hop_ids``.  Each route's hops are then built from its
+rounds' DOR paths and admitted by the network in one pass.  So the
+queue is always routed on the epoch its sends were checked in, and the
+rng is drawn in the order of one route call per send
+(``tests/sim_oracle.py`` keeps that eager path as the reference).
+Self-messages, and a VC discipline whose routes the network could
+reject, route at their send.  For any fixed configuration the
+simulation is deterministic.
 """
 
 from __future__ import annotations
@@ -90,8 +108,13 @@ from ..core.lamb import build_reach_index
 from ..mesh.faults import FaultSet
 from ..mesh.geometry import Link, Node
 from ..obs import get_registry
+from ..routing.dor import dor_path
 from ..routing.ordering import KRoundOrdering
-from ..routing.reachindex import ReachIndex, find_k_round_route
+from ..routing.reachindex import (
+    ReachIndex,
+    find_k_round_route,
+    find_k_round_routes,
+)
 from .deadlock import (
     DeadlockError,
     SimulationTimeout,
@@ -239,12 +262,16 @@ class WormholeSimulator:
         self.retry_backoff = retry_backoff
         self.quarantined: Set[Node] = set()
         self.fault_events_applied = 0
-        # --- route memo -----------------------------------------------
+        # --- route memo and send queue --------------------------------
         self._routes: Dict[Tuple[Node, Node], Optional[Route]] = {}
+        # Pairs sent but not yet routed, in first-send order, and the
+        # messages waiting for each one's route.
+        self._queue: Dict[Tuple[Node, Node], List[Message]] = {}
         self.routing_epoch = 0
         # Lamb1's phases 1-2 for the current epoch, built on its first
         # route miss (routes need no lamb set, so no WVC).
         self._reach_index: Optional[ReachIndex] = None
+        self._queue_sends = self._admits_every_route()
         # --- frontier state -------------------------------------------
         # Messages waiting for a future inject_cycle, as a min-heap of
         # (inject_cycle, msg_id).
@@ -313,40 +340,89 @@ class WormholeSimulator:
         faults and :meth:`set_orderings` bump :attr:`routing_epoch`
         and clear the cache, so a hit can never return a route through
         known-dead hardware.  Hits skip validation and rng tie-break
-        draws (the cached route already passed both).
+        draws (the cached route already passed both).  The queued sends
+        are routed first, so the draws keep their order.
         """
         route = self._route(src, dst)
         return None if route is None else route[0]
 
-    def _route(self, src: Node, dst: Node) -> Optional[Route]:
-        """:meth:`build_hops` plus the hops' resource ids, admitted by
-        the network in one pass."""
-        cached = self._routes.get((src, dst), _MISSING)
-        if cached is not _MISSING:
-            return cached
+    def _index(self) -> ReachIndex:
+        """The current epoch's index, built on its first use."""
         if self._reach_index is None:
             self._reach_index = build_reach_index(self.faults, self.orderings)
-        paths = find_k_round_route(
-            self._reach_index, src, dst, policy=self.policy, rng=self.rng
-        )
-        if paths is None:
-            self._routes[(src, dst)] = None
-            return None
+        return self._reach_index
+
+    def _route(self, src: Node, dst: Node) -> Optional[Route]:
+        """:meth:`build_hops` plus the hops' resource ids: the queued
+        sends are routed, then the pair itself by the one-pair call if
+        the memo still lacks it."""
+        self._route_queued()
+        route = self._routes.get((src, dst), _MISSING)
+        if route is _MISSING:
+            paths = find_k_round_route(
+                self._index(), src, dst, policy=self.policy, rng=self.rng
+            )
+            route = None if paths is None else self._admit(paths)
+            self._routes[(src, dst)] = route
+        return route
+
+    def _admit(self, paths: List[List[Node]]) -> Route:
+        """A route's VC-annotated hops from its rounds' node paths and
+        their resource ids, admitted by the network in one pass."""
         hops: List[Hop] = []
         for t, path in enumerate(paths):
-            vc = self._vc_of_round(t)
-            hops += [Hop(u, v, vc) for u, v in zip(path, path[1:])]
-        route = (hops, self.net.admit_route(hops))
-        self._routes[(src, dst)] = route
-        return route
+            hops += Hop.chain(path, self._vc_of_round(t))
+        return hops, self.net.admit_route(hops)
+
+    def _route_queued(self) -> None:
+        """Route every queued pair in one :func:`find_k_round_routes`
+        call, in first-send order (so routes and rng draws are those of
+        one call per send), memoize the routes and hand them to the
+        waiting messages."""
+        queue = self._queue
+        if not queue:
+            return
+        self._queue = {}
+        mesh = self.mesh
+        orderings = self.orderings
+        routes = self._routes
+        pairs = list(queue)
+        for pair, mids in zip(
+            pairs, find_k_round_routes(self._index(), pairs, self.policy,
+                                       self.rng)
+        ):
+            # Every queued pair passed the reachability check at its
+            # send, against this epoch's index: ``mids`` is not None.
+            stops = (pair[0],) + mids + (pair[1],)
+            route = routes[pair] = self._admit([
+                dor_path(mesh, pi, a, b)
+                for pi, a, b in zip(orderings, stops, stops[1:])
+            ])
+            for m in queue[pair]:
+                m.routed(*route)
+
+    def _admits_every_route(self) -> bool:
+        """Does the network admit every route the index yields?  Such a
+        route is fault-free and made of mesh links; a round's DOR path
+        repeats no link, nor do two consecutive rounds (per dimension
+        they cover adjacent intervals).  So only a round VC out of
+        range, or a VC shared by two of k >= 3 rounds, can get a route
+        rejected; then sends route at once, so the rejection raises at
+        the send."""
+        vcs = [self._vc_of_round(t) for t in range(self.orderings.k)]
+        return all(0 <= vc < self.net.num_vcs for vc in vcs) and (
+            len(vcs) < 3 or len(set(vcs)) == len(vcs)
+        )
 
     def _invalidate_routes(self) -> None:
         """New routing epoch: faults grew or the ordering changed.  The
         next route miss rebuilds the index from the cumulative fault
-        set."""
+        set.  Callers route the queue first: its pairs passed the old
+        epoch's reachability check."""
         self.routing_epoch += 1
         self._routes.clear()
         self._reach_index = None
+        self._queue_sends = self._admits_every_route()
 
     def send(
         self,
@@ -357,15 +433,37 @@ class WormholeSimulator:
         hops: Optional[List[Hop]] = None,
     ) -> Message:
         """Queue a message; raises ValueError if ``dst`` is not
-        k-round reachable from ``src``."""
+        k-round reachable from ``src``.
+
+        A route miss is checked for reachability at once and queued:
+        the queue is routed in one batch the first time a route is
+        needed (the next :meth:`step`, and see the module docstring).
+        A self-message, explicit ``hops`` and a discipline whose routes
+        the network could reject route at once instead."""
         src = tuple(int(x) for x in src)
         dst = tuple(int(x) for x in dst)
+        # The messages waiting with this one for its queued route.
+        waiting: Optional[List[Message]] = None
         if hops is None:
-            route = self._route(src, dst)
-            if route is None:
+            pair = (src, dst)
+            route = self._routes.get(pair, _MISSING)
+            if route is _MISSING:
+                waiting = self._queue.get(pair)
+            if route is _MISSING and waiting is None:
+                if src == dst or not self._queue_sends:
+                    route = self._route(src, dst)
+                elif self._index().reaches(src, dst):
+                    waiting = self._queue[pair] = []
+                else:
+                    route = self._routes[pair] = None
+            if waiting is not None:
+                hops, hop_ids = [], []  # unset by route_later below
+            elif route is None:
                 raise ValueError(f"{dst} is not k-round reachable from {src}")
-            hops, hop_ids = route
+            else:
+                hops, hop_ids = route
         else:
+            self._route_queued()  # resource ids are interned in send order
             hop_ids = self.net.admit_route(hops)
         when = self.cycle if inject_cycle is None else int(inject_cycle)
         if when < self.cycle:
@@ -380,12 +478,15 @@ class WormholeSimulator:
             hop_ids=hop_ids,
         )
         self._next_id += 1
-        if not hops:  # src == dst: delivered without entering the network
+        if waiting is not None:
+            msg.route_later(self._route_queued)
+            waiting.append(msg)
+        if hops or waiting is not None:
+            heapq.heappush(self._pending, (when, msg.msg_id))
+        else:  # src == dst: delivered without entering the network
             msg.delivered_flits = msg.num_flits
             msg.deliver_cycle = when
             self._finished_count += 1
-        else:
-            heapq.heappush(self._pending, (when, msg.msg_id))
         self.messages[msg.msg_id] = msg
         if self.tracer is not None:
             self.tracer.record(
@@ -400,6 +501,7 @@ class WormholeSimulator:
         """Adopt an escalated k-round discipline mid-run (degradation
         ladder).  Grows the VC count so round ``t`` still gets VC ``t``;
         in-flight messages keep their old (shorter) routes."""
+        self._route_queued()
         self.orderings = orderings
         want = max(self.net.num_vcs, orderings.k)
         if want > self.net.num_vcs:
@@ -437,7 +539,9 @@ class WormholeSimulator:
 
     def _apply_fault_event(self, event: "FaultEvent") -> List[Message]:
         """Grow the fault state, tear out and drain affected messages,
-        run the reconfiguration hook, then re-dispatch the victims."""
+        run the reconfiguration hook, then re-dispatch the victims.
+        The queued sends are routed first, on the pre-event index."""
+        self._route_queued()
         new_nodes = tuple(
             v for v in event.node_faults if not self.faults.node_is_faulty(v)
         )
@@ -890,8 +994,10 @@ class WormholeSimulator:
 
         Due live-fault events are applied first, so a fault at cycle
         ``c`` affects cycle ``c``'s movement.  Only runnable messages
-        are visited.
+        are visited.  The queued sends are routed first.
         """
+        if self._queue:
+            self._route_queued()
         self._process_due_events()
         self.net.new_cycle()
         cycle = self.cycle
@@ -1053,4 +1159,5 @@ class WormholeSimulator:
 
     def stats(self) -> SimStats:
         """Aggregate statistics over all delivered messages."""
+        self._route_queued()
         return SimStats.from_messages(self.cycle, list(self.messages.values()))

@@ -12,14 +12,23 @@ counts must equal the production simulator's too.
 every active message, oldest first.  Both cost O(flits) per visit
 (the scan also O(messages) per cycle), so use them on test-sized runs
 only.
+
+:class:`EagerRouteSimulator` is the route reference: the production
+simulator routing every send at once, each route miss one
+:func:`repro.routing.find_k_round_route` call at its send.  Queued
+sends must give every message the same hops and resource ids, draw
+the same rng stream and so run identically.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.wormhole.packets import Message
-from repro.wormhole.simulator import WormholeSimulator
+from repro.core.lamb import build_reach_index
+from repro.mesh.geometry import Node
+from repro.routing.reachindex import find_k_round_route
+from repro.wormhole.packets import Hop, Message
+from repro.wormhole.simulator import _MISSING, Route, WormholeSimulator
 from repro.wormhole.trace import TraceEvent
 
 
@@ -197,3 +206,33 @@ class ScanSimulator(FlitKernelSimulator):
         else:
             self._idle_cycles = 0
         return moved
+
+
+class EagerRouteSimulator(WormholeSimulator):
+    """The production simulator routing every send at once: a route
+    miss is one :func:`find_k_round_route` call at the send (or at
+    :meth:`build_hops`, or at a redispatch), its hops built one by
+    one and admitted by the network, and memoized per routing epoch."""
+
+    def _admits_every_route(self) -> bool:
+        return False  # so every send routes at once, through _route
+
+    def _route(self, src: Node, dst: Node) -> Optional[Route]:
+        cached = self._routes.get((src, dst), _MISSING)
+        if cached is not _MISSING:
+            return cached
+        if self._reach_index is None:
+            self._reach_index = build_reach_index(self.faults, self.orderings)
+        paths = find_k_round_route(
+            self._reach_index, src, dst, policy=self.policy, rng=self.rng
+        )
+        if paths is None:
+            self._routes[(src, dst)] = None
+            return None
+        hops: List[Hop] = []
+        for t, path in enumerate(paths):
+            vc = self._vc_of_round(t)
+            hops += [Hop(u, v, vc) for u, v in zip(path, path[1:])]
+        route = (hops, self.net.admit_route(hops))
+        self._routes[(src, dst)] = route
+        return route

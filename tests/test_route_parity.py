@@ -186,6 +186,10 @@ def test_batch_equals_flood(name, policy):
         FaultGrids(faults), orderings, pairs, policy, flood_rng
     )
     assert fast_rng.integers(2**62) == flood_rng.integers(2**62)
+    # The one-pair reachability test, no draw, agrees pair by pair.
+    assert [result.reach_index.reaches(v, w) for v, w in pairs] == [
+        r is not None for r in batch
+    ]
     assert len(set(pairs)) < len(pairs)
     assert any(v == w for v, w in pairs)
     assert any(faults.node_is_faulty(x) for pair in pairs for x in pair)
@@ -201,6 +205,8 @@ def test_batch_of_nothing_and_of_faulty_pairs():
     assert find_k_round_routes(index, [], rng=rng) == []
     bad = [((2, 3), (0, 0)), ((0, 0), (3, 2)), ((3, 3), (0, 0))]
     assert find_k_round_routes(index, bad, rng=rng) == [None] * 3
+    assert not any(index.reaches(v, w) for v, w in bad)
+    assert not index.reaches((0, 0, 0), (0, 1))  # wrong arity
     assert rng.integers(2**62) == np.random.default_rng(5).integers(2**62)
     with pytest.raises(ValueError, match="unknown policy"):
         find_k_round_routes(index, bad, policy="bogus")

@@ -74,6 +74,33 @@ class TestValidation:
             net.validate_hop(link_hop)
         assert net.admit_route([reverse]) == ids[2:]
 
+    @pytest.mark.parametrize("route, message", [
+        # VC out of range, on a non-link touching a faulty node.
+        ([((2, 1), (2, 3), 5)], "uses VC 5, have 2"),
+        # Not a link, touching a faulty node.
+        ([((2, 2), (0, 0), 0)], "is not a link"),
+        # Into a faulty node, over a faulty link.
+        ([((2, 1), (2, 2), 0)], "touches a faulty node"),
+        # A faulty link before a resource used twice.
+        ([((0, 1), (1, 1), 0), ((0, 0), (0, 1), 0), ((0, 1), (1, 1), 0)],
+         "uses a faulty link"),
+        ([((0, 1), (1, 1), 0), ((1, 1), (0, 1), 0), ((0, 1), (1, 1), 0)],
+         r"uses resource \(\(0, 1\), \(1, 1\), 0\) twice"),
+        # Hop order first: a faulty node on hop 1 before a bad VC on 2.
+        ([((2, 1), (2, 2), 0), ((0, 0), (1, 0), 7)],
+         "touches a faulty node"),
+    ])
+    def test_rejections_keep_their_order(self, route, message):
+        """On a fresh network (every resource interned on this call),
+        each hop is checked for VC range, mesh link, faulty node and
+        faulty link, in that order and hop by hop; then the route for
+        a resource used twice."""
+        faults = FaultSet(Mesh((4, 4)), [(2, 2)],
+                          [((2, 1), (2, 2)), ((0, 0), (0, 1))])
+        net = VirtualNetwork(faults, num_vcs=2)
+        with pytest.raises(ValueError, match=message):
+            net.admit_route([Hop(*hop) for hop in route])
+
     def test_admit_route_returns_stable_ids(self):
         net = make_net()
         route = [Hop((0, 0), (0, 1), 0), Hop((0, 1), (1, 1), 1)]
@@ -184,3 +211,32 @@ class TestMessage:
         m.deliver_cycle = 9
         assert m.latency == 4
         assert m.is_delivered
+
+    def test_chained_hops_are_plain_hops(self):
+        """``Hop.chain`` builds the hops ``Hop(u, v, vc)`` would: equal,
+        equally hashed, frozen."""
+        import dataclasses
+
+        path = [(0, 0), (1, 0), (1, 1), (1, 2)]
+        want = [Hop(u, v, 1) for u, v in zip(path, path[1:])]
+        got = Hop.chain(path, 1)
+        assert got == want and Hop.chain(path[:1], 1) == []
+        assert [hash(h) for h in got] == [hash(h) for h in want]
+        assert [repr(h) for h in got] == [repr(h) for h in want]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            got[0].vc = 0
+
+    def test_route_fields_read_through_to_the_route_queue(self):
+        """A message whose route is queued has no ``hops`` / ``hop_ids``
+        until its route queue runs; the first read of either runs it,
+        later reads are plain attributes."""
+        m = Message(0, (0, 0), (0, 1), 1, [], inject_cycle=0)
+        calls = []
+        route = ([Hop((0, 0), (0, 1), 0)], [7])
+        m.route_later(lambda: (calls.append(1), m.routed(*route)))
+        assert m.hop_ids == [7] and m.hops == route[0]
+        assert m.num_hops == 1 and calls == [1]
+        bare = Message(1, (0, 0), (0, 1), 1, [], inject_cycle=0)
+        del bare.hops
+        with pytest.raises(AttributeError, match="hops"):
+            bare.hops
