@@ -17,13 +17,17 @@ and gathered to ``p x q`` for one comparison (see DESIGN.md).  There
 is no Python loop over faulty lines, and total work is O(d p q) in
 numpy inner loops.
 
-Every matrix is dense bool, and every product is a float32 BLAS
-product thresholded at 0.5 (:func:`bool_matmul`) — the moral
-equivalent of the paper's 32-bit bitwise-word trick.  Lamb1 needs only
-the zeros of ``R^(k)``, which is nearly saturated (Section 6.2), so
-Step 3 multiplies through a strided probe of each ``R_{t+1}`` first,
-certifies the columns whose probe already reaches their ceiling, and
-finishes only the columns left open (``_chain_step``).
+Every matrix is dense bool, and every product is a
+:func:`bool_matmul`, which picks its kernel by the density of its left
+factor: the paper's bitwise-word trick (OR-gathers over uint64 words)
+when at most 1/8 of its cells are set, a float32 BLAS product
+thresholded at 0.5 otherwise.  Lamb1 needs only the zeros of
+``R^(k)``, which is nearly saturated (Section 6.2).  So when
+``R^(t)`` is sparse, Step 3 takes the plain right-first chain, two
+gathers; otherwise it multiplies through a strided probe of each
+``R_{t+1}`` first, certifies the columns whose probe already reaches
+their ceiling, and finishes only the columns left open
+(``_chain_step``).
 """
 
 from __future__ import annotations
@@ -210,14 +214,34 @@ def _dense_bool(matrix, name: str) -> np.ndarray:
     )
 
 
+#: :func:`bool_matmul` gathers when at most this fraction of its left
+#: factor's cells are set.  Every factor of the 2D Fig. 26 chain is
+#: below it (R_1 and I_1 at ~0.075 on M2(181)); M3(32)'s R_1 (~0.28) is
+#: above it, and there a gather costs several times the BLAS product.
+_SPARSE_LEFT = 1 / 8
+
+
+def _is_sparse(matrix: np.ndarray) -> bool:
+    """At most ``_SPARSE_LEFT`` of the cells of ``matrix`` are set."""
+    return np.count_nonzero(matrix) <= _SPARSE_LEFT * matrix.size
+
+
 def bool_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Boolean matrix product of two dense bool matrices.
 
-    One float32 BLAS product thresholded at 0.5 — the moral equivalent
-    of the paper's 32-bit bitwise-word trick.  Each entry is a sum of
-    0/1 terms, which float32 holds exactly below 2**24 and which never
-    rounds below 1 once a term is 1, so the threshold is exact at any
-    inner dimension.  Sparse or non-bool operands raise ``TypeError``.
+    The kernel is chosen by the density of ``A`` (``_SPARSE_LEFT``):
+
+    * sparse ``A``: row ``i`` of the product is the OR of the rows of
+      ``B`` that row ``i`` of ``A`` selects — the paper's bitwise-word
+      trick on uint64 words, at ``nnz(A) * ceil(q / 64)`` word-ORs
+      (:func:`_gather_matmul`);
+    * any other ``A``: one float32 BLAS product thresholded at 0.5.
+      Each entry is a sum of 0/1 terms, which float32 holds exactly
+      below 2**24 and which never rounds below 1 once a term is 1, so
+      the threshold is exact at any inner dimension.
+
+    Both are exact, so the choice never changes the result.  Sparse or
+    non-bool operands raise ``TypeError``.
     """
     A = _dense_bool(A, "bool_matmul")
     B = _dense_bool(B, "bool_matmul")
@@ -225,7 +249,35 @@ def bool_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         raise ValueError("inner dimensions differ")
     if A.shape[0] == 0 or B.shape[1] == 0 or A.shape[1] == 0:
         return np.zeros((A.shape[0], B.shape[1]), dtype=bool)
+    if _is_sparse(A):
+        return _gather_matmul(A, B)
     return (A.astype(np.float32) @ B.astype(np.float32)) > 0.5
+
+
+def _gather_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``A @ B`` as one ``bitwise_or.reduceat`` over the packed rows
+    of ``B`` that ``A``'s nonzeros select.
+
+    The nonzeros come in row-major order from the flat index
+    (``flatnonzero``, which skips numpy's slow 2-D ``nonzero``), so
+    each row of ``A`` is one contiguous segment, bounded by one
+    ``searchsorted`` of the row starts.  The gathered words are laid
+    out word-major, ``(words, nnz)``, so the reduction runs along
+    contiguous memory within each segment.
+    """
+    p, n = A.shape
+    flat = np.flatnonzero(A)
+    bounds = np.searchsorted(flat, np.arange(p + 1) * n)
+    rows = np.flatnonzero(bounds[1:] > bounds[:-1])
+    words = _pack_words(B).T
+    out = np.zeros((p, words.shape[0]), dtype=np.uint64)
+    if flat.size:
+        out[rows] = np.bitwise_or.reduceat(
+            words.take(flat % n, axis=1), bounds[rows], axis=1
+        ).T
+    return np.unpackbits(
+        out.view(np.uint8), axis=1, count=B.shape[1], bitorder="little"
+    ).view(bool)
 
 
 #: Step 3's probe multiplies through every ``_PROBE_STRIDE``-th row of
@@ -239,8 +291,15 @@ _PROBE_STRIDE = 8
 def _chain_step(
     acc: np.ndarray, I: np.ndarray, R: np.ndarray
 ) -> Tuple[np.ndarray, int, str]:
-    """One exact factor ``acc · I · R`` of Step 3, from a strided probe
-    and an open-column residual.
+    """One exact factor ``acc · I · R`` of Step 3.
+
+    A sparse ``acc`` (by :func:`bool_matmul`'s ``_SPARSE_LEFT`` rule)
+    takes the plain right-first chain ``acc · (I · R)``: both products
+    have a sparse left factor whenever ``I`` is sparse too, so both
+    are gathers.  (On M2(181) at 1.5% faults, where ``R_1`` and
+    ``I_1`` are ~7.5% dense, the probe would leave nearly every column
+    open.)  A dense ``acc`` is built from a strided probe and an
+    open-column residual.
 
     The probe ``low = (acc · I[:, H]) · R[H]`` over the rows ``H =
     R[::_PROBE_STRIDE]`` is a lower bound on every entry.  The ceiling
@@ -257,9 +316,15 @@ def _chain_step(
     ``bool_matmul(bool_matmul(acc, I), R)``.
 
     Returns the product, the number of open columns, and the
-    association that finished them (``"none"``, ``"left"`` or
-    ``"right"``).
+    association that finished them: ``"none"`` (no open column, or an
+    empty product), ``"left"``, ``"right"``, or ``"gather"`` (a sparse
+    ``acc``, whose every column counts as open).
     """
+    (p, q), (n, r) = acc.shape, R.shape
+    if 0 in (p, q, n, r):
+        return np.zeros((p, r), dtype=bool), 0, "none"
+    if _is_sparse(acc):
+        return bool_matmul(acc, bool_matmul(I, R)), r, "gather"
     low = bool_matmul(
         bool_matmul(acc, I[:, ::_PROBE_STRIDE]), R[::_PROBE_STRIDE]
     )
@@ -271,7 +336,6 @@ def _chain_step(
     cols = unfilled[ceiling]
     if cols.size == 0:
         return low, 0, "none"
-    (p, q), (n, r) = acc.shape, R.shape
     m = n - len(range(0, n, _PROBE_STRIDE))
     if p * m * (q + r) <= q * cols.size * (n + p):
         rest = np.ones(n, dtype=bool)
@@ -299,16 +363,16 @@ def _pack_words(dense: np.ndarray) -> np.ndarray:
     """Pack the rows of a dense bool matrix into little-endian uint64
     words, zero-padded to a whole number of words."""
     dense = np.ascontiguousarray(dense, dtype=bool)
-    ncols = dense.shape[1]
+    nrows, ncols = dense.shape
     nbytes = ((ncols + _WORD_BITS - 1) // _WORD_BITS) * (_WORD_BITS // 8)
-    b = np.packbits(dense, axis=1, bitorder="little")
-    if b.shape[1] < nbytes:
-        b = np.pad(b, ((0, 0), (0, nbytes - b.shape[1])))
-    return b.view(np.uint64)
+    words = np.zeros((nrows, nbytes), dtype=np.uint8)
+    words[:, : (ncols + 7) // 8] = np.packbits(dense, axis=1, bitorder="little")
+    return words.view(np.uint64)
 
 
 # Production code does not call PackedBoolMatrix: Find-Reachability uses
-# bool_matmul.  The class remains only because perfbench/tracer.py's
+# bool_matmul, whose gather kernel packs through _pack_words (which
+# stays).  The class remains only because perfbench/tracer.py's
 # LAYER_TARGETS patches PackedBoolMatrix.matmul; delete it once a
 # benchmark change drops that entry.
 class PackedBoolMatrix:
@@ -579,9 +643,13 @@ class ReachabilityData:
         ``t = 1 .. k-1``: ``open_columns_t``, the columns of
         ``R^(t+1)`` the probe left open, and ``association_t``, the
         product that finished them (``"none"``, ``"left"`` or
-        ``"right"``; see ``_chain_step``).  Section 6.2's ``R_1 I_1``
-        density is not here, since Step 3 never forms ``R_1 I_1``;
-        :func:`repro.experiments.figures.fig25` measures it.
+        ``"right"``; see ``_chain_step``).  A sparse ``R^(t)`` skips
+        the probe for the right-first chain of gathers:
+        ``association_t`` is ``"gather"`` and ``open_columns_t`` is
+        every column.  An empty product is ``"none"`` with 0 open.
+        Section 6.2's ``R_1 I_1`` density is not here, since Step 3
+        never forms ``R_1 I_1``; :func:`repro.experiments.figures.fig25`
+        measures it.
     """
 
     Rk: np.ndarray
@@ -607,10 +675,11 @@ def find_reachability(
     per set).  When the k-round ordering is uniform, pass the same
     objects for every round; identical rounds share one ``R_t``
     computation.  Every matrix is dense bool.  Step 3 builds each
-    factor ``R^(t+1) = R^(t) I_t R_{t+1}`` with ``_chain_step``: a
-    strided probe through 1/8 of ``R_{t+1}``'s rows, a per-column
-    certificate against the ceiling, and a residual product over the
-    columns left open; every product is a :func:`bool_matmul`.
+    factor ``R^(t+1) = R^(t) I_t R_{t+1}`` with ``_chain_step``: the
+    right-first chain when ``R^(t)`` is sparse, else a strided probe
+    through 1/8 of ``R_{t+1}``'s rows, a per-column certificate
+    against the ceiling, and a residual product over the columns left
+    open; every product is a :func:`bool_matmul`.
     """
     k = orderings.k
     if not (len(ses_partitions) == len(des_partitions) == k):

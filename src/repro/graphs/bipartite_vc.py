@@ -59,7 +59,8 @@ def zero_pairs(matrix: np.ndarray) -> np.ndarray:
 
 
 def compact_edges(pairs: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Relabel the endpoints of ``(m, 2)`` index pairs densely.
+    """Relabel the endpoints of ``(m, 2)`` nonnegative index pairs
+    densely.
 
     Returns ``(rows, cols, edges)``: the sorted distinct first and
     second coordinates, and the pairs rewritten as positions into
@@ -67,14 +68,27 @@ def compact_edges(pairs: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray
     bipartite graph of ``Reduce-WVC(Bipartite)`` (Fig. 13, step 1): a
     vertex per row and per column holding a zero, an edge per zero.
 
+    The pairs are bounded matrix indices, so each coordinate is
+    relabelled through a mark table as long as its largest index
+    rather than sorted: ``flatnonzero`` of the table is the labels,
+    and its running count less one is each label's position.  The
+    pairs need not be sorted or distinct; a negative index raises
+    ``ValueError``.
+
     >>> rows, cols, edges = compact_edges(np.array([[4, 7], [9, 7]]))
     >>> rows.tolist(), cols.tolist(), edges.tolist()
     ([4, 9], [7], [[0, 0], [1, 0]])
     """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    rows, left = np.unique(pairs[:, 0], return_inverse=True)
-    cols, right = np.unique(pairs[:, 1], return_inverse=True)
-    return rows, cols, np.stack([left.ravel(), right.ravel()], axis=1)
+    if pairs.size and pairs.min() < 0:
+        raise ValueError("compact_edges expects nonnegative indices")
+    labels, positions = [], []
+    for coord in pairs.T:
+        mark = np.zeros(int(coord.max()) + 1 if coord.size else 0, dtype=bool)
+        mark[coord] = True
+        labels.append(np.flatnonzero(mark))
+        positions.append((np.cumsum(mark) - 1)[coord])
+    return labels[0], labels[1], np.stack(positions, axis=1)
 
 
 def _edge_array(edges: EdgesLike) -> np.ndarray:

@@ -17,6 +17,7 @@ from repro.graphs import bipartite_vc
 from repro.graphs.bipartite_vc import (
     compact_edges,
     min_weight_vertex_cover_bipartite,
+    zero_pairs,
 )
 from repro.mesh import FaultSet, Mesh, random_node_faults
 from repro.routing import repeated, xy, xyz
@@ -136,6 +137,37 @@ class TestCompactEdges:
     def test_empty(self):
         rows, cols, edges = compact_edges(np.empty((0, 2), dtype=np.int64))
         assert rows.size == cols.size == 0 and edges.shape == (0, 2)
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("m", [0, 1, 2, 50, 400])
+    def test_matches_unique_relabelling(self, seed, m):
+        """The mark-table relabelling against the two ``np.unique``
+        passes it replaced, on unsorted pairs with repeats (and on
+        :func:`zero_pairs`' row-major ones), dtypes included."""
+        rng = np.random.default_rng(seed)
+        high = int(rng.integers(1, 90))
+        pairs = rng.integers(0, high, size=(m, 2))
+        pairs = np.concatenate((pairs, pairs[: m // 3]))  # duplicates
+        rng.shuffle(pairs)
+        matrix = rng.random((high, high + 7)) < 0.9
+        for case in (pairs, zero_pairs(matrix)):
+            got = compact_edges(case)
+            want = unique_relabelling(case)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+
+    def test_rejects_negative_indices(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            compact_edges(np.array([[0, 1], [-1, 2]]))
+
+
+def unique_relabelling(pairs):
+    """``compact_edges`` as two ``np.unique(..., return_inverse=True)``
+    passes: the sorting form it replaced."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    rows, left = np.unique(pairs[:, 0], return_inverse=True)
+    cols, right = np.unique(pairs[:, 1], return_inverse=True)
+    return rows, cols, np.stack([left.ravel(), right.ravel()], axis=1)
 
 
 def reference_reduce(result, values):

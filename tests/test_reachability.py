@@ -18,13 +18,15 @@ from repro.core import (
     is_lamb_set,
     one_round_reachability_matrix,
 )
+from repro.core import reachability
 from repro.core.reachability import (
     _PROBE_STRIDE,
+    _SPARSE_LEFT,
     PackedBoolMatrix,
     _chain_step,
     packed_bool_matmul,
 )
-from repro.mesh import FaultSet, Mesh, random_link_faults
+from repro.mesh import FaultSet, Mesh, random_link_faults, random_node_faults
 from repro.mesh.patterns import (
     clustered_faults,
     dust_and_clusters,
@@ -143,7 +145,32 @@ class TestOneRoundMatrix:
         assert one_round_reachability_matrix(idx, xy(), some, empty).shape == (1, 0)
 
 
+def _noncontiguous(M, how):
+    """A non-contiguous (or freshly gathered) view of ``M``'s columns."""
+    if how == "stride":
+        return M[:, ::8]
+    if how == "mask":
+        return M[:, np.arange(M.shape[1]) % 3 != 1]
+    return M.take(np.arange(M.shape[1])[::-2], axis=1)
+
+
+@pytest.fixture
+def gather_calls(monkeypatch):
+    """A list that grows by one for each call of the gather kernel."""
+    calls = []
+    real = reachability._gather_matmul
+    monkeypatch.setattr(
+        reachability, "_gather_matmul",
+        lambda *args: calls.append(args) or real(*args),
+    )
+    return calls
+
+
 class TestBoolMatmul:
+    """Both kernels of ``bool_matmul`` against numpy's own bool product,
+    across the word boundaries of the gather (64 columns per word) and
+    both sides of its ``_SPARSE_LEFT`` density switch."""
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
     def test_matches_numpy(self, seed):
@@ -153,6 +180,47 @@ class TestBoolMatmul:
         B = rng.random((n, k)) < rng.uniform(0.02, 0.9)
         expected = (A @ B) > 0
         assert np.array_equal(bool_matmul(A, B), expected)
+
+    @pytest.mark.parametrize("q", [1, 63, 64, 65, 130])
+    @pytest.mark.parametrize("dens", [0.0, 0.02, 0.12, 0.15, 0.6])
+    def test_word_boundaries_and_both_kernels(self, q, dens, gather_calls):
+        rng = np.random.default_rng(int(q * 100 + dens * 100))
+        A = rng.random((37, 70)) < dens
+        B = rng.random((70, q)) < 0.3
+        A[5] = False  # an all-zero row of A ...
+        A[:, 9] = False  # ... a column of A that selects nothing ...
+        B[:, 0] = False  # ... and an all-zero column of B
+        got = bool_matmul(A, B)
+        assert got.dtype == np.bool_ and got.shape == (37, q)
+        assert np.array_equal(got, A @ B)
+        sparse = np.count_nonzero(A) <= _SPARSE_LEFT * A.size
+        assert len(gather_calls) == sparse
+        # The gather is exact at any density, not only where it is picked.
+        assert np.array_equal(reachability._gather_matmul(A, B), A @ B)
+
+    def test_density_switch_is_inclusive(self):
+        """Exactly 1/8 of the cells set is sparse; one more is not."""
+        A = np.zeros((8, 8), dtype=bool)
+        A[:, 0] = True
+        assert reachability._is_sparse(A)
+        A[0, 1] = True
+        assert not reachability._is_sparse(A)
+
+    @pytest.mark.parametrize("how", ["stride", "mask", "take"])
+    @pytest.mark.parametrize("dens", [0.05, 0.5])
+    def test_noncontiguous_operands(self, how, dens):
+        """Strided, masked and gathered column selections, as Step 3
+        passes them (``R[::8]``, ``I[:, rest]``, ``R.take(cols, 1)``)."""
+        rng = np.random.default_rng(11)
+        A = _noncontiguous(rng.random((40, 520)) < dens, how)
+        A_dense = np.array(A)
+        B = _noncontiguous(rng.random((A.shape[1], 300)) < 0.3, how)
+        B_dense = np.array(B)
+        want = A_dense @ B_dense
+        assert np.array_equal(bool_matmul(A, B), want)
+        assert np.array_equal(bool_matmul(A_dense, B), want)
+        assert np.array_equal(bool_matmul(A, B_dense), want)
+        assert np.array_equal(bool_matmul(B.T, A.T), want.T)
 
     def test_empty(self):
         A = np.zeros((0, 3), dtype=bool)
@@ -266,7 +334,7 @@ class TestFindReachability:
             assert 0.0 <= data.stats[key] <= 1.0
         assert "R1I1_density" not in data.stats
         assert 0 <= data.stats["open_columns_1"] <= data.Rk.shape[1]
-        assert data.stats["association_1"] in ("none", "left", "right")
+        assert data.stats["association_1"] in ("none", "left", "right", "gather")
         (I,) = data.intersection_matrices
         assert isinstance(I, np.ndarray) and I.dtype == np.bool_
 
@@ -318,6 +386,7 @@ def _assert_matches_oracle(faults, orderings):
     for got, want in zip(data.round_matrices + data.partial, rounds + partial):
         assert np.array_equal(got, want)
     assert np.array_equal(data.Rk, partial[-1])
+    return data
 
 
 class TestFloodOracleParity:
@@ -363,6 +432,19 @@ class TestFloodOracleParity:
         _assert_matches_oracle(faults, repeated(pi, 2))
         _assert_matches_oracle(faults, KRoundOrdering([pi, rev]))
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_sparse_first_factor(self, k):
+        """Dense 2D faults leave ``R_1`` below the gather's density
+        switch, so the first chain step is the gather chain; with
+        ``k = 3`` the second step's ``R^(2)`` is dense and takes the
+        probe."""
+        mesh = Mesh((48, 48))
+        faults = random_node_faults(mesh, 100, np.random.default_rng(5))
+        data = _assert_matches_oracle(faults, repeated(xy(), k))
+        assert data.stats["association_1"] == "gather"
+        if k == 3:
+            assert data.stats["association_2"] in ("none", "left", "right")
+
     def test_lamb_set_reach_matches_oracle(self):
         mesh = Mesh((10, 10))
         faults = FaultSet(mesh, [(3, 2), (7, 7), (2, 8), (5, 5)])
@@ -386,9 +468,10 @@ class TestFloodOracleParity:
 
 
 def _plain_chain(acc, I, R):
-    """Step 3's factor as two plain products: the reference
-    ``_chain_step`` must match bit for bit."""
-    return bool_matmul(bool_matmul(acc, I), R)
+    """Step 3's factor as two of numpy's own bool products, which share
+    no code with ``bool_matmul``: the reference ``_chain_step`` must
+    match bit for bit."""
+    return (acc @ I) @ R
 
 
 def _assert_step_matches_chain(acc, I, R):
@@ -397,6 +480,17 @@ def _assert_step_matches_chain(acc, I, R):
     assert np.array_equal(got, _plain_chain(acc, I, R))
     assert 0 <= open_columns <= R.shape[1]
     assert (association == "none") == (open_columns == 0)
+    if association == "gather":
+        assert open_columns == R.shape[1]
+    return open_columns, association
+
+
+def _assert_dense_step(acc, I, R):
+    """``_assert_step_matches_chain`` for a dense ``acc``, which must
+    take the probe path."""
+    assert np.count_nonzero(acc) > _SPARSE_LEFT * acc.size
+    open_columns, association = _assert_step_matches_chain(acc, I, R)
+    assert association in ("none", "left", "right")
     return open_columns, association
 
 
@@ -411,7 +505,7 @@ class TestChainStep:
         I[0, 0] = True  # probe row 0 is reachable ...
         R = rng.random((50, 40)) < 0.3
         R[0] = True  # ... and fills every column
-        assert _assert_step_matches_chain(acc, I, R) == (0, "none")
+        assert _assert_dense_step(acc, I, R) == (0, "none")
 
     def test_few_open_columns_finish_right_first(self):
         rng = np.random.default_rng(2)
@@ -422,7 +516,7 @@ class TestChainStep:
         R[:, 5] = False
         R[3, 5] = True
         I[0, 3] = True
-        open_columns, association = _assert_step_matches_chain(acc, I, R)
+        open_columns, association = _assert_dense_step(acc, I, R)
         assert association == "right"
         assert 1 <= open_columns <= 4
 
@@ -434,7 +528,7 @@ class TestChainStep:
         R[::_PROBE_STRIDE] = False  # the probe reaches nothing
         R[1] = True  # every column has a support outside the probe
         acc[:, 0] = True  # every row reaches every inner row
-        assert _assert_step_matches_chain(acc, I, R) == (40, "left")
+        assert _assert_dense_step(acc, I, R) == (40, "left")
 
     @pytest.mark.parametrize("n", range(1, _PROBE_STRIDE + 1))
     def test_r_with_at_most_stride_rows(self, n):
@@ -444,7 +538,7 @@ class TestChainStep:
         acc = rng.random((12, 9)) < 0.4
         I = rng.random((9, n)) < 0.3
         R = rng.random((n, 11)) < 0.4
-        _assert_step_matches_chain(acc, I, R)
+        _assert_dense_step(acc, I, R)
 
     def test_ceiling_zero_columns(self):
         """A DES no SES reaches: an all-zero column of R, and a column
@@ -459,14 +553,14 @@ class TestChainStep:
         R[5, 7] = True
         got, _, _ = _chain_step(acc, I, R)
         assert not got[:, [2, 7]].any()
-        _assert_step_matches_chain(acc, I, R)
+        _assert_dense_step(acc, I, R)
 
     def test_all_zero_intersection(self):
         rng = np.random.default_rng(5)
         acc = rng.random((10, 12)) < 0.6
         I = np.zeros((12, 20), dtype=bool)
         R = rng.random((20, 14)) < 0.6
-        assert _assert_step_matches_chain(acc, I, R) == (0, "none")
+        assert _assert_dense_step(acc, I, R) == (0, "none")
         assert not _chain_step(acc, I, R)[0].any()
 
     @pytest.mark.parametrize(
@@ -481,6 +575,23 @@ class TestChainStep:
         got, _, _ = _chain_step(acc, I, R)
         assert got.shape == (p, r)
         _assert_step_matches_chain(acc, I, R)
+
+    def test_sparse_acc_takes_the_gather_chain(self, gather_calls):
+        """A sparse ``acc`` skips the probe: every column is reported
+        open, and both products are gathers when ``I`` is sparse."""
+        rng = np.random.default_rng(6)
+        acc = rng.random((70, 66)) < 0.07
+        I = rng.random((66, 90)) < 0.07
+        R = rng.random((90, 130)) < 0.07
+        assert _assert_step_matches_chain(acc, I, R) == (130, "gather")
+        assert len(gather_calls) == 2
+
+    def test_sparse_acc_with_dense_intersection(self):
+        rng = np.random.default_rng(7)
+        acc = rng.random((40, 30)) < 0.1
+        I = rng.random((30, 50)) < 0.6
+        R = rng.random((50, 65)) < 0.05
+        assert _assert_step_matches_chain(acc, I, R) == (65, "gather")
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -519,7 +630,9 @@ class TestChainStep:
                 acc, data.intersection_matrices[t - 1], data.round_matrices[t]
             )
             assert np.array_equal(data.partial[t], acc)
-            assert data.stats[f"association_{t}"] in ("none", "left", "right")
+            assert data.stats[f"association_{t}"] in (
+                "none", "left", "right", "gather"
+            )
         assert np.array_equal(data.Rk, acc)
 
 
