@@ -50,10 +50,10 @@ from ..graphs.wvc import wvc_exact, wvc_local_ratio
 from ..obs import get_registry
 from ..mesh.faults import FaultSet
 from ..mesh.geometry import Mesh, Node
-from ..mesh.regions import Rect
+from ..mesh.regions import Rect, corner_array
 from ..routing.linefaults import LineFaultIndex
 from ..routing.ordering import KRoundOrdering, Ordering
-from ..routing.reachindex import ReachIndex, corner_array
+from ..routing.reachindex import ReachIndex
 from .partition import find_des_partition, find_ses_partition
 from .reachability import ReachabilityData, find_reachability
 

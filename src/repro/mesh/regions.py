@@ -18,13 +18,19 @@ rectangles per call.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from .geometry import Mesh, Node
 
-__all__ = ["Rect", "rect_intersection_matrix", "rects_total_size", "rects_are_disjoint"]
+__all__ = [
+    "Rect",
+    "corner_array",
+    "rect_intersection_matrix",
+    "rects_total_size",
+    "rects_are_disjoint",
+]
 
 
 class Rect:
@@ -204,16 +210,29 @@ class Rect:
 # ----------------------------------------------------------------------
 # Vectorized helpers over collections of rectangles
 # ----------------------------------------------------------------------
+def corner_array(corners: Iterable[Sequence[int]], d: int) -> np.ndarray:
+    """Corner tuples as an ``(m, d)`` int64 array; ``np.fromiter`` over
+    the flattened tuples skips ``np.asarray``'s per-tuple inspection."""
+    flat = itertools.chain.from_iterable(corners)
+    return np.fromiter(flat, np.int64).reshape(-1, d)
+
+
 def rect_intersection_matrix(
     rows: Sequence[Rect], cols: Sequence[Rect]
 ) -> np.ndarray:
     """Boolean matrix ``I[i, j] = (rows[i] ∩ cols[j] != ∅)``.
 
     This is the intersection matrix ``I_t`` of Find-Reachability
-    (Fig. 12, step 2).  Two intervals meet iff each starts no later
-    than the other ends, so ``I`` is the AND over dimensions of two
-    outer comparisons of the bound vectors, accumulated in place: the
-    only temporary is one more ``p x q`` boolean.
+    (Fig. 12, step 2).  Two rectangles meet iff their intervals meet in
+    every dimension, and two intervals meet iff each starts no later
+    than the other ends.  The rows of a partition share few distinct
+    intervals per dimension (32-164 over ~1,100 rows on M3(32) at 1.5%
+    faults), so each dimension compares only its distinct row
+    intervals with every column interval, packs that ``classes x q``
+    table into bytes and gathers one packed row per row.  The
+    dimensions' rows are ANDed as bytes and unpacked once.  A class
+    table never has more rows than ``I``, so the work is O(d p q / 8)
+    plus the tables, with no term in the mesh widths.
 
     >>> m = Mesh((6, 6))
     >>> rect_intersection_matrix(
@@ -224,18 +243,25 @@ def rect_intersection_matrix(
     p, q = len(rows), len(cols)
     if not p or not q:
         return np.zeros((p, q), dtype=bool)
-    # (d, count) bound vectors in the narrowest dtype holding a coordinate.
-    dtype = np.min_scalar_type(max(rows[0].mesh.widths))
-    rlo = np.asarray([r.lo for r in rows], dtype=dtype).T
-    rhi = np.asarray([r.hi for r in rows], dtype=dtype).T
-    clo = np.asarray([c.lo for c in cols], dtype=dtype).T
-    chi = np.asarray([c.hi for c in cols], dtype=dtype).T
-    out = np.ones((p, q), dtype=bool)
-    tmp = np.empty_like(out)
-    for j in range(len(rlo)):
-        out &= np.less_equal.outer(rlo[j], chi[j], out=tmp)
-        out &= np.greater_equal.outer(rhi[j], clo[j], out=tmp)
-    return out
+    mesh = rows[0].mesh
+    d = mesh.d
+    # (d, count) bound vectors.  The column side, which every class is
+    # compared against, is C-ordered in the narrowest dtype holding a
+    # coordinate; the row side stays int64 for its class keys.
+    dtype = np.min_scalar_type(max(mesh.widths))
+    rlo = corner_array((r.lo for r in rows), d).T
+    rhi = corner_array((r.hi for r in rows), d).T
+    clo = corner_array((c.lo for c in cols), d).T.astype(dtype, order="C")
+    chi = corner_array((c.hi for c in cols), d).T.astype(dtype, order="C")
+    out = np.full((p, (q + 7) // 8), 0xFF, dtype=np.uint8)
+    for j, span in enumerate(mesh.widths):
+        # Distinct row intervals of dimension j, keyed lo * span + hi.
+        key, row_class = np.unique(rlo[j] * span + rhi[j], return_inverse=True)
+        lo, hi = np.divmod(key, span)
+        meets = np.less_equal.outer(lo.astype(dtype), chi[j])
+        meets &= np.greater_equal.outer(hi.astype(dtype), clo[j])
+        out &= np.packbits(meets, axis=1).take(row_class, axis=0)
+    return np.unpackbits(out, axis=1, count=q).view(bool)
 
 
 def rects_total_size(rects: Sequence[Rect]) -> int:

@@ -49,7 +49,7 @@ from typing import (
 import numpy as np
 
 from ..mesh.geometry import Mesh, Node
-from ..mesh.regions import Rect
+from ..mesh.regions import Rect, corner_array
 from .dor import dor_path
 from .ordering import KRoundOrdering
 
@@ -71,12 +71,6 @@ class ReachMatrices(Protocol):
     round_matrices: List[np.ndarray]
     intersection_matrices: List[np.ndarray]
     partial: List[np.ndarray]
-
-
-def corner_array(corners: Iterable[Sequence[int]], d: int) -> np.ndarray:
-    """Corner tuples as an ``(m, d)`` int64 array; ``np.fromiter`` over
-    the flattened tuples skips ``np.asarray``'s per-tuple inspection."""
-    return np.fromiter(chain.from_iterable(corners), np.int64).reshape(-1, d)
 
 
 class ReachIndex:

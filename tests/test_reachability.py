@@ -125,6 +125,45 @@ class TestOneRoundMatrix:
             )
             assert np.array_equal(R, want), pi
 
+    def test_int32_windows_match_segment_walk(self):
+        """A mesh with ``2 * max(width) >= 2**15`` keeps its blocking
+        windows in int32 rather than int16.  Node faults with directed
+        link faults on top, both orderings, real SES x DES
+        representatives, against the per-pair segment walk."""
+        mesh = Mesh((20000, 3))
+        assert 2 * max(mesh.widths) >= 2**15
+        rng = np.random.default_rng(20000)
+        faults = random_node_faults(mesh, 12, rng).with_links_as_faults(
+            random_link_faults(mesh, 12, rng).link_faults
+        )
+        idx = LineFaultIndex(faults)
+        for pi in (xy(), Ordering((1, 0))):
+            S = _reps(find_ses_partition(faults, pi), mesh)
+            D = _reps(find_des_partition(faults, pi), mesh)
+            R = one_round_reachability_matrix(idx, pi, S, D)
+            want = np.asarray(
+                [[one_round_reachable(idx, pi, v, w) for w in D] for v in S]
+            )
+            assert want.any() and not want.all()
+            assert np.array_equal(R, want), pi
+
+    @pytest.mark.parametrize("rows", [1, 7, 8, 9, 63, 64, 65, 130])
+    @pytest.mark.parametrize("cols", [1, 8, 63, 64, 65, 130])
+    def test_transpose_words(self, rows, cols):
+        """The kernel ORs its source-indexed dimensions in as packed
+        words of the transpose; the bit transpose against numpy's, on
+        both sides of the byte and word boundaries."""
+        rng = np.random.default_rng(rows * 1000 + cols)
+        M = rng.random((rows, cols)) < 0.4
+        M[:, -1] = True  # the last column and row reach the padding
+        M[-1] = True
+        got = reachability._transpose_words(reachability._pack_words(M))
+        assert got.dtype == np.uint8
+        assert got.shape == (64 * -(-cols // 64), -(-rows // 8))
+        bits = np.unpackbits(got, axis=1, count=rows, bitorder="little")
+        assert np.array_equal(bits[:cols].view(bool), M.T)
+        assert not bits[cols:].any()
+
     def test_rejects_faulty_reps(self):
         m = Mesh((4, 4))
         faults = FaultSet(m, [(1, 1)])
@@ -494,6 +533,30 @@ def _assert_dense_step(acc, I, R):
     return open_columns, association
 
 
+def _open_cells_case(p, q, seed):
+    """A dense ``p x q`` ``acc`` whose probe closes every column of
+    ``R`` but a few hard ones.  Hard column ``h`` is supported only by
+    a row of ``R`` outside the probe, which only inner index
+    ``support[h]`` reaches (indices on and around ``acc``'s 64-bit word
+    boundaries), so column ``h`` of the product is
+    ``acc[:, support[h]]``; rows 0 and 1 hold 0 and 1 there."""
+    rng = np.random.default_rng(seed)
+    n, r = 40, 24
+    inner = sorted({0, 62, 63, 64, 65, 127, 128, q - 1} & set(range(q)))
+    rows = [s for s in range(n) if s % _PROBE_STRIDE][: len(inner)]
+    hard = [2 * k + 1 for k in range(len(inner))]
+    acc = rng.random((p, q)) < 0.6
+    I = np.zeros((q, n), dtype=bool)
+    I[:, 0] = True  # every inner index reaches probe row 0 ...
+    R = np.zeros((n, r), dtype=bool)
+    R[0] = True  # ... which fills every column but the hard ones
+    R[:, hard] = False
+    for j, s, h in zip(inner, rows, hard):
+        I[j, s] = R[s, h] = True
+        acc[0, j], acc[1, j] = False, True
+    return acc, I, R, dict(zip(hard, inner))
+
+
 class TestChainStep:
     """``_chain_step`` (Step 3's probe, column certificate and residual)
     against the plain two-product chain, one test per branch."""
@@ -562,6 +625,57 @@ class TestChainStep:
         R = rng.random((20, 14)) < 0.6
         assert _assert_dense_step(acc, I, R) == (0, "none")
         assert not _chain_step(acc, I, R)[0].any()
+
+    @pytest.mark.parametrize("p", [63, 64, 65, 130])
+    @pytest.mark.parametrize("q", [63, 64, 65, 130])
+    def test_open_cells_across_word_boundaries(self, p, q):
+        """The ``"right"`` finish ANDs row ``i`` of ``acc`` with column
+        ``c`` of ``I · R[:, C]`` as packed words, for every cell the
+        probe left 0.  Each hard column here is decided by one inner
+        index on or next to a word boundary of ``acc``'s rows, and row
+        0 holds a true zero of the product next to a cell the finish
+        sets in row 1."""
+        acc, I, R, support = _open_cells_case(p, q, seed=p * 1000 + q)
+        assert _assert_dense_step(acc, I, R) == (len(support), "right")
+        got = _chain_step(acc, I, R)[0]
+        for h, j in support.items():
+            assert np.array_equal(got[:, h], acc[:, j])
+            assert not got[0, h] and got[1, h]
+
+    def test_right_finish_multiplies_nothing_by_acc(self, monkeypatch):
+        """After the probe's two products, the ``"right"`` finish calls
+        ``bool_matmul`` only for ``I · R[:, C]``: ``acc`` is never the
+        left factor of a product there."""
+        acc, I, R, _ = _open_cells_case(65, 130, seed=8)
+        lefts = []
+        real = reachability.bool_matmul
+        monkeypatch.setattr(
+            reachability, "bool_matmul",
+            lambda A, B: lefts.append(A) or real(A, B),
+        )
+        assert _chain_step(acc, I, R)[2] == "right"
+        assert lefts[0] is acc and len(lefts) == 3
+        assert not any(np.shares_memory(A, acc) for A in lefts[1:])
+
+    def test_fig26_3d_point_finishes_right_first(self):
+        """On the Fig. 26 3D point (M3(32), 1.5% node faults, XYZ twice)
+        Step 3 still takes the probe and the per-cell ``"right"``
+        finish, and ``R^(2)`` equals the float BLAS chain."""
+        mesh = Mesh.square(3, 32)
+        faults = random_node_faults(mesh, 492, np.random.default_rng(26))
+        orderings = repeated(Ordering((0, 1, 2)), 2)
+        ses = find_ses_partition(faults, orderings[0])
+        des = find_des_partition(faults, orderings[0])
+        data = find_reachability(
+            LineFaultIndex(faults), orderings, [ses] * 2, [des] * 2,
+            [_reps(ses, mesh)] * 2, [_reps(des, mesh)] * 2,
+        )
+        assert data.stats["association_1"] == "right"
+        assert data.stats["open_columns_1"] > 0
+        R1, I1 = data.round_matrices[0], data.intersection_matrices[0]
+        f32 = np.float32
+        chain = ((R1.astype(f32) @ I1.astype(f32)) > 0.5).astype(f32)
+        assert np.array_equal(data.Rk, (chain @ R1.astype(f32)) > 0.5)
 
     @pytest.mark.parametrize(
         "p, q, n, r",

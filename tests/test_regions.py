@@ -5,13 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import find_des_partition, find_ses_partition
 from repro.mesh import (
     Mesh,
     Rect,
+    random_link_faults,
+    random_node_faults,
     rect_intersection_matrix,
     rects_are_disjoint,
     rects_total_size,
 )
+from repro.mesh.regions import corner_array
+from repro.routing import Ordering, reachindex
 
 from conftest import small_meshes
 
@@ -173,8 +178,9 @@ class TestIntersection:
 
     def test_intersection_matrix_matches_pairwise(self):
         # Oracle: Rect.intersects on seeded random rects whose intervals
-        # are degenerate, full-width or arbitrary, in 2D and 3D, with
-        # widths on both sides of the uint8 coordinate boundary.
+        # are degenerate, full-width or arbitrary, in 2D to 4D, with
+        # widths on both sides of the uint8 coordinate boundary, and on
+        # the extremes of the kernel's per-dimension row classes.
         rng = np.random.default_rng(13)
 
         def interval(n):
@@ -192,20 +198,53 @@ class TestIntersection:
             return Rect(mesh, lo, hi)
 
         for widths in [(7, 9), (2, 5), (181, 181), (300, 4),
-                       (5, 6, 7), (32, 32, 32), (2, 260, 3)]:
+                       (5, 6, 7), (32, 32, 32), (2, 260, 3),
+                       (5, 4, 6, 3), (3, 7, 2, 300)]:
             mesh = Mesh(widths)
             for p, q in [(1, 1), (1, 17), (23, 1), (40, 31)]:
                 rows = [rect(mesh) for _ in range(p)]
                 cols = [rect(mesh) for _ in range(q)]
-                I = rect_intersection_matrix(rows, cols)
-                assert I.shape == (p, q) and I.dtype == bool
-                expected = np.array(
-                    [[r.intersects(c) for c in cols] for r in rows]
-                )
-                assert np.array_equal(I, expected), (widths, p, q)
+                _assert_pairwise(rows, cols)
+        mesh = Mesh((40, 300, 40))
+        cols = [rect(mesh) for _ in range(70)]
+        # Every row shares one interval per dimension: one class each.
+        _assert_pairwise([rect(mesh)] * 45, cols)
+        _assert_pairwise(cols, [rect(mesh)] * 3)
+        # Every row has its own interval in every dimension.
+        rows = [Rect(mesh, (i, i, 29 - i), (i + 5, 2 * i + 1, 29))
+                for i in range(30)]
+        for j in range(mesh.d):
+            assert len({(r.lo[j], r.hi[j]) for r in rows}) == len(rows)
+        _assert_pairwise(rows, cols)
+
+    def test_intersection_matrix_real_partitions(self):
+        """A DES x SES partition pair of M3(16), with directed link
+        faults on top of node faults, as Find-Reachability pairs them."""
+        mesh = Mesh.square(3, 16)
+        rng = np.random.default_rng(16)
+        faults = random_node_faults(mesh, 40, rng).with_links_as_faults(
+            random_link_faults(mesh, 30, rng).link_faults
+        )
+        pi = Ordering((0, 1, 2))
+        des = find_des_partition(faults, pi)
+        ses = find_ses_partition(faults, Ordering((2, 1, 0)))
+        assert len(des) > 64 and len(ses) > 64
+        I = _assert_pairwise(des, ses)
+        assert I.any() and not I.all()
 
     def test_empty_matrix(self):
         assert rect_intersection_matrix([], []).shape == (0, 0)
+
+
+def _assert_pairwise(rows, cols):
+    """``rect_intersection_matrix`` against ``Rect.intersects``."""
+    I = rect_intersection_matrix(rows, cols)
+    assert I.shape == (len(rows), len(cols)) and I.dtype == bool
+    expected = np.array(
+        [[r.intersects(c) for c in cols] for r in rows], dtype=bool
+    ).reshape(len(rows), len(cols))
+    assert np.array_equal(I, expected)
+    return I
 
 
 class TestHelpers:
@@ -220,3 +259,14 @@ class TestHelpers:
         b = Rect.from_spec(m, ["*", 1])
         assert rects_are_disjoint([a, b])
         assert not rects_are_disjoint([a, a])
+
+    def test_corner_array(self):
+        """Corner tuples as ``(m, d)`` int64 rows, the same function
+        from ``repro.routing.reachindex``, which imports it."""
+        m = Mesh((6, 7, 300))
+        rects = [Rect.from_spec(m, ["*", 3, (2, 299)]), Rect.single(m, (5, 6, 0))]
+        got = corner_array((r.hi for r in rects), 3)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, [[5, 3, 299], [5, 6, 0]])
+        assert corner_array([], 3).shape == (0, 3)
+        assert reachindex.corner_array is corner_array
