@@ -25,7 +25,6 @@ re-added to the final lamb set).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import (
     Dict,
     FrozenSet,
@@ -50,7 +49,7 @@ from ..graphs.wvc import wvc_exact, wvc_local_ratio
 from ..obs import get_registry
 from ..mesh.faults import FaultSet
 from ..mesh.geometry import Mesh, Node
-from ..mesh.regions import Rect, corner_array
+from ..mesh.regions import Rect, Rects, as_rects, corner_array
 from ..routing.linefaults import LineFaultIndex
 from ..routing.ordering import KRoundOrdering, Ordering
 from ..routing.reachindex import ReachIndex
@@ -97,8 +96,8 @@ class LambResult:
     lambs: FrozenSet[Node]
     chosen_ses: Tuple[int, ...]
     chosen_des: Tuple[int, ...]
-    ses_partition: List[Rect]
-    des_partition: List[Rect]
+    ses_partition: Sequence[Rect]
+    des_partition: Sequence[Rect]
     reach: ReachabilityData
     cover_weight: float
     predetermined: FrozenSet[Node] = frozenset()
@@ -148,9 +147,10 @@ def _rect_weights(
     (Section 7: the weight of a vertex is the sum of the values of its
     nodes, defaulting to 1).
 
-    Sizes come from the ``(m, d)`` corner arrays; each valued node
-    adjusts the first rectangle containing it, found by one ``(|values|,
-    m)`` containment mask, in ``values`` order (``np.subtract.at`` is
+    Sizes come from the ``(m, d)`` corner arrays of a :class:`Rects` (a
+    list goes through :func:`as_rects`); each valued node adjusts the
+    first rectangle containing it, found by one ``(|values|, m)``
+    containment mask, in ``values`` order (``np.subtract.at`` is
     unbuffered, so the float sums match a sequential loop bit for bit).
     """
     vals = np.fromiter(values.values(), dtype=np.float64, count=len(values))
@@ -160,9 +160,9 @@ def _rect_weights(
         raise ValueError(f"value of {node} must lie in [0, 1]")
     if not rects:
         return []
-    d = rects[0].mesh.d
-    lo = corner_array((r.lo for r in rects), d)
-    hi = corner_array((r.hi for r in rects), d)
+    rects = as_rects(rects)
+    d = rects.mesh.d
+    lo, hi = rects.lo, rects.hi
     weights = np.prod(hi - lo + 1, axis=1).astype(np.float64)
     if values:
         nodes = corner_array(values, d)
@@ -197,22 +197,20 @@ def build_reach_index(
     with reg.span("lamb.partition") as sp_partition:
         if index is None:
             index = LineFaultIndex(faults)
-        ses_cache: Dict[Ordering, List[Rect]] = {}
-        des_cache: Dict[Ordering, List[Rect]] = {}
-        ses_partitions: List[List[Rect]] = []
-        des_partitions: List[List[Rect]] = []
+        ses_cache: Dict[Ordering, Rects] = {}
+        des_cache: Dict[Ordering, Rects] = {}
+        ses_partitions: List[Rects] = []
+        des_partitions: List[Rects] = []
         for pi in orderings:
             if pi not in ses_cache:
                 ses_cache[pi] = find_ses_partition(faults, pi)
                 des_cache[pi] = find_des_partition(faults, pi)
             ses_partitions.append(ses_cache[pi])
             des_partitions.append(des_cache[pi])
-        reps = {
-            id(p): corner_array((r.lo for r in p), mesh.d)
-            for p in chain(ses_cache.values(), des_cache.values())
-        }
-        ses_reps = [reps[id(p)] for p in ses_partitions]
-        des_reps = [reps[id(p)] for p in des_partitions]
+        # A rectangle's minimal corner represents it; rounds sharing a
+        # partition share its corner array, hence one ``R_t``.
+        ses_reps = [p.lo for p in ses_partitions]
+        des_reps = [p.lo for p in des_partitions]
 
     # Phase 2 (Find-Reachability: the R^(k) boolean products).
     with reg.span("lamb.reachability") as sp_reach:
@@ -353,15 +351,15 @@ def find_lamb_set(
 
 
 def _reduce_bipartite(
-    ses: Sequence[Rect],
-    des: Sequence[Rect],
+    ses: Rects,
+    des: Rects,
     zeros: np.ndarray,
     values: Mapping[Node, float],
 ) -> Tuple[Tuple[int, ...], Tuple[int, ...], float]:
     """Reduce-WVC(Bipartite), Fig. 13."""
     rel_s, rel_d, edges = compact_edges(zeros)
-    left_w = _rect_weights([ses[i] for i in rel_s.tolist()], values)
-    right_w = _rect_weights([des[j] for j in rel_d.tolist()], values)
+    left_w = _rect_weights(ses.take(rel_s), values)
+    right_w = _rect_weights(des.take(rel_d), values)
     cover_l, cover_r, weight = min_weight_vertex_cover_bipartite(
         left_w, right_w, edges
     )

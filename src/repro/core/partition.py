@@ -24,7 +24,10 @@ maximal intervals of step 2(c) from the sorted blocked positions and
 cuts in O(|blocked| + |cuts|), never scanning a line position by
 position.  The total work is O(d f log f + d |Sigma|), with no term in
 the mesh widths (the partition share of Theorem 6.8's bound).  The
-rectangles are validated and built in one ``Rect.batch`` call.
+partition is returned as a :class:`~repro.mesh.regions.Rects`: its
+corners are validated in one ``Rect.batch`` call and stay two
+``(|Sigma|, d)`` arrays, as Section 6.1's O(d)-space rectangles; no
+``Rect`` object is built unless a caller indexes the partition.
 
 Every rectangle produced is fault-free, so its minimal corner is a
 valid representative; ``rep(S) = S.lo`` reproduces the paper's
@@ -39,7 +42,7 @@ import numpy as np
 
 from ..mesh.faults import FaultSet
 from ..mesh.geometry import Node
-from ..mesh.regions import Rect
+from ..mesh.regions import Rect, Rects
 from .ordering_utils import flip_link_faults
 from ..routing.ordering import Ordering
 
@@ -83,64 +86,80 @@ def _pi_space_rects(
     rectangles' pi-space lower and upper corners as ``d`` columns each,
     rectangles in the paper's order."""
     d = len(widths)
-    tops = [w - 1 for w in widths]
-    kinds = cols[d]
     lo: List[List[int]] = [[] for _ in range(d)]
     hi: List[List[int]] = [[] for _ in range(d)]
-
-    def level(i: int, j: int, m: int, suffix: Tuple[int, ...]) -> None:
-        # Faults i..j-1 share coordinates m+1.. (``suffix``) and are
-        # sorted by coordinate m.  Those with t > m are cuts that a
-        # higher level already applied; they are skipped here.
-        x = cols[d - 1 - m]
-        starts: List[int] = []
-        ends: List[int] = []
-        start = 0
-        k = i
-        while k < j:
-            # Group slab c; its smallest t decides what it is at level m.
-            c = x[k]
-            low = kinds[k]
-            g = k + 1
-            while g < j and x[g] == c:
-                low = min(low, kinds[g])
-                g += 1
-            if low < m:
-                # Steps 2(a)-(b): slab c holds a node fault or an
-                # intra-slab cut, so it recurses.
-                if m:
-                    level(k, g, m - 1, (c,) + suffix)
-                if start < c:
-                    starts.append(start)
-                    ends.append(c - 1)
-                start = c + 1
-            elif low == m:
-                starts.append(start)
-                ends.append(c)
-                start = c + 1
-            k = g
-        if start < widths[m]:
-            starts.append(start)
-            ends.append(tops[m])
-        # Steps 2(c)-(d): fault-free slab runs, split at inter-slab cuts,
-        # spanning every position before m.
-        n = len(starts)
-        for t in range(m):
-            lo[t] += [0] * n
-            hi[t] += [tops[t]] * n
-        lo[m] += starts
-        hi[m] += ends
-        for t, c in enumerate(suffix, m + 1):
-            lo[t] += [c] * n
-            hi[t] += [c] * n
-
-    level(0, len(kinds), d - 1, ())
+    tops = [w - 1 for w in widths]
+    _level(cols, tops, lo, hi, 0, len(cols[d]), d - 1, ())
     return lo, hi
 
 
-def find_ses_partition(faults: FaultSet, pi: Ordering) -> List[Rect]:
+def _level(
+    cols: List[List[int]],
+    tops: List[int],
+    lo: List[List[int]],
+    hi: List[List[int]],
+    i: int,
+    j: int,
+    m: int,
+    suffix: Tuple[int, ...],
+) -> None:
+    """Level ``m`` of the recursion, appending its rectangles (after
+    those of the slabs it recurses into) to the ``lo``/``hi`` columns.
+
+    Faults ``i..j-1`` share coordinates ``m+1..`` (``suffix``) and are
+    sorted by coordinate ``m``.  Those with ``t > m`` are cuts that a
+    higher level already applied; they are skipped here.  A module-level
+    function rather than a closure: a nested function that calls itself
+    holds itself through its closure cell, leaving a reference cycle
+    for the collector on every partition.
+    """
+    x = cols[len(tops) - 1 - m]
+    kinds = cols[len(tops)]
+    starts: List[int] = []
+    ends: List[int] = []
+    start = 0
+    k = i
+    while k < j:
+        # Group slab c; its smallest t decides what it is at level m.
+        c = x[k]
+        low = kinds[k]
+        g = k + 1
+        while g < j and x[g] == c:
+            low = min(low, kinds[g])
+            g += 1
+        if low < m:
+            # Steps 2(a)-(b): slab c holds a node fault or an
+            # intra-slab cut, so it recurses.
+            if m:
+                _level(cols, tops, lo, hi, k, g, m - 1, (c,) + suffix)
+            if start < c:
+                starts.append(start)
+                ends.append(c - 1)
+            start = c + 1
+        elif low == m:
+            starts.append(start)
+            ends.append(c)
+            start = c + 1
+        k = g
+    if start <= tops[m]:
+        starts.append(start)
+        ends.append(tops[m])
+    # Steps 2(c)-(d): fault-free slab runs, split at inter-slab cuts,
+    # spanning every position before m.
+    n = len(starts)
+    for t in range(m):
+        lo[t] += [0] * n
+        hi[t] += [tops[t]] * n
+    lo[m] += starts
+    hi[m] += ends
+    for t, c in enumerate(suffix, m + 1):
+        lo[t] += [c] * n
+        hi[t] += [c] * n
+
+
+def find_ses_partition(faults: FaultSet, pi: Ordering) -> Rects:
     """An SES partition for ``(F, pi)`` of size at most
-    ``(2d - 1) f + 1`` (Theorem 6.4).
+    ``(2d - 1) f + 1`` (Theorem 6.4), as one :class:`Rects`.
 
     Every returned rectangle is fault-free and the rectangles partition
     the good nodes.
@@ -159,7 +178,7 @@ def find_ses_partition(faults: FaultSet, pi: Ordering) -> List[Rect]:
     )
 
 
-def find_des_partition(faults: FaultSet, pi: Ordering) -> List[Rect]:
+def find_des_partition(faults: FaultSet, pi: Ordering) -> Rects:
     """A DES partition for ``(F, pi)``.
 
     Uses the duality of Lemma 6.2: a set is a DES for ``pi`` iff it is

@@ -35,6 +35,8 @@ from .serialization import (
 )
 from .regions import (
     Rect,
+    Rects,
+    as_rects,
     rect_intersection_matrix,
     rects_are_disjoint,
     rects_total_size,
@@ -48,6 +50,8 @@ __all__ = [
     "Link",
     "FaultSet",
     "Rect",
+    "Rects",
+    "as_rects",
     "random_node_faults",
     "random_link_faults",
     "rectangular_block",

@@ -9,16 +9,19 @@ node sets until a lamb set has been chosen (keeping the running time
 independent of the mesh size N).
 
 Bounds are integers: ``Rect`` rejects float and bool bounds with
-``TypeError`` rather than truncating them.  ``Rect.batch`` builds many
-rectangles from ``(m, d)`` integer bound arrays with one vectorized
-check, for producers such as Find-SES-Partition that emit hundreds of
-rectangles per call.
+``TypeError`` rather than truncating them.  A partition is a
+:class:`Rects`: ``Rect.batch`` validates its ``(m, d)`` integer bound
+arrays with one vectorized check and keeps them as read-only int64
+arrays, so Find-Reachability, Reduce-WVC and route materialization
+read a partition's corners without building a ``Rect`` per set.  A
+``Rect`` is built only when a caller indexes or iterates the sequence.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, List, Sequence, Tuple
+import operator
+from typing import Iterable, Iterator, List, Sequence, Tuple, Union, overload
 
 import numpy as np
 
@@ -26,6 +29,8 @@ from .geometry import Mesh, Node
 
 __all__ = [
     "Rect",
+    "Rects",
+    "as_rects",
     "corner_array",
     "rect_intersection_matrix",
     "rects_total_size",
@@ -90,12 +95,12 @@ class Rect:
         return cls(mesh, lo, hi)
 
     @classmethod
-    def batch(cls, mesh: Mesh, lo: np.ndarray, hi: np.ndarray) -> List["Rect"]:
+    def batch(cls, mesh: Mesh, lo: np.ndarray, hi: np.ndarray) -> "Rects":
         """Rectangles from ``(m, d)`` integer arrays of bounds, one per row.
 
         Validates all bounds at once with the rules of the constructor
-        (same ``TypeError`` / ``ValueError``), then builds the objects
-        without checking each one again.
+        (same ``TypeError`` / ``ValueError``) and returns them as one
+        :class:`Rects`, which builds no ``Rect`` until it is indexed.
 
         >>> m = Mesh((12, 12))
         >>> rects = Rect.batch(m, np.array([[0, 2]]), np.array([[11, 5]]))
@@ -105,7 +110,8 @@ class Rect:
         lo = np.asarray(lo)
         hi = np.asarray(hi)
         if lo.size == 0 and hi.size == 0:
-            return []
+            empty = np.empty((0, mesh.d), dtype=np.int64)
+            return Rects._wrap(mesh, empty, empty)
         for a in (lo, hi):
             if a.dtype.kind not in "iu":
                 raise TypeError(
@@ -120,16 +126,10 @@ class Rect:
                 f"invalid interval [{lo[i, j]}, {hi[i, j]}] "
                 f"in dimension {j} of {mesh}"
             )
-        out: List["Rect"] = []
-        new, append = object.__new__, out.append
-        # Zipping the columns yields each row as a tuple of Python ints.
-        for a, b in zip(zip(*lo.T.tolist()), zip(*hi.T.tolist())):
-            r = new(cls)
-            r.mesh = mesh
-            r.lo = a
-            r.hi = b
-            append(r)
-        return out
+        # Copies, so no caller keeps a writable alias of the corners.
+        return Rects._wrap(
+            mesh, np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64)
+        )
 
     @classmethod
     def single(cls, mesh: Mesh, node: Sequence[int]) -> "Rect":
@@ -207,6 +207,107 @@ class Rect:
         return hash((self.mesh, self.lo, self.hi))
 
 
+class Rects(Sequence[Rect]):
+    """An immutable sequence of rectangles of one mesh, stored as two
+    read-only, C-contiguous int64 ``(m, d)`` corner arrays ``lo`` and
+    ``hi`` (row ``i`` is rectangle ``i``).
+
+    Build one with :meth:`Rect.batch` (validated) or :func:`as_rects`.
+    It behaves like the list of its rectangles: ``len``, truthiness,
+    integer and slice indexing, iteration, ``==`` against a
+    ``list[Rect]`` and ``+`` (which returns a list).  Indexing and
+    iteration build each ``Rect`` on demand; array consumers read
+    ``lo``/``hi`` directly.  The arrays are read-only because callers
+    cache and share them (a partition's corners are its
+    Find-Reachability representatives).
+    """
+
+    __slots__ = ("mesh", "lo", "hi")
+
+    mesh: Mesh
+    lo: np.ndarray
+    hi: np.ndarray
+
+    @classmethod
+    def _wrap(cls, mesh: Mesh, lo: np.ndarray, hi: np.ndarray) -> "Rects":
+        """Trusted bounds (already validated) as a ``Rects``; ``lo`` and
+        ``hi`` must not be aliased by a writer."""
+        out = object.__new__(cls)
+        out.mesh = mesh
+        out.lo = np.ascontiguousarray(lo, dtype=np.int64)
+        out.hi = np.ascontiguousarray(hi, dtype=np.int64)
+        out.lo.flags.writeable = False
+        out.hi.flags.writeable = False
+        return out
+
+    def take(self, indices: Union[Sequence[int], np.ndarray]) -> "Rects":
+        """The rectangles at ``indices``, in that order."""
+        return Rects._wrap(self.mesh, self.lo[indices], self.hi[indices])
+
+    def __len__(self) -> int:
+        return len(self.lo)
+
+    @overload
+    def __getitem__(self, i: int) -> Rect: ...
+
+    @overload
+    def __getitem__(self, i: slice) -> "Rects": ...
+
+    def __getitem__(self, i: Union[int, slice]) -> Union[Rect, "Rects"]:
+        if isinstance(i, slice):
+            return Rects._wrap(self.mesh, self.lo[i], self.hi[i])
+        i = operator.index(i)
+        return self._rect(tuple(self.lo[i].tolist()), tuple(self.hi[i].tolist()))
+
+    def __iter__(self) -> Iterator[Rect]:
+        rect = self._rect
+        for a, b in zip(self.lo.tolist(), self.hi.tolist()):
+            yield rect(tuple(a), tuple(b))
+
+    def _rect(self, lo: Tuple[int, ...], hi: Tuple[int, ...]) -> Rect:
+        r = object.__new__(Rect)
+        r.mesh = self.mesh
+        r.lo = lo
+        r.hi = hi
+        return r
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Rects):
+            return (
+                self.mesh == other.mesh
+                and np.array_equal(self.lo, other.lo)
+                and np.array_equal(self.hi, other.hi)
+            )
+        if isinstance(other, list):
+            return len(other) == len(self) and all(
+                a == b for a, b in zip(self, other)
+            )
+        return NotImplemented
+
+    def __add__(self, other: Sequence[Rect]) -> List[Rect]:
+        return [*self, *other]
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"Rects({list(self)!r})"
+
+
+def as_rects(rects: Sequence[Rect]) -> Rects:
+    """``rects`` as a :class:`Rects`: itself if it is one, else the
+    list's corners (each ``Rect`` validated its own bounds).  A plain
+    list must be nonempty, since its mesh comes from its first
+    rectangle."""
+    if isinstance(rects, Rects):
+        return rects
+    if not rects:
+        raise ValueError("an empty list of rectangles has no mesh")
+    mesh = rects[0].mesh
+    return Rects._wrap(
+        mesh,
+        corner_array((r.lo for r in rects), mesh.d),
+        corner_array((r.hi for r in rects), mesh.d),
+    )
+
+
 # ----------------------------------------------------------------------
 # Vectorized helpers over collections of rectangles
 # ----------------------------------------------------------------------
@@ -220,7 +321,9 @@ def corner_array(corners: Iterable[Sequence[int]], d: int) -> np.ndarray:
 def rect_intersection_matrix(
     rows: Sequence[Rect], cols: Sequence[Rect]
 ) -> np.ndarray:
-    """Boolean matrix ``I[i, j] = (rows[i] ∩ cols[j] != ∅)``.
+    """Boolean matrix ``I[i, j] = (rows[i] ∩ cols[j] != ∅)``, from the
+    corner arrays of two :class:`Rects` (a list goes through
+    :func:`as_rects`).
 
     This is the intersection matrix ``I_t`` of Find-Reachability
     (Fig. 12, step 2).  Two rectangles meet iff their intervals meet in
@@ -243,16 +346,15 @@ def rect_intersection_matrix(
     p, q = len(rows), len(cols)
     if not p or not q:
         return np.zeros((p, q), dtype=bool)
-    mesh = rows[0].mesh
-    d = mesh.d
+    rows, cols = as_rects(rows), as_rects(cols)
+    mesh = rows.mesh
     # (d, count) bound vectors.  The column side, which every class is
     # compared against, is C-ordered in the narrowest dtype holding a
     # coordinate; the row side stays int64 for its class keys.
     dtype = np.min_scalar_type(max(mesh.widths))
-    rlo = corner_array((r.lo for r in rows), d).T
-    rhi = corner_array((r.hi for r in rows), d).T
-    clo = corner_array((c.lo for c in cols), d).T.astype(dtype, order="C")
-    chi = corner_array((c.hi for c in cols), d).T.astype(dtype, order="C")
+    rlo, rhi = rows.lo.T, rows.hi.T
+    clo = cols.lo.T.astype(dtype, order="C")
+    chi = cols.hi.T.astype(dtype, order="C")
     out = np.full((p, (q + 7) // 8), 0xFF, dtype=np.uint8)
     for j, span in enumerate(mesh.widths):
         # Distinct row intervals of dimension j, keyed lo * span + hi.

@@ -49,7 +49,7 @@ from typing import (
 import numpy as np
 
 from ..mesh.geometry import Mesh, Node
-from ..mesh.regions import Rect, corner_array
+from ..mesh.regions import Rect, Rects, as_rects, corner_array
 from .dor import dor_path
 from .ordering import KRoundOrdering
 
@@ -81,8 +81,10 @@ class ReachIndex:
     mesh, orderings:
         The machine and its k-round discipline.
     ses, des:
-        ``ses[t]`` / ``des[t]`` are round ``t``'s SES / DES partitions
-        (rounds with the same ordering share one list).
+        ``ses[t]`` / ``des[t]`` are round ``t``'s SES / DES partitions,
+        each a :class:`~repro.mesh.regions.Rects` whose ``lo``/``hi``
+        corner arrays the index reads directly (rounds with the same
+        ordering share one partition).
     reach:
         The Find-Reachability matrices: ``R_t``, ``I_t`` and the
         partial products ``R^(r)``.
@@ -90,22 +92,22 @@ class ReachIndex:
         Wall-clock seconds of the ``partition`` and ``reachability``
         phases that built the index.
 
-    Corner arrays (and their column form) and candidate boxes are
-    built on first use, so a lamb run that materializes no route pays
-    nothing for them.
+    The corners' column form and the candidate boxes are built on
+    first use, so a lamb run that materializes no route pays nothing
+    for them.
     """
 
     __slots__ = (
         "mesh", "orderings", "ses", "des", "reach", "timings",
-        "_corners", "_columns", "_boxes",
+        "_columns", "_boxes",
     )
 
     def __init__(
         self,
         mesh: Mesh,
         orderings: KRoundOrdering,
-        ses: Sequence[Sequence[Rect]],
-        des: Sequence[Sequence[Rect]],
+        ses: Sequence[Rects],
+        des: Sequence[Rects],
         reach: ReachMatrices,
         timings: Optional[Dict[str, float]] = None,
     ) -> None:
@@ -116,23 +118,12 @@ class ReachIndex:
         self.reach = reach
         self.timings: Dict[str, float] = dict(timings or {})
         # Keyed by partition identity, so rounds sharing a partition
-        # share its arrays; ``ses``/``des`` keep the partitions alive,
-        # so an id is never reused while cached.
-        self._corners: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        self._columns: Dict[int, Tuple[np.ndarray, ...]] = {}
+        # share its arrays; each entry keeps its partition alive, so an
+        # id is never reused while cached.
+        self._columns: Dict[
+            int, Tuple[Sequence[Rect], np.ndarray, np.ndarray, np.ndarray]
+        ] = {}
         self._boxes: Dict[int, Tuple[np.ndarray, ...]] = {}
-
-    def corners(self, rects: Sequence[Rect]) -> Tuple[np.ndarray, np.ndarray]:
-        """``(m, d)`` lo and hi corner arrays of one of the index's
-        partitions."""
-        key = id(rects)
-        if key not in self._corners:
-            d = self.mesh.d
-            self._corners[key] = (
-                corner_array((r.lo for r in rects), d),
-                corner_array((r.hi for r in rects), d),
-            )
-        return self._corners[key]
 
     def locate(self, rects: Sequence[Rect], points: np.ndarray) -> np.ndarray:
         """Index of the rectangle of ``rects`` holding each row of the
@@ -145,14 +136,16 @@ class ReachIndex:
         holds, so ``argmax`` alone finds each point's rectangle."""
         key = id(rects)
         if key not in self._columns:
-            lo, hi = self.corners(rects)
+            corners = as_rects(rects)
+            lo, hi = corners.lo, corners.hi
             end = np.iinfo(np.int64).max
             self._columns[key] = (
+                rects,
                 np.hstack((lo.T, np.full((lo.shape[1], 1), -end))),
                 np.hstack((hi.T, np.full((hi.shape[1], 1), end))),
                 np.append(np.arange(len(lo)), -1),
             )
-        lo, hi, ids = self._columns[key]
+        _, lo, hi, ids = self._columns[key]
         x = points[:, :1]
         hit = (lo[0] <= x) & (x <= hi[0])
         for c in range(1, len(lo)):
@@ -181,12 +174,11 @@ class ReachIndex:
         ``(lo, hi)`` corners."""
         if t not in self._boxes:
             j, i = np.nonzero(self.reach.intersection_matrices[t])
-            d_lo, d_hi = self.corners(self.des[t])
-            s_lo, s_hi = self.corners(self.ses[t + 1])
+            des, ses = self.des[t], self.ses[t + 1]
             self._boxes[t] = (
                 j, i,
-                np.maximum(d_lo[j], s_lo[i]),
-                np.minimum(d_hi[j], s_hi[i]),
+                np.maximum(des.lo[j], ses.lo[i]),
+                np.minimum(des.hi[j], ses.hi[i]),
             )
         return self._boxes[t]
 

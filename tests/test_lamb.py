@@ -1,5 +1,7 @@
 """Tests for the lamb algorithms (repro.core.lamb)."""
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -228,6 +230,28 @@ class TestRectWeights:
         values = {(0, 0): 0.5, (3, 4): bad, (5, 5): 2.0}
         with pytest.raises(ValueError, match=r"value of \(3, 4\) must lie"):
             _rect_weights(find_ses_partition(paper_faults, xy()), values)
+
+
+class TestNoCyclicGarbage:
+    """A lamb run frees everything it drops by reference counting: it
+    leaves no reference cycle for the collector (the partition
+    recursion used to leave one per call)."""
+
+    @pytest.mark.parametrize("dims, width, f", [(2, 12, 3), (3, 16, 60)])
+    def test_find_lamb_set_leaves_no_cycles(self, dims, width, f):
+        mesh = Mesh.square(dims, width)
+        faults = random_node_faults(mesh, f, np.random.default_rng(35))
+        orderings = repeated(xyz() if dims == 3 else xy(), 2)
+        find_lamb_set(faults, orderings)  # first-call caches
+        gc.collect()
+        gc.disable()
+        try:
+            result = find_lamb_set(faults, orderings)
+            assert gc.collect() == 0
+            del result
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestHypercube:

@@ -1,14 +1,25 @@
 """Tests for repro.mesh.regions (rectangle abbreviations)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import find_des_partition, find_ses_partition
+from repro.core import (
+    build_reach_index,
+    find_des_partition,
+    find_lamb_set,
+    find_ses_partition,
+)
+from repro.core.lamb import _rect_weights
 from repro.mesh import (
+    FaultSet,
     Mesh,
     Rect,
+    Rects,
+    as_rects,
     random_link_faults,
     random_node_faults,
     rect_intersection_matrix,
@@ -16,7 +27,7 @@ from repro.mesh import (
     rects_total_size,
 )
 from repro.mesh.regions import corner_array
-from repro.routing import Ordering, reachindex
+from repro.routing import Ordering, reachindex, repeated, xy, xyz
 
 from conftest import small_meshes
 
@@ -270,3 +281,159 @@ class TestHelpers:
         assert np.array_equal(got, [[5, 3, 299], [5, 6, 0]])
         assert corner_array([], 3).shape == (0, 3)
         assert reachindex.corner_array is corner_array
+
+
+def _partition_pair():
+    """An SES and a DES partition of M3(16) with node and directed link
+    faults, plus the fault set."""
+    mesh = Mesh.square(3, 16)
+    rng = np.random.default_rng(35)
+    faults = random_node_faults(mesh, 30, rng).with_links_as_faults(
+        random_link_faults(mesh, 12, rng).link_faults
+    )
+    pi = Ordering((1, 0, 2))
+    return faults, find_ses_partition(faults, pi), find_des_partition(faults, pi)
+
+
+class TestRects:
+    """A partition is a ``Rects``: corner arrays that behave like the
+    list of their rectangles wherever callers use that list."""
+
+    def test_list_operations(self):
+        _, ses, des = _partition_pair()
+        assert isinstance(ses, Rects) and isinstance(des, Rects)
+        listed = list(ses)
+        assert all(type(r) is Rect for r in listed)
+        assert len(ses) == len(listed) > 8 and bool(ses)
+        assert ses == listed and listed == ses
+        assert ses != listed[:-1] and ses != listed[::-1]
+        assert ses[0] == listed[0] and ses[-1] == listed[-1]
+        assert ses[np.int64(3)] == listed[3]
+        for key in (slice(2, 7), slice(None, None, 3), slice(-4, None)):
+            assert ses[key] == listed[key]
+            assert isinstance(ses[key], Rects)
+        with pytest.raises(IndexError):
+            ses[len(ses)]
+        assert [r.lo for r in ses] == [r.lo for r in listed]
+        assert all(type(x) is int for r in ses for x in r.lo + r.hi)
+        both = ses + des
+        assert type(both) is list and both == listed + list(des)
+        assert ses + list(des) == both
+        assert listed[4] in ses and ses.index(listed[4]) == 4
+
+    def test_empty(self):
+        mesh = Mesh((4, 4))
+        faults = FaultSet(mesh, list(mesh.nodes()))
+        ses = find_ses_partition(faults, xy())
+        assert isinstance(ses, Rects) and len(ses) == 0 and not ses
+        assert ses == [] and list(ses) == [] and ses.lo.shape == (0, 2)
+
+    def test_corners_are_read_only_int64(self):
+        """A partition's corners are cached and shared between rounds
+        (they are Find-Reachability's representatives), so no caller
+        may write them."""
+        _, ses, _ = _partition_pair()
+        for part in (ses, ses[1:5], ses[::2], ses.take([3, 0, 3])):
+            for corners in (part.lo, part.hi):
+                assert corners.dtype == np.int64
+                assert corners.flags.c_contiguous
+                with pytest.raises(ValueError, match="read-only"):
+                    corners[0, 0] = 1
+        with pytest.raises(AttributeError):
+            ses.extra = 1
+
+    def test_batch_copies_its_input(self):
+        mesh = Mesh((6, 6))
+        lo = np.array([[0, 1], [2, 2]], dtype=np.int64)
+        hi = np.array([[1, 5], [3, 2]], dtype=np.int64)
+        rects = Rect.batch(mesh, lo, hi)
+        lo[0, 0] = 1
+        assert lo.flags.writeable and rects[0].lo == (0, 1)
+
+    def test_take(self):
+        _, ses, _ = _partition_pair()
+        idx = np.array([5, 0, 5, 2])
+        assert ses.take(idx) == [ses[i] for i in idx.tolist()]
+
+    def test_as_rects(self):
+        _, ses, _ = _partition_pair()
+        assert as_rects(ses) is ses
+        rebuilt = as_rects(list(ses))
+        assert isinstance(rebuilt, Rects) and rebuilt == ses
+        assert not rebuilt.hi.flags.writeable
+        with pytest.raises(ValueError, match="no mesh"):
+            as_rects([])
+
+
+class TestRectsListParity:
+    """Every array consumer gives the same answer for a ``Rects`` and
+    for the equal ``list[Rect]``."""
+
+    def test_intersection_matrix(self):
+        _, ses, des = _partition_pair()
+        want = rect_intersection_matrix(des, ses)
+        assert np.array_equal(rect_intersection_matrix(list(des), list(ses)), want)
+        assert np.array_equal(rect_intersection_matrix(des, list(ses)), want)
+        assert np.array_equal(rect_intersection_matrix(list(des), ses), want)
+
+    def test_rect_weights(self):
+        faults, ses, des = _partition_pair()
+        good = faults.good_nodes()
+        rng = np.random.default_rng(7)
+        values = {good[i]: float(rng.random())
+                  for i in rng.choice(len(good), size=40, replace=False)}
+        for part in (ses, des, ses.take(np.arange(0, len(ses), 3))):
+            for vals in (values, {}):
+                assert _rect_weights(part, vals) == _rect_weights(list(part), vals)
+
+    def test_locate(self):
+        faults, _, _ = _partition_pair()
+        index = build_reach_index(faults, repeated(xyz(), 2))
+        points = np.array(list(faults.mesh.nodes()), dtype=np.int64)
+        for part in (index.ses[0], index.des[-1]):
+            got = index.locate(part, points)
+            assert np.array_equal(index.locate(list(part), points), got)
+            faulty = np.array([faults.node_is_faulty(v) for v in map(tuple, points)])
+            assert np.array_equal(got < 0, faulty)
+
+
+#: Workload name -> (d, width, fault-set tag) of the fig26 benchmark points.
+FIG26 = {"fig26_3d": (3, 32, 2603), "fig26_2d": (2, 181, 2602)}
+
+
+def _fig26_digest(workload, seed, configs=4):
+    """sha256 over R^(k), the chosen sets and the lamb set of the first
+    ``configs`` seeded fault sets of a fig26 point (1.5 % node faults,
+    two rounds of XYZ or XY)."""
+    dims, width, tag = FIG26[workload]
+    mesh = Mesh.square(dims, width)
+    f = max(1, int(round(mesh.num_nodes * 1.5 / 100.0)))
+    orderings = repeated(xyz() if dims == 3 else xy(), 2)
+    rng = np.random.default_rng([seed, tag])
+    digest = hashlib.sha256()
+    for _ in range(configs):
+        result = find_lamb_set(random_node_faults(mesh, f, rng), orderings)
+        Rk = result.reach.Rk
+        digest.update(repr(Rk.shape).encode())
+        digest.update(np.packbits(Rk).tobytes())
+        digest.update(repr((result.chosen_ses, result.chosen_des,
+                            sorted(result.lambs))).encode())
+    return digest.hexdigest()
+
+
+class TestFig26Digest:
+    """Lamb1's outputs on the benchmark's fault sets, pinned by digests
+    taken from the list-of-``Rect`` partitions that ``Rects`` replaced."""
+
+    @pytest.mark.parametrize("workload, seed, want", [
+        ("fig26_3d", 1,
+         "1dade716d081ec0cb399f00b9b49f9777375323583283b576290beb43e6eba87"),
+        ("fig26_3d", 701,
+         "2fffadf1d3fcd5c38c5f60ab01123e2999b3c5590ca521448462d918d140b63f"),
+        ("fig26_2d", 1,
+         "746fd634e89e4a5e7914555895566d264267040aad58da02f64b0ffa823d9e1e"),
+        ("fig26_2d", 701,
+         "521491f5d8196d678ba1c963d61350a1e59be0662bdddb1bd42ab860629d2278"),
+    ])
+    def test_outputs_unchanged(self, workload, seed, want):
+        assert _fig26_digest(workload, seed) == want
