@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast bench bench-json bench-check experiments examples smoke lint analyze concurrency clean
+.PHONY: install test test-fast bench bench-json bench-check experiments examples smoke lint analyze clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -49,8 +49,6 @@ lint:
 	then ruff check src tests; \
 	else echo "ruff not installed; skipping (CI runs it)"; fi
 	PYTHONPATH=src $(PYTHON) -m repro analyze src
-	PYTHONPATH=src $(PYTHON) -m repro analyze --concurrency src \
-	    --baseline concurrency_baseline.json
 	@if $(PYTHON) -c "import mypy" 2>/dev/null; \
 	then PYTHONPATH=src $(PYTHON) -m mypy -p repro.routing -p repro.graphs \
 	    -p repro.service -p repro.core.routing_table -p repro.obs \
@@ -60,14 +58,6 @@ lint:
 # Just the domain lint suite.
 analyze:
 	PYTHONPATH=src $(PYTHON) -m repro analyze src
-
-# The interprocedural concurrency pass (REP201, REP202, REP204,
-# REP205) over the tree, gated by the committed suppression baseline:
-# new findings AND stale baseline entries both fail, so the baseline
-# can neither silently grow nor rot.
-concurrency:
-	PYTHONPATH=src $(PYTHON) -m repro analyze --concurrency src \
-	    --baseline concurrency_baseline.json
 
 clean:
 	rm -rf .pytest_cache .hypothesis src/repro.egg-info

@@ -1,6 +1,6 @@
 """Static verification layer.
 
-Three prongs, all run *before* any simulation cycle:
+Two prongs, both run *before* any simulation cycle:
 
 - :mod:`repro.analysis.static.cdg` — the channel-dependency-graph
   deadlock prover.  Builds the extended Dally–Seitz CDG for a
@@ -9,14 +9,8 @@ Three prongs, all run *before* any simulation cycle:
   counterexample artifact.
 - :mod:`repro.analysis.static.lint` — the AST-based domain lint
   engine behind ``repro analyze`` / ``make lint``, with rules for
-  unseeded randomness, hash-order-dependent iteration, mutable default
-  arguments and bare ``except`` (see :mod:`repro.analysis.static.rules`).
-- :mod:`repro.analysis.static.concurrency` — the interprocedural
-  concurrency-soundness pass behind ``repro analyze --concurrency``:
-  lock-order deadlock certificates (REP201), asyncio blocking-call
-  detection (REP202), lock-held-across-await (REP204) and unguarded
-  shared writes (REP205), sharing the CDG prover's minimal-cycle search
-  (:mod:`repro.analysis.static.cycles`).
+  unseeded randomness, hash-order-dependent iteration and mutable
+  default arguments (see :mod:`repro.analysis.static.rules`).
 """
 
 from .cdg import (
@@ -28,18 +22,9 @@ from .cdg import (
     find_dependency_cycle,
     prove_deadlock_free,
 )
-from .concurrency import (
-    ConcurrencyFinding,
-    ConcurrencyReport,
-    LockOrderCycle,
-    analyze_concurrency,
-    analyze_sources,
-    apply_baseline,
-    load_baseline,
-)
 from .cycles import find_minimal_cycle
 from .lint import LintEngine, Violation, analyze_paths
-from .rules import ALL_RULES, CONCURRENCY_RULES, KNOWN_RULE_IDS, LintRule
+from .rules import ALL_RULES, KNOWN_RULE_IDS, LintRule
 
 __all__ = [
     "CdgReport",
@@ -50,18 +35,10 @@ __all__ = [
     "find_dependency_cycle",
     "find_minimal_cycle",
     "prove_deadlock_free",
-    "ConcurrencyFinding",
-    "ConcurrencyReport",
-    "LockOrderCycle",
-    "analyze_concurrency",
-    "analyze_sources",
-    "apply_baseline",
-    "load_baseline",
     "LintEngine",
     "Violation",
     "analyze_paths",
     "ALL_RULES",
-    "CONCURRENCY_RULES",
     "KNOWN_RULE_IDS",
     "LintRule",
 ]

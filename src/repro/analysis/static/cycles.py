@@ -1,21 +1,17 @@
 """Generic minimal-cycle search over dependency graphs.
 
-Both static provers in this package reduce their soundness question to
-"is this dependency graph acyclic, and if not, what is a *minimal*
-cycle I can show the user?":
+The CDG deadlock prover (:mod:`repro.analysis.static.cdg`) reduces its
+soundness question to "is this dependency graph acyclic, and if not,
+what is a *minimal* cycle I can show the user?", asked of the
+channel-dependency graph (nodes are ``(src, dst, vc)`` channels).
 
-- :mod:`repro.analysis.static.cdg` asks it of the channel-dependency
-  graph (nodes are ``(src, dst, vc)`` channels);
-- :mod:`repro.analysis.static.concurrency` asks it of the
-  lock-acquisition-order graph (nodes are lock identities).
-
-The algorithm is shared here: Kahn's algorithm peels the acyclic
-fringe (every node that can be topologically removed is provably on no
-cycle), then a BFS from each surviving node of the cyclic core — capped
-at :data:`MINIMIZE_SOURCES_CAP` deterministically-chosen sources —
-finds the globally shortest cycle through any of them.  The result is
-a *certificate*: replaying the returned node sequence through the
-graph's edges witnesses the cycle.
+The search is generic over the node type.  Kahn's algorithm peels
+the acyclic fringe (every node that can be topologically removed is
+provably on no cycle), then a BFS from each surviving node of the
+cyclic core — capped at :data:`MINIMIZE_SOURCES_CAP`
+deterministically-chosen sources — finds the globally shortest cycle
+through any of them.  The result is a *certificate*: replaying the
+returned node sequence through the graph's edges witnesses the cycle.
 """
 
 from __future__ import annotations

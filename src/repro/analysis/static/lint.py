@@ -2,7 +2,7 @@
 
 Parses each file once, runs every :class:`~repro.analysis.static.rules.LintRule`
 over the AST, filters suppressed findings (``# noqa`` /
-``# noqa: REP101,REP104`` on the flagged line), and reports
+``# noqa: REP101,REP103`` on the flagged line), and reports
 deterministically sorted violations.
 
 Usage::
@@ -56,9 +56,7 @@ def line_suppresses(line: str, rule_id: str) -> bool:
     """Whether ``line`` carries a ``# noqa`` pragma covering ``rule_id``.
 
     A bare ``# noqa`` silences every rule on its line; a code list
-    (``# noqa: REP101,REP104``) silences exactly the named rules.  The
-    concurrency analyzer reuses this predicate so REP2xx findings obey
-    the same pragma grammar as the single-file rules.
+    (``# noqa: REP101,REP103``) silences exactly the named rules.
     """
     m = _NOQA_RE.search(line)
     if m is None:
@@ -68,10 +66,6 @@ def line_suppresses(line: str, rule_id: str) -> bool:
         return True  # bare ``# noqa`` silences every rule
     wanted = {c.strip().upper() for c in codes.split(",") if c.strip()}
     return rule_id.upper() in wanted
-
-
-# Backwards-compatible private alias (pre-REP2xx name).
-_suppressed = line_suppresses
 
 
 def _unknown_noqa_codes(line: str) -> List[str]:
@@ -94,8 +88,7 @@ def _unknown_noqa_codes(line: str) -> List[str]:
 
 def iter_python_files(paths: Iterable[str]) -> List[str]:
     """Expand files and/or directory trees into a deterministic,
-    duplicate-free list of ``.py`` paths (shared by the lint engine and
-    the concurrency analyzer so both walk identically)."""
+    duplicate-free list of ``.py`` paths."""
     out: List[str] = []
     seen = set()
     for target in paths:

@@ -14,12 +14,10 @@ REP102  Hash-order-dependent iteration: iterating (or materializing)
         path (route cache, frontier worklist, stats aggregation).
 REP103  Mutable default argument (``def f(x=[])``): shared across
         calls, a classic aliasing bug.
-REP104  Bare ``except:``: swallows ``KeyboardInterrupt`` and
-        ``SystemExit`` and hides typed simulator failures.
 ======  ==============================================================
 
 Suppression: append ``# noqa`` (all rules) or ``# noqa: REP102`` /
-``# noqa: REP101,REP104`` to the flagged line.
+``# noqa: REP101,REP103`` to the flagged line.
 """
 
 from __future__ import annotations
@@ -369,75 +367,17 @@ class MutableDefaultRule(LintRule):
                     )
 
 
-# ----------------------------------------------------------------------
-# REP104 — bare except
-# ----------------------------------------------------------------------
-class BareExceptRule(LintRule):
-    id = "REP104"
-    name = "bare-except"
-    description = "bare except swallows SystemExit/KeyboardInterrupt"
-
-    def check(self, tree: ast.AST, path: str) -> Iterator[Violation]:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ExceptHandler) and node.type is None:
-                yield self._v(
-                    path, node,
-                    "bare except catches SystemExit/KeyboardInterrupt and "
-                    "hides typed simulator failures; name the exception",
-                )
-
-
 ALL_RULES: Tuple[LintRule, ...] = (
     UnseededRandomRule(),
     HashOrderIterationRule(),
     MutableDefaultRule(),
-    BareExceptRule(),
-)
-
-#: The concurrency-soundness rule catalog (REP2xx).  These rules need
-#: whole-program context (a call graph, lock identities, class models)
-#: that the single-file :class:`LintRule` protocol cannot express, so
-#: they are implemented by the interprocedural analyzer in
-#: :mod:`repro.analysis.static.concurrency` — but they share this
-#: module's id space, ``# noqa`` machinery, and finding shape.
-CONCURRENCY_RULES: Tuple[Tuple[str, str, str], ...] = (
-    (
-        "REP201",
-        "lock-order-cycle",
-        "two code paths acquire the same locks in opposite orders; the "
-        "analyzer emits the minimal acquisition cycle as a certificate",
-    ),
-    (
-        "REP202",
-        "async-blocking-call",
-        "a blocking call (time.sleep, sync file/socket IO, subprocess, "
-        "Lock.acquire) is reachable from an async def without an "
-        "executor handoff; it stalls the whole event loop",
-    ),
-    (
-        "REP204",
-        "lock-held-across-await",
-        "an async def awaits while holding a threading lock; every "
-        "other task (and thread) contending for the lock stalls for "
-        "the full suspension",
-    ),
-    (
-        "REP205",
-        "unguarded-shared-write",
-        "an attribute written under a lock elsewhere in the class is "
-        "also written with no lock held; the unguarded write races",
-    ),
 )
 
 #: Every rule id the suite can emit (``REP000`` = unparsable file).
 #: ``# noqa: REPxxx`` pragmas naming ids outside this set are reported
 #: as warnings by the lint engine — a typo'd pragma suppresses nothing
 #: and should not pass silently.
-KNOWN_RULE_IDS = frozenset(
-    {"REP000"}
-    | {rule.id for rule in ALL_RULES}
-    | {rule_id for rule_id, _name, _desc in CONCURRENCY_RULES}
-)
+KNOWN_RULE_IDS = frozenset({"REP000"} | {rule.id for rule in ALL_RULES})
 
 
 def rule_by_id(rule_id: str) -> LintRule:
@@ -463,5 +403,4 @@ SEEDED_FIXTURES = {
     "REP101": "import numpy as np\nx = np.random.rand(3)\n",
     "REP102": "out = [v for v in {1, 2, 3}]\n",
     "REP103": "def f(items=[]):\n    return items\n",
-    "REP104": "try:\n    pass\nexcept:\n    pass\n",
 }

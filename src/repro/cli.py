@@ -390,20 +390,15 @@ def cmd_analyze(args) -> int:
     import sys
 
     from .analysis.static.lint import LintEngine, format_violations
-    from .analysis.static.rules import ALL_RULES, CONCURRENCY_RULES
+    from .analysis.static.rules import ALL_RULES
 
     if args.list_rules:
         for rule in ALL_RULES:
             print(f"{rule.id}  {rule.name}")
             print(f"        {rule.description}")
-        for rule_id, name, description in CONCURRENCY_RULES:
-            print(f"{rule_id}  {name}")
-            print(f"        {description}")
         return 0
     if not args.paths:
         raise SystemExit("give at least one file or directory to analyze")
-    if args.concurrency:
-        return _analyze_concurrency(args)
     engine = LintEngine()
     violations = engine.check_paths(args.paths)
     for warning in engine.warnings:
@@ -414,48 +409,6 @@ def cmd_analyze(args) -> int:
         n = len(violations)
         print(f"{n} violation(s)" if n else "clean: no violations")
     return 1 if violations else 0
-
-
-def _analyze_concurrency(args) -> int:
-    """``repro analyze --concurrency``: the interprocedural REP2xx
-    pass, with optional baseline gating and JSON artifact output."""
-    import json as _json
-
-    from .analysis.static.concurrency import (
-        analyze_concurrency,
-        apply_baseline,
-        load_baseline,
-    )
-
-    report = analyze_concurrency(args.paths)
-    if args.out:
-        report.write_artifact(args.out)
-    findings = list(report.findings)
-    stale = []
-    if args.baseline:
-        entries = load_baseline(args.baseline)
-        findings, stale = apply_baseline(findings, entries)
-    if args.format == "json":
-        payload = report.to_dict()
-        payload["new_findings"] = [f.to_dict() for f in findings]
-        payload["stale_suppressions"] = stale
-        print(_json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(report.describe())
-        if args.baseline:
-            print(
-                f"baseline: {len(report.findings) - len(findings)} "
-                f"suppressed, {len(findings)} new, {len(stale)} stale"
-            )
-            for f in findings:
-                print(f"NEW {f.render()}")
-            for entry in stale:
-                print(
-                    "STALE suppression "
-                    f"{entry['rule']} {entry['path']} {entry['symbol']}"
-                )
-    failed = bool(findings) or bool(stale) or bool(report.cycles)
-    return 1 if failed else 0
 
 
 def cmd_prove(args) -> int:
@@ -531,7 +484,7 @@ def cmd_serve(args) -> int:
     rc = asyncio.run(_run())
     # The metrics snapshot is written after the loop has exited: the
     # counters are final once the server drains, and a sync open() in
-    # the async body would stall the loop (REP202: async-blocking-call).
+    # the async body would stall the loop.
     if args.metrics_json:
         snapshot = {
             "stats": compiler.metrics.snapshot(),
@@ -756,16 +709,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--list-rules", action="store_true",
                    help="print the rule catalog and exit")
-    p.add_argument("--concurrency", action="store_true",
-                   help="run the interprocedural concurrency pass "
-                   "(REP201, REP202, REP204, REP205) instead of the "
-                   "per-file lint rules")
-    p.add_argument("--baseline", default=None,
-                   help="suppression baseline JSON for --concurrency; "
-                   "new findings AND stale entries both fail the gate")
-    p.add_argument("--out", default=None,
-                   help="write the --concurrency report artifact "
-                   "(JSON) to this path")
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser(

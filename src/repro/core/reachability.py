@@ -110,12 +110,11 @@ def one_round_reachability_matrix(
     pi: Ordering,
     sources: np.ndarray,
     dests: np.ndarray,
-    validate: bool = True,
 ) -> np.ndarray:
     """Boolean matrix ``R[i, l] = sources[i] can (F, pi)-reach dests[l]``.
 
     ``sources`` and ``dests`` are ``(p, d)`` / ``(q, d)`` integer arrays
-    of *good* nodes (checked when ``validate`` is True); any other
+    of *good* nodes (a faulty one raises ``ValueError``); any other
     dtype raises ``TypeError``.
 
     Segment ``t`` of the route runs along ``j = pi[t]`` on the line
@@ -143,7 +142,7 @@ def one_round_reachability_matrix(
     S = _int_reps(sources, d, "sources")
     D = _int_reps(dests, d, "dests")
     p, q = S.shape[0], D.shape[0]
-    if validate and (p or q):
+    if p or q:
         faulty = np.fromiter(index.faults.node_fault_indices(), dtype=np.int64)
         hit = np.isin(mesh.indices_of(np.concatenate((S, D))), faulty)
         if hit.any():

@@ -198,8 +198,7 @@ class RouteQueryServer:
         else:
             self.orphaned_compiles = 0
         # Persisting the warmed table hits the disk tier of the store;
-        # hand it to a worker thread so the drain never blocks the loop
-        # (REP202: async-blocking-call).
+        # hand it to a worker thread so the drain never blocks the loop.
         await loop.run_in_executor(None, self.compiler.persist_current)
 
     # ------------------------------------------------------------------

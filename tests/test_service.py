@@ -10,6 +10,8 @@ leaving no orphaned compile work behind.
 from __future__ import annotations
 
 import asyncio
+import json
+import logging
 import threading
 import time
 from typing import Any, Awaitable, Callable, Dict, List, Tuple
@@ -17,8 +19,10 @@ from typing import Any, Awaitable, Callable, Dict, List, Tuple
 import numpy as np
 import pytest
 
+from repro import cli
 from repro.mesh import FaultSet, Mesh
 from repro.mesh.serialization import faults_to_dict
+from repro.obs import use_registry
 from repro.routing import ascending, repeated, xy
 from repro.service import (
     MalformedRequestError,
@@ -204,6 +208,85 @@ class TestLifecycle:
         artifact, source = fresh.compile(faults)
         assert source == "store"
         assert artifact.digest == digest
+
+
+# ----------------------------------------------------------------------
+# Nothing blocks the event loop
+# ----------------------------------------------------------------------
+class TestEventLoopStaysFree:
+    def test_lifecycle_logs_no_slow_callback_in_debug_mode(self, caplog):
+        """asyncio's debug mode logs every callback that runs longer
+        than ``slow_callback_duration``.  The drain's persist sleeps
+        twice that long, so only the executor hand-off keeps the loop
+        free through start, compile, a query batch and the drain."""
+        faults = _base_faults()
+        persisted: List[int] = []
+
+        async def main() -> int:
+            asyncio.get_running_loop().slow_callback_duration = 0.2
+            compiler = _compiler()
+
+            def slow_persist() -> None:
+                time.sleep(0.4)
+                persisted.append(compiler.current_epoch)
+
+            compiler.persist_current = slow_persist  # type: ignore[method-assign]
+            server = RouteQueryServer(compiler)
+            host, port = await server.start()
+            async with await RouteQueryClient.connect(
+                host, port, default_timeout=30.0
+            ) as client:
+                compiled = await client.compile(faults)
+                replies = await client.query_batch(
+                    _survivor_pairs(faults, compiled, 100),
+                    epoch=compiled["epoch"],
+                )
+                assert [r["ok"] for r in replies] == [True] * 100
+            await server.stop()
+            return server.orphaned_compiles
+
+        with caplog.at_level(logging.WARNING, logger="asyncio"):
+            assert asyncio.run(main(), debug=True) == 0
+        slow = [
+            r.getMessage() for r in caplog.records
+            if r.name == "asyncio" and r.getMessage().startswith("Executing")
+        ]
+        assert slow == []
+        assert persisted == [0]
+
+    def test_serve_writes_metrics_json_after_the_loop_exits(
+        self, tmp_path, monkeypatch
+    ):
+        """``repro serve --metrics-json`` opens the file only once
+        ``asyncio.run`` has returned: a sync ``open`` inside the async
+        body would stall the loop."""
+        opened: List[Tuple[str, bool]] = []
+
+        def recording_open(path, *args, **kwargs):
+            try:
+                asyncio.get_running_loop()
+                on_loop = True
+            except RuntimeError:
+                on_loop = False
+            opened.append((str(path), on_loop))
+            return open(path, *args, **kwargs)
+
+        async def drain_at_once(self: RouteQueryServer) -> None:
+            await self.stop()
+
+        monkeypatch.setattr(cli, "open", recording_open, raising=False)
+        monkeypatch.setattr(
+            RouteQueryServer, "serve_until_shutdown", drain_at_once
+        )
+        out = tmp_path / "metrics.json"
+        with use_registry():
+            rc = cli.main([
+                "serve", "--mesh", "8x8", "--faults", "2",
+                "--metrics-json", str(out),
+            ])
+        assert rc == 0
+        assert opened == [(str(out), False)]
+        assert json.loads(out.read_text())["stats"]["counters"]["compiles"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -852,6 +935,71 @@ class TestConcurrentMutations:
             return server.orphaned_compiles
 
         assert asyncio.run(main()) == 0
+
+
+# ----------------------------------------------------------------------
+# Compiler lock order: _mutation_lock, then _lock, never the reverse
+# ----------------------------------------------------------------------
+class _RecordingLock:
+    """A proxy around one of the compiler's locks that logs each
+    acquisition with the locks already held.  It refuses a reversed
+    order or a re-entry outright, since the real lock would deadlock
+    the test instead of failing it."""
+
+    def __init__(
+        self, name: str, inner: Any, held: List[str],
+        log: List[Tuple[str, Tuple[str, ...]]],
+    ) -> None:
+        self.name = name
+        self._inner = inner
+        self._held = held
+        self._log = log
+
+    def __enter__(self) -> "_RecordingLock":
+        assert self.name not in self._held, f"{self.name} re-entered"
+        if self.name == "_mutation_lock":
+            assert "_lock" not in self._held, "_mutation_lock taken under _lock"
+        self._log.append((self.name, tuple(self._held)))
+        self._inner.acquire()
+        self._held.append(self.name)
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        self._held.remove(self.name)
+        self._inner.release()
+
+
+class TestCompilerLockOrder:
+    def test_mutations_take_the_mutation_lock_first(self):
+        """Every compile and delta, on the miss and each cached path,
+        takes ``_mutation_lock`` first and ``_lock`` only inside it."""
+        base = _base_faults()
+        compiler = _compiler()
+        restarted = _compiler(store=compiler.store)
+        log: List[Tuple[str, Tuple[str, ...]]] = []
+        for c in (compiler, restarted):
+            held: List[str] = []
+            for name in ("_mutation_lock", "_lock"):
+                setattr(c, name,
+                        _RecordingLock(name, getattr(c, name), held, log))
+        calls = [
+            lambda: compiler.compile(base),
+            lambda: compiler.compile(base),
+            lambda: compiler.apply_delta(node_faults=[(0, 7)]),
+            lambda: compiler.apply_delta(node_faults=[(0, 7)]),
+            lambda: compiler.compile(base),
+            lambda: restarted.compile(base),
+        ]
+        sources = []
+        for call in calls:
+            log.clear()
+            sources.append(call()[1])
+            assert log[0] == ("_mutation_lock", ())
+            assert len(log) > 1
+            assert log[1:] == [("_lock", ("_mutation_lock",))] * (len(log) - 1)
+        assert sources == [
+            "compiled", "current", "compiled", "current", "memory", "store",
+        ]
 
 
 # ----------------------------------------------------------------------
