@@ -48,7 +48,7 @@ lint:
 	@if $(PYTHON) -c "import ruff" 2>/dev/null || command -v ruff >/dev/null 2>&1; \
 	then ruff check src tests; \
 	else echo "ruff not installed; skipping (CI runs it)"; fi
-	PYTHONPATH=src $(PYTHON) -m repro analyze src
+	PYTHONPATH=src $(PYTHON) -m repro analyze src tests
 	@if $(PYTHON) -c "import mypy" 2>/dev/null; \
 	then PYTHONPATH=src $(PYTHON) -m mypy -p repro.routing -p repro.graphs \
 	    -p repro.service -p repro.core.routing_table -p repro.obs \
@@ -57,7 +57,7 @@ lint:
 
 # Just the domain lint suite.
 analyze:
-	PYTHONPATH=src $(PYTHON) -m repro analyze src
+	PYTHONPATH=src $(PYTHON) -m repro analyze src tests
 
 clean:
 	rm -rf .pytest_cache .hypothesis src/repro.egg-info

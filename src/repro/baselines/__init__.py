@@ -4,7 +4,6 @@ node inactivation."""
 from .block_fault import BlockFaultRouter, FaultBlock, comb_blocks, staircase_blocks
 from .inactivation import InactivationResult, inactivated_nodes, rectangularize
 from .one_round import OneVsTwoRounds, compare_one_vs_two_rounds, one_round_lamb
-from .solid_fault import SolidFaultRouter, trace_fault_ring
 
 __all__ = [
     "one_round_lamb",
@@ -14,8 +13,6 @@ __all__ = [
     "FaultBlock",
     "staircase_blocks",
     "comb_blocks",
-    "SolidFaultRouter",
-    "trace_fault_ring",
     "rectangularize",
     "inactivated_nodes",
     "InactivationResult",

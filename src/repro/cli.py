@@ -21,8 +21,6 @@
   metrics registry (Prometheus / JSON / NDJSON)
 - ``smoke``       run seeded end-to-end smokes (``repro smoke
   serve|obs|...``) twice each and check they agree and pass
-- ``store``       artifact-store maintenance (``store gc`` LRU-evicts
-  the disk tier down to a byte budget)
 
 ``simulate``, ``experiments``, ``serve`` and ``stats`` accept
 ``--telemetry PREFIX`` to write the process's telemetry registry to
@@ -45,7 +43,6 @@ Examples
     python -m repro serve --mesh 16x16 --faults 5 --seed 4 --port 7420
     python -m repro smoke serve obs
     python -m repro query --port 7420 --source 0,0 --dest 9,9
-    python -m repro store gc --root /tmp/store --max-bytes 1000000
 """
 
 from __future__ import annotations
@@ -438,7 +435,7 @@ def cmd_serve(args) -> int:
 
     from .obs import get_registry
     from .routing import ascending, repeated
-    from .service import ArtifactStore, ReconfigurationCompiler
+    from .service import ReconfigurationCompiler
     from .service.metrics import ServiceMetrics
     from .service.server import RouteQueryServer
 
@@ -448,7 +445,6 @@ def cmd_serve(args) -> int:
     compiler = ReconfigurationCompiler(
         mesh,
         orderings,
-        store=ArtifactStore(root=args.store),
         # Publish the control-plane series into the ambient registry so
         # --telemetry exports one coherent snapshot for the process.
         metrics=ServiceMetrics(registry=get_registry()),
@@ -571,28 +567,6 @@ def cmd_query(args) -> int:
             await client.close()
 
     return asyncio.run(_run())
-
-
-def cmd_store_gc(args) -> int:
-    """LRU-evict the store's disk tier down to a byte budget."""
-    import json as _json
-
-    from .service.store import ArtifactStore
-
-    store = ArtifactStore(root=args.root)
-    before = store.disk_bytes()
-    summary = store.prune(args.max_bytes, keep=args.keep or [])
-    if args.json:
-        print(_json.dumps(
-            {"before_bytes": before, **summary},
-            indent=2, sort_keys=True,
-        ))
-    else:
-        print(f"store gc: removed {summary['removed']} artifact(s), "
-              f"freed {summary['freed_bytes']} bytes, "
-              f"{summary['remaining_bytes']} bytes remain "
-              f"({summary['protected']} protected)")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -740,8 +714,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="bipartite")
     p.add_argument("--policy", choices=("shortest", "first", "random"),
                    default="shortest")
-    p.add_argument("--store", type=str, default=None,
-                   help="artifact-store directory (default: in-memory only)")
     p.add_argument("--verify", action="store_true",
                    help="CDG-prove every artifact deadlock-free before "
                    "publishing")
@@ -802,23 +774,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shutdown", action="store_true",
                    help="ask the server to drain gracefully")
     p.set_defaults(fn=cmd_query)
-
-    p = sub.add_parser("store", help="artifact-store maintenance")
-    ssub = p.add_subparsers(dest="store_command", required=True)
-    s = ssub.add_parser(
-        "gc",
-        help="LRU-evict the disk tier down to a byte budget "
-        "(--keep digests survive)",
-    )
-    s.add_argument("--root", type=str, required=True,
-                   help="store root directory")
-    s.add_argument("--max-bytes", type=int, required=True,
-                   help="target size of the disk tier")
-    s.add_argument("--keep", action="append", default=[],
-                   metavar="DIGEST",
-                   help="digest to protect from eviction (repeatable)")
-    s.add_argument("--json", action="store_true")
-    s.set_defaults(fn=cmd_store_gc)
 
     return parser
 

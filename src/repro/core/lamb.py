@@ -82,8 +82,7 @@ class LambResult:
         Weight of the vertex cover that produced Λ.
     reach_index:
         The :class:`~repro.routing.reachindex.ReachIndex` of phases 1-2,
-        which :func:`repro.routing.find_k_round_route` routes from
-        (``None`` on a lean result restored from a serialized record).
+        which :func:`repro.routing.find_k_round_route` routes from.
     timings:
         Per-phase wall-clock seconds (``partition``, ``reachability``,
         ``wvc``, ``total``) — the quantity plotted in Fig. 26.
@@ -100,8 +99,8 @@ class LambResult:
     des_partition: Sequence[Rect]
     reach: ReachabilityData
     cover_weight: float
+    reach_index: ReachIndex
     predetermined: FrozenSet[Node] = frozenset()
-    reach_index: Optional[ReachIndex] = None
     timings: Dict[str, float] = field(default_factory=dict)
 
     @property
@@ -186,7 +185,7 @@ def build_reach_index(
 
     :func:`find_lamb_set` runs its first two phases through this
     builder; route materialization without a lamb set (the wormhole
-    simulator, a restored routing table) calls it directly.  The
+    simulator) calls it directly.  The
     index depends only on ``faults`` and ``orderings``.
     """
     mesh = faults.mesh

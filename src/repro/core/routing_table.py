@@ -20,7 +20,7 @@ independent of N.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,11 +30,10 @@ from ..routing.ordering import KRoundOrdering
 # ``find_k_round_route`` stays bound here: the benchmark's tracer
 # (``perfbench/tracer.py``) wraps this module's binding.
 from ..routing.reachindex import (  # noqa: F401
-    ReachIndex,
     find_k_round_route,
     find_k_round_routes,
 )
-from .lamb import LambResult, build_reach_index
+from .lamb import LambResult
 
 __all__ = ["RouteEntry", "RoutingTable", "build_routing_table", "route_entry"]
 
@@ -111,18 +110,8 @@ class RoutingTable:
         self.mesh: Mesh = result.mesh
         self.orderings: KRoundOrdering = result.orderings
         self.policy = policy
-        self._index: Optional[ReachIndex] = result.reach_index
         self._rng = np.random.default_rng(seed)
         self._entries: Dict[Tuple[Node, Node], RouteEntry] = {}
-
-    @property
-    def index(self) -> ReachIndex:
-        """The :class:`ReachIndex` routes are resolved from: the
-        result's own, or — for a lean result restored from a record —
-        one built from its faults and orderings on first use."""
-        if self._index is None:
-            self._index = build_reach_index(self.faults, self.orderings)
-        return self._index
 
     # ------------------------------------------------------------------
     def lookup(self, source: Sequence[int], dest: Sequence[int]) -> RouteEntry:
@@ -183,9 +172,9 @@ class RoutingTable:
             key for key in dict.fromkeys(missing.values())
             if key not in entries and survivor(key[0]) and survivor(key[1])
         ]
-        if todo:  # the index may have to be built first
+        if todo:
             routes = find_k_round_routes(
-                self.index, todo, self.policy, self._rng
+                self.result.reach_index, todo, self.policy, self._rng
             )
             for key, mids in zip(todo, routes):
                 if mids is not None:
@@ -193,24 +182,6 @@ class RoutingTable:
         for q, key in missing.items():
             found[q] = entries.get(key)
         return found
-
-    # ------------------------------------------------------------------
-    def preload(self, entries: Iterable[RouteEntry]) -> None:
-        """Seed the cache with precomputed entries (deserialization,
-        warm hand-off between control-plane epochs).
-
-        Every entry's endpoints must be survivors of this table's
-        reconfiguration — entries from a different epoch are rejected
-        rather than silently serving routes through dead hardware.
-        """
-        for e in entries:
-            for end, name in ((e.source, "source"), (e.dest, "destination")):
-                if not self.result.is_survivor(end):
-                    raise ValueError(
-                        f"preloaded route {e.source}->{e.dest}: "
-                        f"{name} {end} is not a survivor node"
-                    )
-            self._entries[(e.source, e.dest)] = e
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

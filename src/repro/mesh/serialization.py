@@ -5,6 +5,10 @@ diagnostic layer records the fault set, and the reconfiguration step's
 output (the lamb set) must reach every router.  This module defines a
 small, versioned JSON format for meshes, tori, fault sets, and
 reconfiguration outcomes, with strict validation on load.
+
+Routing tables have no serialized form: Lamb1 costs O(k·d³·f³ + |Λ|),
+independent of mesh size (Theorem 6.8), so a table is rebuilt from its
+outcome record rather than stored.
 """
 
 from __future__ import annotations
@@ -23,8 +27,6 @@ __all__ = [
     "faults_from_dict",
     "lamb_outcome_to_dict",
     "lamb_outcome_from_dict",
-    "routing_table_to_dict",
-    "routing_table_from_dict",
     "dumps",
     "loads",
 ]
@@ -120,113 +122,6 @@ def lamb_outcome_from_dict(data: Dict[str, Any]) -> Dict[str, Any]:
         "lambs": lambs,
         "cover_weight": float(data.get("cover_weight", 0.0)),
     }
-
-
-def routing_table_to_dict(table) -> Dict[str, Any]:
-    """Serialize a :class:`repro.core.RoutingTable` and its resolved
-    entries — the one reconfiguration artifact that previously had no
-    serialized form.
-
-    Like :func:`lamb_outcome_to_dict` the record is lean: the embedded
-    outcome carries faults/orderings/lambs (partitions and reachability
-    matrices are recomputable), and ``entries`` lists every route
-    resolved so far, sorted by ``(source, dest)`` for a canonical,
-    diff-stable encoding.
-    """
-    return {
-        "version": _FORMAT_VERSION,
-        "outcome": lamb_outcome_to_dict(table.result),
-        "policy": table.policy,
-        "entries": [
-            {
-                "source": list(e.source),
-                "dest": list(e.dest),
-                "intermediates": [list(v) for v in e.intermediates],
-                "rounds_used": e.rounds_used,
-                "hops": e.hops,
-                "turns": e.turns,
-            }
-            for e in sorted(
-                table.entries(), key=lambda e: (e.source, e.dest)
-            )
-        ],
-    }
-
-
-def routing_table_from_dict(data: Dict[str, Any], result=None):
-    """Inverse of :func:`routing_table_to_dict`.
-
-    ``result`` may supply the live :class:`~repro.core.LambResult` the
-    table belongs to; when omitted, a lean result is reconstructed from
-    the embedded outcome record (faults, orderings, lambs — partitions
-    and reachability matrices come back empty, exactly as documented
-    for :func:`lamb_outcome_to_dict`).  Every stored entry is validated
-    against the survivor set on load; entries whose endpoints are not
-    survivors make the record invalid (``ValueError``).
-    """
-    from ..core.routing_table import RouteEntry, RoutingTable
-
-    if data.get("version") != _FORMAT_VERSION:
-        raise ValueError(f"unsupported format version {data.get('version')!r}")
-    outcome = lamb_outcome_from_dict(data["outcome"])
-    if result is None:
-        result = _lean_lamb_result(outcome)
-    else:
-        if result.faults != outcome["faults"]:
-            raise ValueError("routing-table record belongs to another fault set")
-        if result.orderings != outcome["orderings"]:
-            raise ValueError("routing-table record belongs to another ordering")
-        if set(result.lambs) != outcome["lambs"]:
-            raise ValueError("routing-table record belongs to another lamb set")
-    table = RoutingTable(result, policy=str(data.get("policy", "shortest")))
-    entries = []
-    for rec in data.get("entries", []):
-        entries.append(
-            RouteEntry(
-                source=tuple(int(x) for x in rec["source"]),
-                dest=tuple(int(x) for x in rec["dest"]),
-                intermediates=tuple(
-                    tuple(int(x) for x in v) for v in rec["intermediates"]
-                ),
-                rounds_used=int(rec["rounds_used"]),
-                hops=int(rec["hops"]),
-                turns=int(rec["turns"]),
-            )
-        )
-    table.preload(entries)
-    return table
-
-
-def _lean_lamb_result(outcome: Dict[str, Any]):
-    """A :class:`~repro.core.LambResult` rebuilt from a serialized
-    outcome: routable (mesh/faults/orderings/lambs/survivor tests all
-    work) but with empty partitions and reachability matrices and no
-    reach index; a :class:`~repro.core.RoutingTable` over it builds
-    the index from the faults and orderings on its first route miss."""
-    import numpy as np
-
-    from ..core.lamb import LambResult
-    from ..core.reachability import ReachabilityData
-
-    faults = outcome["faults"]
-    return LambResult(
-        mesh=faults.mesh,
-        faults=faults,
-        orderings=outcome["orderings"],
-        method=outcome["method"],
-        lambs=frozenset(outcome["lambs"]),
-        chosen_ses=(),
-        chosen_des=(),
-        ses_partition=[],
-        des_partition=[],
-        reach=ReachabilityData(
-            Rk=np.zeros((0, 0), dtype=bool),
-            round_matrices=[],
-            intersection_matrices=[],
-            partial=[],
-        ),
-        cover_weight=float(outcome["cover_weight"]),
-    )
 
 
 def dumps(record: Dict[str, Any]) -> str:

@@ -6,7 +6,7 @@ fault event.  This package turns that in-process call into a control
 plane with a slow control path and a fast data path:
 
 - :mod:`repro.service.store` — canonical config identity (blake2
-  content addressing) and a two-tier artifact store (LRU + disk);
+  content addressing) and the compile cache (an LRU of live artifacts);
 - :mod:`repro.service.compiler` — compile-once semantics over the lamb
   pipeline with the degradation ladder and an optional CDG
   deadlock-freedom cross-check before publication;

@@ -8,8 +8,8 @@ stale-cache hazard the digest exists to kill.
 
 The compile path is the full production ladder:
 
-1. digest the canonical config and probe the two-tier
-   :class:`~repro.service.store.ArtifactStore` (live LRU, then disk);
+1. digest the canonical config and probe the current epoch, then the
+   :class:`~repro.service.store.ArtifactStore` LRU of live artifacts;
 2. on a miss, run the lamb pipeline through the PR-1 degradation
    ladder (:meth:`~repro.core.reconfigure.ReconfigurationManager.\
 report_faults_degraded`: recompute, escalate ``k -> k+1``, quarantine,
@@ -17,8 +17,8 @@ report_faults_degraded`: recompute, escalate ``k -> k+1``, quarantine,
 3. optionally cross-check the result with the PR-3 CDG prover —
    an artifact is only published if its channel-dependency graph is
    acyclic;
-4. publish the artifact (store + live cache) and bump the
-   reconfiguration epoch.
+4. publish the artifact into the store and bump the reconfiguration
+   epoch.
 
 Fault *deltas* (:meth:`ReconfigurationCompiler.apply_delta`) extend
 the current epoch's fault set with ``FaultSet.with_faults`` and
@@ -60,10 +60,6 @@ from ..core.reconfigure import ReconfigurationError, ReconfigurationManager
 from ..core.routing_table import RouteEntry, RoutingTable
 from ..mesh.faults import FaultSet
 from ..mesh.geometry import Link, Mesh, Node
-from ..mesh.serialization import (
-    routing_table_from_dict,
-    routing_table_to_dict,
-)
 from ..obs.metrics import Histogram
 from ..routing.ordering import KRoundOrdering
 from .errors import CompileError, MalformedRequestError, StaleEpochError
@@ -149,7 +145,9 @@ class ReconfigurationCompiler:
         adopted for subsequent compiles, mirroring
         :class:`~repro.core.reconfigure.ReconfigurationManager`.
     store:
-        Artifact store (default: in-memory only).
+        The compile cache, an LRU of live artifacts (default: a fresh
+        :class:`~repro.service.store.ArtifactStore`); compilers may
+        share one.
     metrics:
         Shared :class:`~repro.service.metrics.ServiceMetrics`.
     method, policy:
@@ -193,10 +191,9 @@ class ReconfigurationCompiler:
         #: ``op_seconds{op="service.query"}``, resolved on the first
         #: fast query (see :meth:`route_batch`).
         self._query_op_seconds: Optional[Histogram] = None
-        self._live: Dict[str, CompiledArtifact] = {}
         self._current: Optional[CompiledArtifact] = None
         self._next_epoch = 0
-        #: Guards fast shared state (`_current`, `_live`, `_next_epoch`,
+        #: Guards fast shared state (``_current``, ``_next_epoch``,
         #: ``orderings``) for readers on other threads.
         self._lock = threading.Lock()
         #: Serializes *mutations* (compile/delta) end to end: the base
@@ -229,8 +226,8 @@ class ReconfigurationCompiler:
 
         Returns ``(artifact, source)`` where ``source`` is ``"current"``
         (identical to the live epoch — a cache hit that does *not* bump
-        the epoch), ``"memory"``/``"store"`` (cache hit re-activated
-        under a fresh epoch), or ``"compiled"`` (cache miss).
+        the epoch), ``"memory"`` (store hit re-activated under a fresh
+        epoch), or ``"compiled"`` (cache miss).
         """
         if faults.mesh != self.mesh:
             raise MalformedRequestError(
@@ -293,23 +290,16 @@ class ReconfigurationCompiler:
         self, digest: str
     ) -> Optional[Tuple[CompiledArtifact, str]]:
         """Cache probe (caller holds the mutation lock): the current
-        epoch, then the live LRU, then the disk store."""
+        epoch, then the store."""
         with self._lock:
             if self._current is not None and self._current.digest == digest:
                 self.metrics.cache_hits.inc()
                 return self._current, "current"
-            artifact = self._live.get(digest)
-            if artifact is not None:
-                self.metrics.cache_hits.inc()
-                return self._activate(artifact), "memory"
-        record = self.store.get(digest)
-        if record is not None:
-            restored = self._restore(digest, record)
-            if restored is not None:
-                self.metrics.cache_hits.inc()
-                with self._lock:
-                    return self._activate(restored), "store"
-        return None
+            artifact = self.store.get(digest)
+            if artifact is None:
+                return None
+            self.metrics.cache_hits.inc()
+            return self._activate(artifact), "memory"
 
     # ------------------------------------------------------------------
     def route(
@@ -414,26 +404,16 @@ class ReconfigurationCompiler:
         return current, results
 
     # ------------------------------------------------------------------
-    def persist_current(self) -> None:
-        """Re-publish the current artifact with its warmed route
-        entries (called on graceful drain so the next process starts
-        with a hot table)."""
-        current = self._current
-        if current is None:
-            return
-        self.store.put(current.digest, self._record(current))
-
-    # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
     def _activate(self, artifact: CompiledArtifact) -> CompiledArtifact:
-        """Make ``artifact`` the current epoch (caller holds the lock
-        for cached paths; fresh compiles pass a brand-new object)."""
+        """Make ``artifact`` the current epoch and publish it into the
+        store (caller holds ``_lock``)."""
         if self._current is not None and artifact.digest == self._current.digest:
             return self._current
         activated = replace(artifact, epoch=self._next_epoch)
         self._next_epoch += 1
-        self._live[artifact.digest] = activated
+        self.store.put(artifact.digest, activated)
         self._current = activated
         self.metrics.epoch.set(activated.epoch)
         return activated
@@ -461,7 +441,6 @@ class ReconfigurationCompiler:
         except ReconfigurationError as exc:
             raise CompileError(str(exc))
         result = epoch.result
-        alias: Optional[str] = None
         if epoch.escalated_rounds > 0:
             # Adopt the escalated discipline, as the ladder contract
             # prescribes; later digests include the extra rounds.  The
@@ -470,16 +449,10 @@ class ReconfigurationCompiler:
             # digest so an immediately repeated compile of the same
             # fault set — which now digests with the adopted orderings
             # — hits the 'current' fast path instead of recompiling
-            # and bumping the epoch for an unchanged machine.  The
-            # pre-escalation digest is kept as a store alias so a
-            # restarted server with the initial discipline still warm
-            # starts from the cached record.
+            # and bumping the epoch for an unchanged machine.
             with self._lock:
                 self.orderings = mgr.orderings
-            rekeyed = self.digest_for(faults)
-            if rekeyed != digest:
-                alias = digest
-                digest = rekeyed
+            digest = self.digest_for(faults)
         if epoch.degraded:
             self.metrics.degraded_compiles.inc()
         if self.verify:
@@ -494,7 +467,7 @@ class ReconfigurationCompiler:
             digest=digest, incremental=incremental,
             degraded=epoch.degraded,
         )
-        artifact = CompiledArtifact(
+        return CompiledArtifact(
             digest=digest,
             epoch=-1,  # assigned at activation
             result=result,
@@ -505,11 +478,6 @@ class ReconfigurationCompiler:
             verified=self.verify,
             incremental=incremental,
         )
-        record = self._record(artifact)
-        self.store.put(digest, record)
-        if alias is not None:
-            self.store.put(alias, record)
-        return artifact
 
     def _cross_check(self, result: LambResult) -> None:
         from ..analysis.static.cdg import StaticDeadlockError, assert_deadlock_free
@@ -520,38 +488,3 @@ class ReconfigurationCompiler:
             raise CompileError(
                 f"CDG cross-check refused to publish the artifact: {exc}"
             )
-
-    def _record(self, artifact: CompiledArtifact) -> Dict[str, Any]:
-        record = routing_table_to_dict(artifact.table)
-        record["service"] = {
-            "compile_seconds": round(artifact.compile_seconds, 6),
-            "escalated_rounds": artifact.escalated_rounds,
-            "quarantined": sorted(list(v) for v in artifact.quarantined),
-            "verified": artifact.verified,
-        }
-        return record
-
-    def _restore(
-        self, digest: str, record: Dict[str, Any]
-    ) -> Optional[CompiledArtifact]:
-        """Rebuild a :class:`CompiledArtifact` from a disk record, or
-        ``None`` when the record does not validate (a corrupt artifact
-        is a cache miss, never a crash)."""
-        try:
-            table = routing_table_from_dict(record)
-        except (KeyError, TypeError, ValueError):
-            return None
-        meta = record.get("service") or {}
-        return CompiledArtifact(
-            digest=digest,
-            epoch=-1,
-            result=table.result,
-            table=table,
-            compile_seconds=float(meta.get("compile_seconds", 0.0)),
-            escalated_rounds=int(meta.get("escalated_rounds", 0)),
-            quarantined=tuple(
-                tuple(int(x) for x in v)
-                for v in meta.get("quarantined", [])
-            ),
-            verified=bool(meta.get("verified", False)),
-        )

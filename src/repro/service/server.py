@@ -31,8 +31,8 @@ Operations: ``ping``, ``compile``, ``delta``, ``query``, ``stats``,
 Compiles are offloaded to a worker thread so queries on other
 connections keep flowing while the lamb pipeline runs.  Shutdown is a
 **graceful drain**: the listener closes, in-flight requests (including
-running compiles) are awaited to completion, the warmed routing table
-is persisted, and only then do connections drop —
+running compiles) are awaited to completion, and only then do
+connections drop —
 :attr:`RouteQueryServer.orphaned_compiles` stays 0 unless the drain
 timeout expires.
 """
@@ -159,15 +159,13 @@ class RouteQueryServer:
 
     async def stop(self) -> None:
         """Graceful drain: stop accepting, finish in-flight requests
-        *and compile threads*, persist the warmed artifact, close
-        connections.
+        *and compile threads*, close connections.
 
         Compiles whose awaiting request already timed out keep running
         in their worker thread and will still activate an epoch when
         they finish — the drain waits for those threads too (within
         ``drain_timeout``), so :attr:`orphaned_compiles` counts threads
-        actually left running, and ``persist_current`` cannot race a
-        compile that is about to publish.
+        actually left running.
         """
         self._draining = True
         if self._server is not None:
@@ -197,9 +195,6 @@ class RouteQueryServer:
             self.orphaned_compiles = len(orphaned)
         else:
             self.orphaned_compiles = 0
-        # Persisting the warmed table hits the disk tier of the store;
-        # hand it to a worker thread so the drain never blocks the loop.
-        await loop.run_in_executor(None, self.compiler.persist_current)
 
     # ------------------------------------------------------------------
     async def _on_connect(

@@ -196,37 +196,3 @@ class TestFigureSection3:
         )
         assert code == 0
         assert "section3" in out
-
-
-class TestStoreGcCommand:
-    def test_gc_shrinks_to_budget(self, tmp_path, capsys):
-        from repro.service.store import ArtifactStore
-
-        store = ArtifactStore(root=str(tmp_path))
-        for i in range(4):
-            store.put(f"{i:02d}" * 20, {"n": i, "pad": "y" * 100})
-        code, out = run(
-            ["store", "gc", "--root", str(tmp_path),
-             "--max-bytes", "0", "--json"],
-            capsys,
-        )
-        assert code == 0
-        summary = json.loads(out)
-        assert summary["removed"] == 4
-        assert summary["remaining_bytes"] == 0
-        assert ArtifactStore(root=str(tmp_path)).digests() == ()
-
-    def test_keep_protects_digests(self, tmp_path, capsys):
-        from repro.service.store import ArtifactStore
-
-        store = ArtifactStore(root=str(tmp_path))
-        for i in range(3):
-            store.put(f"{i:02d}" * 20, {"n": i})
-        code, out = run(
-            ["store", "gc", "--root", str(tmp_path),
-             "--max-bytes", "0", "--keep", "01" * 20],
-            capsys,
-        )
-        assert code == 0
-        assert "protected" in out
-        assert ArtifactStore(root=str(tmp_path)).digests() == ("01" * 20,)

@@ -44,7 +44,7 @@ def brute_force_weight(lw, rw, edges):
         chosen = np.array(mask, dtype=bool)
         # Cheapest completion: every right end of an uncovered edge.
         need = {j for i, j in edges if not chosen[i]}
-        best = min(best, float(lw[chosen].sum() + rw[list(need)].sum()))
+        best = min(best, float(lw[chosen].sum() + rw[sorted(need)].sum()))
     return best
 
 

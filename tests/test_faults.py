@@ -160,7 +160,7 @@ class TestRandomGenerators:
         f = random_link_faults(m, 4, np.random.default_rng(0), bidirectional=True)
         assert f.num_link_faults == 8
         links = set(f.link_faults)
-        for (u, v) in links:
+        for (u, v) in sorted(links):
             assert (v, u) in links
 
     def test_random_link_faults_bidirectional_count_doubles_f(self):

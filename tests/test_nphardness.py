@@ -78,7 +78,7 @@ class TestReachabilityProperties:
         inst, R = k3_instance, k3_reach
         mesh = inst.faults.mesh
         edges_internal = {(u + 1, v + 1) for (u, v) in inst.edges}
-        for (i, j) in edges_internal:
+        for (i, j) in sorted(edges_internal):
             oi, oj = inst.outlet_levels(i), inst.outlet_levels(j)
             for v in inst.non_outlet_nodes(i):
                 for w in inst.non_outlet_nodes(j):

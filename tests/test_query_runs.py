@@ -34,10 +34,11 @@ from repro.service.errors import ServiceError
 from repro.service.server import RouteQueryServer
 from repro.service.store import ArtifactStore
 
-#: sha256 of :func:`_transcript`'s frames joined by newlines, captured
-#: from the server that encoded each reply dict with ``json.dumps``.
+#: sha256 of :func:`_transcript`'s frames joined by newlines.  Every
+#: byte but the stats replies' ``store`` counters was captured from the
+#: server that encoded each reply dict with ``json.dumps``.
 TRANSCRIPT_SHA256 = (
-    "9b7cbae883ef4389d5925feb795510013ba78aee450f28300d74e8f8e6b1fdbe"
+    "cb137f8529a5a512cc052ec86636798572b5d86ce3b902c2f5f1fe7b9bdfbdbb"
 )
 
 #: The closing ``stats`` reply's counters, from the same server.

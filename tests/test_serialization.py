@@ -3,12 +3,7 @@
 import pytest
 from hypothesis import given, settings
 
-from repro.core import (
-    RoutingTable,
-    build_routing_table,
-    find_lamb_set,
-    is_lamb_set,
-)
+from repro.core import find_lamb_set, is_lamb_set
 from repro.mesh import FaultSet, Mesh, Torus
 from repro.mesh.serialization import (
     dumps,
@@ -19,8 +14,6 @@ from repro.mesh.serialization import (
     loads,
     mesh_from_dict,
     mesh_to_dict,
-    routing_table_from_dict,
-    routing_table_to_dict,
 )
 from repro.routing import repeated, xy
 
@@ -93,81 +86,3 @@ class TestLambOutcomeRoundTrip:
         record["lambs"].append([99, 99])
         with pytest.raises(ValueError):
             lamb_outcome_from_dict(record)
-
-
-class TestRoutingTableRoundTrip:
-    def _table(self, paper_faults, n_pairs=12, policy="shortest"):
-        result = find_lamb_set(paper_faults, repeated(xy(), 2))
-        survivors = result.survivors()
-        pairs = [
-            (survivors[i], survivors[-1 - i]) for i in range(n_pairs)
-        ]
-        table = build_routing_table(result, pairs=pairs, policy=policy)
-        return table, result
-
-    def test_round_trip_entries(self, paper_faults):
-        table, result = self._table(paper_faults)
-        record = loads(dumps(routing_table_to_dict(table)))
-        back = routing_table_from_dict(record)
-        assert len(back) == len(table)
-        assert back.policy == table.policy
-        orig = {(e.source, e.dest): e for e in table.entries()}
-        for e in back.entries():
-            assert orig[(e.source, e.dest)] == e
-
-    def test_round_trip_with_live_result(self, paper_faults):
-        table, result = self._table(paper_faults, n_pairs=4)
-        back = routing_table_from_dict(
-            routing_table_to_dict(table), result=result
-        )
-        assert {(e.source, e.dest) for e in back.entries()} == {
-            (e.source, e.dest) for e in table.entries()
-        }
-        # The restored table is live: it can resolve *new* routes too.
-        survivors = result.survivors()
-        entry = back.lookup(survivors[5], survivors[17])
-        assert entry.hops >= 1
-
-    @pytest.mark.parametrize("policy", ["shortest", "first", "random"])
-    def test_lean_restore_routes_like_live_table(self, paper_faults, policy):
-        """A record restored without its live result carries a lean
-        result (empty partitions, no reach index).  Its first miss
-        builds the index from the faults and orderings, and every
-        never-cached pair is answered exactly as a live table with the
-        same seed answers it, tie-break draws included."""
-        table, result = self._table(paper_faults, n_pairs=3, policy=policy)
-        back = routing_table_from_dict(loads(dumps(routing_table_to_dict(table))))
-        assert back.result.reach_index is None
-        assert not back.result.ses_partition
-        live = RoutingTable(result, policy=policy, seed=0)
-        survivors = result.survivors()
-        cached = {(e.source, e.dest) for e in back.entries()}
-        fresh = [(survivors[5 * i], survivors[-7 - 3 * i]) for i in range(12)]
-        fresh += [((0, 1), (9, 2)), ((11, 0), (10, 9))]
-        for v, w in fresh:
-            assert (v, w) not in cached
-            assert back.lookup(v, w) == live.lookup(v, w)
-
-    def test_mismatched_result_rejected(self, paper_faults):
-        table, _ = self._table(paper_faults, n_pairs=2)
-        other = find_lamb_set(
-            FaultSet(Mesh((12, 12)), [(3, 3)]), repeated(xy(), 2)
-        )
-        with pytest.raises(ValueError):
-            routing_table_from_dict(routing_table_to_dict(table), result=other)
-
-    def test_non_survivor_entry_rejected(self, paper_faults):
-        table, result = self._table(paper_faults, n_pairs=2)
-        record = routing_table_to_dict(table)
-        bad = dict(record["entries"][0])
-        bad["source"] = [9, 1]  # a faulty node
-        record["entries"].append(bad)
-        with pytest.raises(ValueError):
-            routing_table_from_dict(record)
-
-    def test_version_check(self, paper_faults):
-        table, _ = self._table(paper_faults, n_pairs=1)
-        record = routing_table_to_dict(table)
-        record["version"] = 99
-        with pytest.raises(ValueError):
-            routing_table_from_dict(record)

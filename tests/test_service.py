@@ -10,10 +10,12 @@ leaving no orphaned compile work behind.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import logging
 import threading
 import time
+import weakref
 from typing import Any, Awaitable, Callable, Dict, List, Tuple
 
 import numpy as np
@@ -25,6 +27,7 @@ from repro.mesh.serialization import faults_to_dict
 from repro.obs import use_registry
 from repro.routing import ascending, repeated, xy
 from repro.service import (
+    ArtifactStore,
     MalformedRequestError,
     ReconfigurationCompiler,
     RequestTimeoutError,
@@ -158,18 +161,17 @@ class TestLifecycle:
         assert art_b.epoch == epoch_a + 1
 
         art_a2, source = compiler.compile(faults_a)
-        assert source == "memory"  # digest hit in the live cache
+        assert source == "memory"  # digest hit in the store
         assert art_a2.digest == art_a.digest
         assert art_a2.epoch == epoch_a + 2  # ... but a fresh activation
         with pytest.raises(StaleEpochError):
             compiler.route((0, 0), (1, 1), epoch=epoch_a)
 
-    def test_graceful_drain_leaves_no_orphaned_compiles(self, tmp_path):
+    def test_graceful_drain_leaves_no_orphaned_compiles(self):
         faults = _base_faults()
 
         async def main() -> Tuple[int, int]:
             compiler = _compiler()
-            compiler.store.root = None  # memory tier only for this run
             server = RouteQueryServer(compiler)
             host, port = await server.start()
             async with await RouteQueryClient.connect(host, port) as client:
@@ -183,32 +185,6 @@ class TestLifecycle:
         assert orphaned == 0
         assert epoch == 0
 
-    def test_drain_persists_the_warmed_table(self, tmp_path):
-        """After a drain the store holds the current artifact, so the
-        next process starts from a cache hit, not a recompile."""
-        faults = _base_faults()
-
-        async def main() -> str:
-            from repro.service import ArtifactStore
-
-            compiler = _compiler(store=ArtifactStore(root=str(tmp_path)))
-            server = RouteQueryServer(compiler)
-            host, port = await server.start()
-            async with await RouteQueryClient.connect(host, port) as client:
-                compiled = await client.compile(faults, timeout=60.0)
-                await client.shutdown()
-            await server.serve_until_shutdown()
-            return compiled["digest"]
-
-        digest = asyncio.run(main())
-        fresh = _compiler()
-        from repro.service import ArtifactStore
-
-        fresh.store = ArtifactStore(root=str(tmp_path))
-        artifact, source = fresh.compile(faults)
-        assert source == "store"
-        assert artifact.digest == digest
-
 
 # ----------------------------------------------------------------------
 # Nothing blocks the event loop
@@ -216,21 +192,24 @@ class TestLifecycle:
 class TestEventLoopStaysFree:
     def test_lifecycle_logs_no_slow_callback_in_debug_mode(self, caplog):
         """asyncio's debug mode logs every callback that runs longer
-        than ``slow_callback_duration``.  The drain's persist sleeps
-        twice that long, so only the executor hand-off keeps the loop
-        free through start, compile, a query batch and the drain."""
+        than ``slow_callback_duration``.  The compile miss sleeps twice
+        that long, so only the worker-thread hand-off of a write keeps
+        the loop free through start, compile, a query batch and the
+        drain."""
         faults = _base_faults()
-        persisted: List[int] = []
+        misses: List[str] = []
 
         async def main() -> int:
             asyncio.get_running_loop().slow_callback_duration = 0.2
             compiler = _compiler()
+            compile_miss = compiler._compile_miss
 
-            def slow_persist() -> None:
+            def slow_miss(digest: str, *args: Any, **kwargs: Any) -> Any:
                 time.sleep(0.4)
-                persisted.append(compiler.current_epoch)
+                misses.append(digest)
+                return compile_miss(digest, *args, **kwargs)
 
-            compiler.persist_current = slow_persist  # type: ignore[method-assign]
+            compiler._compile_miss = slow_miss  # type: ignore[method-assign]
             server = RouteQueryServer(compiler)
             host, port = await server.start()
             async with await RouteQueryClient.connect(
@@ -252,7 +231,7 @@ class TestEventLoopStaysFree:
             if r.name == "asyncio" and r.getMessage().startswith("Executing")
         ]
         assert slow == []
-        assert persisted == [0]
+        assert len(misses) == 1
 
     def test_serve_writes_metrics_json_after_the_loop_exits(
         self, tmp_path, monkeypatch
@@ -938,6 +917,40 @@ class TestConcurrentMutations:
 
 
 # ----------------------------------------------------------------------
+# The store is the compiler's one, bounded, cache
+# ----------------------------------------------------------------------
+class TestCompileCacheIsBounded:
+    def test_evicted_artifact_is_collected(self):
+        """Past the store's capacity the least recently used artifact
+        is dropped, and nothing else keeps its routing table alive."""
+        compiler = _compiler(store=ArtifactStore(max_memory_entries=2))
+        mesh = Mesh((8, 8))
+        configs = [
+            _base_faults(),
+            FaultSet(mesh, [(2, 2), (5, 6), (0, 7)]),
+            FaultSet(mesh, [(2, 2), (5, 6), (7, 0)]),
+        ]
+        first, source = compiler.compile(configs[0])
+        assert source == "compiled"
+        table = weakref.ref(first.table)
+        del first
+        for faults in configs[1:]:
+            assert compiler.compile(faults)[1] == "compiled"
+        gc.collect()
+        assert table() is None
+        assert len(compiler.store) == 2
+
+    def test_repair_compile_is_a_store_hit(self):
+        """Returning to the base config after a delta is served by the
+        store itself, and its counters say so."""
+        compiler = _compiler(store=ArtifactStore(max_memory_entries=2))
+        compiler.compile(_base_faults())
+        compiler.apply_delta(node_faults=[(0, 7)])
+        assert compiler.compile(_base_faults())[1] == "memory"
+        assert compiler.store.stats()["memory_hits"] >= 1
+
+
+# ----------------------------------------------------------------------
 # Compiler lock order: _mutation_lock, then _lock, never the reverse
 # ----------------------------------------------------------------------
 class _RecordingLock:
@@ -972,12 +985,14 @@ class _RecordingLock:
 class TestCompilerLockOrder:
     def test_mutations_take_the_mutation_lock_first(self):
         """Every compile and delta, on the miss and each cached path,
-        takes ``_mutation_lock`` first and ``_lock`` only inside it."""
+        takes ``_mutation_lock`` first and ``_lock`` only inside it.
+        ``sharing`` shares the first compiler's store, so its compile
+        of the base config is a store hit."""
         base = _base_faults()
         compiler = _compiler()
-        restarted = _compiler(store=compiler.store)
+        sharing = _compiler(store=compiler.store)
         log: List[Tuple[str, Tuple[str, ...]]] = []
-        for c in (compiler, restarted):
+        for c in (compiler, sharing):
             held: List[str] = []
             for name in ("_mutation_lock", "_lock"):
                 setattr(c, name,
@@ -988,7 +1003,7 @@ class TestCompilerLockOrder:
             lambda: compiler.apply_delta(node_faults=[(0, 7)]),
             lambda: compiler.apply_delta(node_faults=[(0, 7)]),
             lambda: compiler.compile(base),
-            lambda: restarted.compile(base),
+            lambda: sharing.compile(base),
         ]
         sources = []
         for call in calls:
@@ -998,7 +1013,7 @@ class TestCompilerLockOrder:
             assert len(log) > 1
             assert log[1:] == [("_lock", ("_mutation_lock",))] * (len(log) - 1)
         assert sources == [
-            "compiled", "current", "compiled", "current", "memory", "store",
+            "compiled", "current", "compiled", "current", "memory", "memory",
         ]
 
 
