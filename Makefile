@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast bench bench-json bench-check experiments examples smoke lint analyze clean
+.PHONY: install test test-fast bench experiments examples smoke lint analyze clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -15,16 +15,6 @@ test-fast:
 
 bench:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-# Machine-readable perf subset -> BENCH_<date>.json (commit the file
-# to arm the CI perf gate; see docs/performance.md).
-bench-json:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_to_json.py
-
-# Compare a fresh run against the latest committed BENCH_*.json;
-# fails on a >25% wall-clock regression on the same host.
-bench-check:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_to_json.py --check
 
 # Regenerate EXPERIMENTS.md (REPRO_TRIALS=1000 for paper-scale stats).
 experiments:

@@ -25,6 +25,7 @@ from ..mesh.faults import FaultSet
 from ..mesh.torus import Torus
 from ..routing.dor import torus_one_round_reachable
 from ..routing.ordering import KRoundOrdering
+from .reachability import bool_matmul
 
 __all__ = [
     "k_round_matrix_from_relation",
@@ -58,7 +59,7 @@ def k_round_matrix_from_relation(
         if acc is None:
             acc = R
         else:
-            acc = (acc.astype(np.float32) @ R.astype(np.float32)) > 0.5
+            acc = bool_matmul(acc, R)
     assert acc is not None
     return acc
 

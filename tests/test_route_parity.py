@@ -11,9 +11,11 @@ sequence, so a single extra or missing draw shifts every later pick.
 The closed-form route entries (``repro.core.routing_table.route_entry``)
 must equal the hops, turns and rounds of the walked paths.
 
-The last test carries Theorem 6.8 to the route layer: at fixed f, a
-route (and a batch of routes) costs the same on M2(2^8) and M2(2^16),
-and no dense grid is built.
+The last two tests carry Theorem 6.8 to the route layer and to the
+whole Lamb1 pipeline: at fixed f, a route (and a batch of routes)
+costs the same on M2(2^8) and M2(2^16), ``find_lamb_set`` costs the
+same on M2(2^8) and M2(2^16) and on M3(2^6) and M3(2^16), and no dense
+grid is built.
 """
 
 from __future__ import annotations
@@ -275,14 +277,14 @@ def test_predetermined_lambs_serve_as_intermediates():
     assert used & set(predetermined)
 
 
-def _explicit_faults(width, count=60, seed=7):
+def _explicit_faults(width, count=60, seed=7, dim=2):
     """``count`` distinct random node faults, drawn without ever
     listing the mesh's nodes."""
     rng = np.random.default_rng(seed)
     nodes = set()
     while len(nodes) < count:
-        nodes.add(tuple(int(x) for x in rng.integers(0, width, size=2)))
-    return FaultSet(Mesh.square(2, width), sorted(nodes))
+        nodes.add(tuple(int(x) for x in rng.integers(0, width, size=dim)))
+    return FaultSet(Mesh.square(dim, width), sorted(nodes))
 
 
 def _near_pairs(faults, count=40, reach=4, seed=9):
@@ -322,16 +324,19 @@ def _best_batch_seconds(index, pairs, repeats=3):
     return best
 
 
+def _forbid_fault_grids(monkeypatch):
+    def no_grids(self, faults):
+        raise AssertionError("built a FaultGrids")
+
+    monkeypatch.setattr(FaultGrids, "__init__", no_grids)
+
+
 def test_route_cost_independent_of_mesh_size(monkeypatch):
     """Theorem 6.8 at the route layer: at fixed f a route, and a batch
     of routes, costs the same on M2(2^8) and M2(2^16).  A flood is O(N)
     per route, 65536 times more work on the larger mesh; here building
     a ``FaultGrids`` at all raises."""
-
-    def no_grids(self, faults):
-        raise AssertionError("route materialization built a FaultGrids")
-
-    monkeypatch.setattr(FaultGrids, "__init__", no_grids)
+    _forbid_fault_grids(monkeypatch)
     orderings = repeated(xy(), 2)
     seconds, batch_seconds = [], []
     for width in (2**8, 2**16):
@@ -345,3 +350,32 @@ def test_route_cost_independent_of_mesh_size(monkeypatch):
     assert t_large <= 4 * t_small, (t_small, t_large)
     b_small, b_large = batch_seconds
     assert b_large <= 4 * b_small, (b_small, b_large)
+
+
+def _best_lamb_seconds(faults, orderings, repeats=3):
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        find_lamb_set(faults, orderings)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+@pytest.mark.parametrize(
+    "dim, small, orderings",
+    [(2, 2**8, repeated(xy(), 2)), (3, 2**6, repeated(xyz(), 2))],
+    ids=["M2", "M3"],
+)
+def test_lamb_cost_independent_of_mesh_size(monkeypatch, dim, small, orderings):
+    """Theorem 6.8 for the whole pipeline: at fixed f = 60 Lamb1
+    (partition, Find-Reachability, WVC and the lamb set) costs
+    O(k d^3 f^3 + |Lambda|), the same on a 2^16-wide mesh of 2^32 or
+    2^48 nodes as on a small one.  Building a ``FaultGrids`` at all
+    raises, and the large mesh may take at most 10x the small one's
+    best-of-3 time."""
+    _forbid_fault_grids(monkeypatch)
+    t_small, t_large = (
+        _best_lamb_seconds(_explicit_faults(width, dim=dim), orderings)
+        for width in (small, 2**16)
+    )
+    assert t_large <= 10 * t_small, (t_small, t_large)
